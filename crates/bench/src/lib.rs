@@ -1,62 +1,8 @@
-//! Shared helpers for the GemStone experiment-reproduction binaries.
-//!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results). All binaries accept the `GEMSTONE_SCALE`
-//! environment variable (default `1.0`) to scale workload instruction
-//! budgets — useful for quick smoke runs (`GEMSTONE_SCALE=0.05`).
-//!
-//! The benches under `benches/` are plain `main`s (`cargo bench -p
-//! gemstone-bench --bench <name>`): each times its passes with [`timed`]
-//! and writes `BENCH_<name>.json` with [`write_bench_json`].
-
-use gemstone_core::experiment::ExperimentConfig;
-use gemstone_platform::dvfs::Cluster;
-use gemstone_platform::gem5sim::Gem5Model;
-
-/// Reads the workload scale from `GEMSTONE_SCALE` (default 1.0, clamped to
-/// a sensible range).
-pub fn workload_scale() -> f64 {
-    std::env::var("GEMSTONE_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0)
-        .clamp(0.005, 10.0)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(experiment: &str, paper_ref: &str) {
-    println!("==============================================================");
-    println!("GemStone reproduction — {experiment}");
-    println!("paper reference: {paper_ref}");
-    println!("workload scale:  {}", workload_scale());
-    println!("==============================================================\n");
-}
-
-/// The A15-only single-frequency configuration used by the Fig. 3/5/6/7
-/// binaries (fast: one cluster, one model).
-pub fn a15_old_config() -> ExperimentConfig {
-    ExperimentConfig {
-        workload_scale: workload_scale(),
-        clusters: vec![Cluster::BigA15],
-        models: vec![Gem5Model::Ex5BigOld],
-        ..ExperimentConfig::default()
-    }
-}
-
-/// The full two-cluster, three-model configuration used by the headline
-/// and §VII binaries.
-pub fn full_config() -> ExperimentConfig {
-    ExperimentConfig {
-        workload_scale: workload_scale(),
-        ..ExperimentConfig::default()
-    }
-}
-
-/// Formats a paper-vs-measured comparison row.
-pub fn paper_vs(label: &str, paper: &str, measured: &str) -> String {
-    format!("{label:<42} paper: {paper:<18} measured: {measured}")
-}
+//! The bench harness: the benches under `benches/` are plain `main`s
+//! (`cargo bench -p gemstone-bench --bench <name>`). Each times its passes
+//! with [`timed`] and writes `BENCH_<name>.json` with
+//! [`write_bench_json`]. The paper's tables and figures are regenerated by
+//! `gemstone repro --out DIR` (see `gemstone_core::repro`).
 
 /// Runs `f` once, returning its result and its wall-clock seconds. Every
 /// bench under `benches/` times its passes through this.
@@ -118,30 +64,6 @@ pub fn write_bench_json(path: &str, records: &[BenchRecord]) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_default_and_clamp() {
-        // No env var in tests → default.
-        std::env::remove_var("GEMSTONE_SCALE");
-        assert_eq!(workload_scale(), 1.0);
-    }
-
-    #[test]
-    fn configs_shape() {
-        let a = a15_old_config();
-        assert_eq!(a.clusters, vec![Cluster::BigA15]);
-        assert_eq!(a.models, vec![Gem5Model::Ex5BigOld]);
-        let f = full_config();
-        assert_eq!(f.clusters.len(), 2);
-        assert_eq!(f.models.len(), 3);
-    }
-
-    #[test]
-    fn paper_vs_formats() {
-        let s = paper_vs("MPE", "-51 %", "-51.6 %");
-        assert!(s.contains("paper"));
-        assert!(s.contains("measured"));
-    }
 
     #[test]
     fn timed_returns_the_result_and_a_duration() {

@@ -20,10 +20,12 @@
 //! | (k) power/energy analysis | [`analysis::power_energy`], [`analysis::scaling`] |
 //! | §VII model-change validation | [`analysis::improvement`] |
 //!
-//! [`pipeline::GemStone`] wires the whole methodology together;
-//! [`report`] renders tables, ASCII charts and CSV like the figures the
-//! tool generates in the paper ("All graphs in this work, with the
-//! exception of Fig. 4, are generated by GemStone").
+//! [`pipeline::GemStone`] wires the whole methodology together, and
+//! [`repro`] runs it once and writes one file per experiment;
+//! [`render`] formats each analysis result through the tables, ASCII
+//! charts and CSV of [`report`], like the figures the tool generates in
+//! the paper ("All graphs in this work, with the exception of Fig. 4, are
+//! generated by GemStone").
 //!
 //! # Example
 //!
@@ -41,7 +43,9 @@ pub mod experiment;
 pub mod jsonio;
 pub mod persist;
 pub mod pipeline;
+pub mod render;
 pub mod report;
+pub mod repro;
 pub mod resilience;
 pub mod service;
 

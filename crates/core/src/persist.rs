@@ -96,13 +96,9 @@ pub fn load_collated(path: impl AsRef<Path>) -> Result<Collated> {
         .map_err(|e| GemStoneError::Parse(format!("{}: {e}", path.as_ref().display())))
 }
 
-/// Writes the per-record CSV the paper-style figures are drawn from
-/// (workload, model, frequency, times, error, power) — atomically.
-///
-/// # Errors
-///
-/// Returns [`GemStoneError::Io`] on filesystem failures.
-pub fn export_csv(collated: &Collated, path: impl AsRef<Path>) -> Result<()> {
+/// The per-record CSV the paper-style figures are drawn from (workload,
+/// model, frequency, times, error, power).
+pub fn csv(collated: &Collated) -> String {
     let mut out = String::from(
         "workload,model,cluster,freq_mhz,threads,hw_time_s,gem5_time_s,time_pe,hw_power_w\n",
     );
@@ -120,7 +116,16 @@ pub fn export_csv(collated: &Collated, path: impl AsRef<Path>) -> Result<()> {
             r.hw_power_w
         ));
     }
-    write_atomic(path, out.as_bytes())?;
+    out
+}
+
+/// Writes [`csv`] to `path`, atomically.
+///
+/// # Errors
+///
+/// Returns [`GemStoneError::Io`] on filesystem failures.
+pub fn export_csv(collated: &Collated, path: impl AsRef<Path>) -> Result<()> {
+    write_atomic(path, csv(collated).as_bytes())?;
     Ok(())
 }
 

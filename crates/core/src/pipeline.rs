@@ -26,12 +26,12 @@ use crate::analysis::{
 };
 use crate::collate::Collated;
 use crate::experiment::{run_validation, ExperimentConfig};
-use crate::report::{bar_chart, Table};
 use crate::Result;
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::gem5sim::Gem5Model;
+use gemstone_powmon::fitting::fit_cluster_model_with_threads;
 use gemstone_powmon::model::{ModelQuality, PowerModel};
-use gemstone_powmon::{dataset, selection};
+use gemstone_powmon::selection;
 use gemstone_stats::threads::worker_threads;
 use gemstone_uarch::backend::TierConfig;
 use gemstone_workloads::suites;
@@ -174,6 +174,9 @@ pub struct GemStoneReport {
     pub fidelity: TierConfig,
     /// Per-stage wall-clock timings.
     pub timings: StageTimings,
+    /// The collated validation records every analysis above was computed
+    /// from (what `--save` persists).
+    pub collated: Collated,
 }
 
 /// The pipeline runner.
@@ -209,7 +212,7 @@ impl GemStone {
                 microbench::analyse(o.analysis_freq_hz, accesses)
             })
         };
-        let (collated, (summary_t, clusters_t, pmc_t, g5corr_t, reg_hw_t, reg_g5_t), latency_t) =
+        let (owned, (summary_t, clusters_t, pmc_t, g5corr_t, reg_hw_t, reg_g5_t), latency_t) =
             std::thread::scope(|s| {
                 let latency = parallel.then(|| s.spawn(run_latency));
                 // Boxes (a) and (b): characterise hardware, simulate gem5.
@@ -301,7 +304,7 @@ impl GemStone {
                 };
                 (collated, stages, latency)
             });
-        let collated = &collated;
+        let collated = &owned;
         timings.push("summary", summary_t.1);
         timings.push("hca_workloads", clusters_t.1);
         timings.push("pmc_corr", pmc_t.1);
@@ -345,24 +348,14 @@ impl GemStone {
                 .collect();
             // The two clusters' characterisation + fit are independent, so
             // run them concurrently, splitting the worker budget between
-            // them (each `collect` fans out internally).
-            let fit = |cluster: Cluster| -> Result<(&'static str, PowerModel, ModelQuality)> {
+            // them (each characterisation sweep fans out internally).
+            let fit = |cluster: Cluster| -> Result<(PowerModel, ModelQuality)> {
                 let threads = (o.experiment.threads / 2).max(1);
-                let ds = dataset::collect_with_threads(
-                    &o.experiment.board,
-                    cluster,
-                    &specs,
-                    cluster.frequencies(),
-                    threads,
-                );
-                let sel_opts = selection::SelectionOptions {
-                    restricted_pool: Some(selection::gem5_compatible_pool()),
-                    ..selection::SelectionOptions::default()
-                };
-                let sel = selection::select_events(&ds, &sel_opts)?;
-                let pm = PowerModel::fit(&ds, &sel.terms)?;
-                let q = pm.quality(&ds)?;
-                Ok((cluster.name(), pm, q))
+                let restricted = selection::SelectionOptions::gem5_restricted();
+                let board = &o.experiment.board;
+                let f =
+                    fit_cluster_model_with_threads(board, cluster, &specs, &restricted, threads)?;
+                Ok((f.model, f.quality))
             };
             let (little, big) = std::thread::scope(|scope| {
                 let little = scope.spawn(|| fit(Cluster::LittleA7));
@@ -372,10 +365,10 @@ impl GemStone {
                     big.join().expect("power-fit worker panicked"),
                 )
             });
-            for fitted in [little, big] {
-                let (name, pm, q) = fitted?;
-                power_quality.insert(name, q);
-                power_models.insert(name, pm);
+            for (cluster, fitted) in [(Cluster::LittleA7, little), (Cluster::BigA15, big)] {
+                let (pm, q) = fitted?;
+                power_quality.insert(cluster.name(), q);
+                power_models.insert(cluster.name(), pm);
             }
             drop(power_span);
             timings.push("power_models", power_t0.elapsed());
@@ -458,202 +451,40 @@ impl GemStone {
             execution,
             fidelity: o.experiment.fidelity.canonical(),
             timings,
+            collated: owned,
         })
     }
 }
 
 impl GemStoneReport {
-    /// Renders the full report as text.
+    /// Renders the full report as text: one [`crate::render`] section per
+    /// analysis result, then the execution-layer counters and stage
+    /// timings.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "==================================================");
-        let _ = writeln!(out, " GemStone validation report");
-        let _ = writeln!(out, "==================================================\n");
-
-        // Summary.
-        let mut t = Table::new(vec!["model", "freq", "subset", "n", "MAPE %", "MPE %"]);
-        for r in &self.summary.rows {
-            t.row(vec![
-                r.model.name().to_string(),
-                r.freq_hz
-                    .map_or("all".to_string(), |f| format!("{:.0} MHz", f / 1e6)),
-                r.subset.to_string(),
-                r.n.to_string(),
-                format!("{:.1}", r.mape),
-                format!("{:+.1}", r.mpe),
-            ]);
-        }
-        let _ = writeln!(out, "§IV — execution-time errors\n{}", t.render());
-
-        // Fig. 3.
-        let bars: Vec<(String, f64)> = self
-            .clusters
-            .rows
-            .iter()
-            .map(|r| (format!("[{:>2}] {}", r.cluster_id, r.workload), r.mpe))
-            .collect();
-        let _ = writeln!(
-            out,
-            "Fig. 3 — per-workload MPE by HCA cluster ({} clusters)\n{}",
-            self.clusters.k,
-            bar_chart(&bars, 60)
+        use crate::render::{self, View::Report};
+        let c = &self.collated;
+        let mut out = String::from(
+            "==================================================\n \
+             GemStone validation report\n\
+             ==================================================\n\n",
         );
-
-        // Fig. 5.
-        let mut t = Table::new(vec!["event", "cluster", "corr with MPE"]);
-        for e in self
-            .pmc_corr
-            .entries
-            .iter()
-            .filter(|e| e.correlation.abs() > 0.25)
-        {
-            t.row(vec![
-                e.name.to_string(),
-                e.cluster_id.to_string(),
-                format!("{:+.2}", e.correlation),
-            ]);
-        }
-        let _ = writeln!(out, "Fig. 5 — PMC correlation with MPE\n{}", t.render());
-
-        // §IV-C.
-        if let Some(gc) = &self.gem5_corr {
-            let _ = writeln!(
-                out,
-                "§IV-C — {} gem5 statistics with |r| ≥ {:.1}; cluster sizes: {:?}",
-                gc.entries.len(),
-                gc.threshold,
-                gc.clusters
-                    .iter()
-                    .map(|c| c.members.len())
-                    .collect::<Vec<_>>()
-            );
-            if let Some(a) = gc.cluster_a() {
-                let _ = writeln!(
-                    out,
-                    "Cluster A (largest, mean r = {:+.2}): {:?}\n",
-                    a.mean_correlation,
-                    a.members.iter().take(6).collect::<Vec<_>>()
-                );
-            }
-        }
-
-        // §IV-D.
-        let _ = writeln!(
-            out,
-            "§IV-D — error regression: HW PMCs R² = {:.2} ({} terms: {:?}); gem5 stats R² = {:.2} ({} terms)",
-            self.error_reg_hw.r_squared,
-            self.error_reg_hw.selected.len(),
-            self.error_reg_hw.selected,
-            self.error_reg_gem5.r_squared,
-            self.error_reg_gem5.selected.len(),
-        );
-
-        // Fig. 6.
-        let mut t = Table::new(vec!["event", "gem5 / HW"]);
-        for r in &self.event_compare.mean {
-            t.row(vec![r.name.to_string(), format!("{:.2}x", r.ratio)]);
-        }
-        let _ = writeln!(
-            out,
-            "\nFig. 6 — matched events (mean excl. extreme cluster); BP accuracy HW {:.1}% vs gem5 {:.1}%\n{}",
-            self.event_compare.hw_bp_accuracy * 100.0,
-            self.event_compare.gem5_bp_accuracy * 100.0,
-            t.render()
-        );
-
-        // Diagnosis.
-        if self.diagnosis.evidence.is_empty() {
-            let _ = writeln!(out, "diagnosis: no significant error sources identified\n");
-        } else {
-            let _ = writeln!(out, "automated diagnosis (most severe first):");
-            for e in &self.diagnosis.evidence {
-                let _ = writeln!(
-                    out,
-                    "  [{:>5.1}] {} — {}",
-                    e.severity, e.component, e.statement
-                );
-            }
-            out.push('\n');
-        }
-
-        // §V power models.
+        out += &render::summary(&self.summary, c, Report);
+        out += &render::workload_clusters(&self.clusters, Report);
+        out += &render::pmc_correlations(&self.pmc_corr, Report);
+        out += &render::gem5_correlations(self.gem5_corr.as_ref(), Report);
+        out += &render::error_regression(&self.error_reg_hw, &self.error_reg_gem5, Report);
+        out += &render::event_comparison(&self.event_compare, &self.clusters, c, Report);
+        out += &render::diagnosis(&self.diagnosis);
         for (cluster, q) in &self.power_quality {
-            let _ = writeln!(
-                out,
-                "§V — {cluster} power model: MAPE {:.2}%  SER {:.3} W  adj.R² {:.3}  mean VIF {:.1}  (n = {})",
-                q.mape, q.ser, q.adj_r_squared, q.mean_vif, q.n
-            );
+            out += &render::power_quality(cluster, q);
         }
-
-        // §VI.
         if let Some(pe) = &self.power_energy {
-            let _ = writeln!(
-                out,
-                "\n§VI — power MPE {:+.1}% MAPE {:.1}%; energy MPE {:+.1}% MAPE {:.1}%",
-                pe.overall.power_mpe,
-                pe.overall.power_mape,
-                pe.overall.energy_mpe,
-                pe.overall.energy_mape
-            );
-            let mut t = Table::new(vec!["cluster", "power MAPE %", "energy MAPE %"]);
-            for (c, e) in &pe.per_cluster {
-                t.row(vec![
-                    c.to_string(),
-                    format!("{:.1}", e.power_mape),
-                    format!("{:.1}", e.energy_mape),
-                ]);
-            }
-            let _ = writeln!(out, "{}", t.render());
+            out += &render::power_energy(pe, &self.clusters, Report);
         }
-
-        // Fig. 8.
         if let Some(sc) = &self.scaling {
-            let mut t = Table::new(vec![
-                "model",
-                "freq",
-                "perf HW",
-                "perf g5",
-                "power HW",
-                "power g5",
-                "energy HW",
-                "energy g5",
-            ]);
-            for p in &sc.points {
-                t.row(vec![
-                    p.model.name().to_string(),
-                    format!("{:.0} MHz", p.freq_hz / 1e6),
-                    format!("{:.2}", p.hw_perf),
-                    format!("{:.2}", p.gem5_perf),
-                    format!("{:.2}", p.hw_power),
-                    format!("{:.2}", p.gem5_power),
-                    format!("{:.2}", p.hw_energy),
-                    format!("{:.2}", p.gem5_energy),
-                ]);
-            }
-            let _ = writeln!(
-                out,
-                "Fig. 8 — scaling normalised to A7@200 MHz\n{}",
-                t.render()
-            );
-            if let Some((hw, g5)) = sc.a15_speedup {
-                let _ = writeln!(
-                    out,
-                    "A15 speedup 1.8 GHz vs 600 MHz: HW {:.1}x ({:.1}–{:.1}); model {:.1}x ({:.1}–{:.1})",
-                    hw.mean, hw.min, hw.max, g5.mean, g5.min, g5.max
-                );
-            }
+            out += &render::scaling(sc, Report);
         }
-
-        // §VII.
-        let imp = &self.improvement;
-        let _ = writeln!(
-            out,
-            "\n§VII — ex5_big revisions: old MAPE {:.1}% MPE {:+.1}%  →  fixed MAPE {:.1}% MPE {:+.1}%",
-            imp.old.time_mape, imp.old.time_mpe, imp.fixed.time_mape, imp.fixed.time_mpe
-        );
-        if let (Some(oe), Some(fe)) = (imp.old.energy_mape, imp.fixed.energy_mape) {
-            let _ = writeln!(out, "energy MAPE: old {oe:.1}% → fixed {fe:.1}%");
-        }
+        out += &render::improvement(&self.improvement, Report);
 
         // Execution-layer counters.
         let ex = &self.execution;

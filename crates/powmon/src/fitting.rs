@@ -82,7 +82,25 @@ pub fn fit_cluster_model(
     workloads: &[WorkloadSpec],
     opts: &SelectionOptions,
 ) -> Result<FittedPowerModel> {
-    let dataset = dataset::collect(board, cluster, workloads, cluster.frequencies());
+    let threads = gemstone_stats::threads::worker_threads();
+    fit_cluster_model_with_threads(board, cluster, workloads, opts, threads)
+}
+
+/// [`fit_cluster_model`] with an explicit worker count for the
+/// characterisation sweep; the result is identical for any count.
+///
+/// # Errors
+///
+/// As [`fit_cluster_model`].
+pub fn fit_cluster_model_with_threads(
+    board: &OdroidXu3,
+    cluster: Cluster,
+    workloads: &[WorkloadSpec],
+    opts: &SelectionOptions,
+    threads: usize,
+) -> Result<FittedPowerModel> {
+    let freqs = cluster.frequencies();
+    let dataset = dataset::collect_with_threads(board, cluster, workloads, freqs, threads);
     let selection = selection::select_events(&dataset, opts)?;
     let model = PowerModel::fit(&dataset, &selection.terms)?;
     let quality = model.quality(&dataset)?;

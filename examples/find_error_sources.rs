@@ -100,6 +100,6 @@ fn main() {
         "\ndiagnosis (as in §IV-F): the branch predictor is the dominant error\n\
          source; its wrong-path fetches flood the model's split, slow L2 ITLB,\n\
          multiplying the cost of every mispredict. Fix the BP first — then\n\
-         re-validate (see the exp_bp_fix binary for the §VII swing)."
+         re-validate (`gemstone repro` writes the §VII swing to exp_bp_fix.txt)."
     );
 }

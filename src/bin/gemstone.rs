@@ -5,6 +5,8 @@
 //! ```text
 //! gemstone validate  [--scale S] [--clusters K] [--save FILE]   full pipeline (no power)
 //! gemstone report    [--scale S] [--save FILE]                  full pipeline incl. power
+//! gemstone repro     --out DIR [--scale S]                      every experiment, one file
+//!                                                               each (the paper's results/)
 //! gemstone collect   [--scale S] [--checkpoint F] [--resume]    resilient sweep with retry,
 //!                    [--save F] [--csv F] [--retries N]         quarantine, checkpoint/resume
 //!                    [--min-coverage FRAC]                      (faults via GEMSTONE_FAULTS)
@@ -28,7 +30,7 @@
 //! Any of these flips the process-wide `GEMSTONE_OBS` switch on for the
 //! run.
 //!
-//! `validate`, `report`, `collect`, `stats` and `profile` accept
+//! `validate`, `report`, `repro`, `collect`, `stats` and `profile` accept
 //! `--fidelity atomic|approx|sampled` to pick the execution tier; without
 //! the flag the tier comes from `GEMSTONE_FIDELITY` (default `approx`).
 //! The sampled tier's geometry is controlled by `GEMSTONE_SAMPLE_INTERVAL`,
@@ -39,12 +41,15 @@
 //! (`0` disables it; the default is the machine's parallelism). The knob
 //! only affects wall-clock time — results are bit-identical at any value.
 //!
+//! Numeric flags are checked: `--scale` must lie in (0, 10], and a value
+//! that does not parse or is out of range is a usage error.
+//!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 unknown
 //! flag for the given subcommand.
 
 use gemstone::core::analysis::{ablation, improve, suitability};
-use gemstone::core::pipeline::{GemStone, PipelineOptions};
-use gemstone::core::{collate::Collated, experiment, persist, report::Table};
+use gemstone::core::pipeline::GemStone;
+use gemstone::core::{collate::Collated, experiment, persist, render, report::Table, repro};
 use gemstone::platform::simcache::SimCache;
 use gemstone::powmon::{fitting, selection};
 use gemstone::prelude::*;
@@ -82,11 +87,44 @@ impl Args {
         Ok(Args { flags, positional })
     }
 
-    fn scale(&self) -> f64 {
-        self.flags
-            .get("scale")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0)
+    /// The one reader of numeric flags: `default` when `--key` is absent,
+    /// and a usage error naming the flag when its value does not parse or
+    /// fails `valid` (which `expected` describes).
+    fn number<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        expected: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(default);
+        };
+        match v.parse() {
+            Ok(n) if valid(&n) => Ok(n),
+            _ => Err(format!("invalid --{key} value '{v}': expected {expected}")),
+        }
+    }
+
+    /// `--scale`, the workload-budget factor: in (0, 10], default 1.
+    fn scale(&self) -> Result<f64, String> {
+        self.number("scale", 1.0, "a number in (0, 10]", |&s| {
+            s > 0.0 && s <= 10.0
+        })
+    }
+
+    /// A non-negative percentage flag (`--max-mape`, `--target-mape`).
+    fn percent(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.number(key, default, "a percentage >= 0", |p| {
+            p.is_finite() && *p >= 0.0
+        })
+    }
+
+    /// `--min-coverage`, a fraction of the workloads.
+    fn min_coverage(&self, default: f64) -> Result<f64, String> {
+        self.number("min-coverage", default, "a fraction in [0, 1]", |m| {
+            (0.0..=1.0).contains(m)
+        })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -114,6 +152,8 @@ fn usage() -> ExitCode {
          \n\
          validate     [--scale S] [--clusters K] [--save FILE]  time-error validation pipeline\n\
          report       [--scale S] [--save FILE]                 full pipeline incl. power models\n\
+         repro        --out DIR [--scale S]                     every experiment of the paper,\n\
+         \u{20}                                                      one text file each\n\
          collect      [--scale S] [--checkpoint FILE] [--resume] [--save FILE] [--csv FILE]\n\
          \u{20}            [--retries N] [--min-coverage FRAC]       resilient characterisation sweep:\n\
          \u{20}                                                      retry faults, quarantine dead\n\
@@ -137,7 +177,7 @@ fn usage() -> ExitCode {
          \u{20}                                                      journals or BENCH_*.json\n\
          \u{20}                                                      records (default 20%)\n\
          \n\
-         validate, report, collect, stats and profile also accept\n\
+         validate, report, repro, collect, stats and profile also accept\n\
          \u{20}  --fidelity atomic|approx|sampled   execution tier (default: GEMSTONE_FIDELITY\n\
          \u{20}                                     or approx; sampled-tier geometry via\n\
          \u{20}                                     GEMSTONE_SAMPLE_{{INTERVAL,WINDOW,WARMUP}})\n\
@@ -157,6 +197,7 @@ fn usage() -> ExitCode {
          `collect` injects faults when GEMSTONE_FAULTS is set\n\
          (e.g. GEMSTONE_FAULTS=\"seed=7,transient=0.3,fails=2\")\n\
          \n\
+         --scale must lie in (0, 10]\n\
          exit codes: 0 ok, 1 failure, 2 usage, 3 unknown flag"
     );
     ExitCode::from(2)
@@ -194,6 +235,16 @@ impl ObsOutputs {
         if self.any() {
             gemstone_obs::set_enabled(true);
         }
+    }
+
+    /// Writes the requested files and turns the outcome into the exit
+    /// code of a run that otherwise succeeded.
+    fn finish(&self) -> Result<ExitCode, String> {
+        if let Err(e) = self.write() {
+            eprintln!("{e}");
+            return Ok(ExitCode::FAILURE);
+        }
+        Ok(ExitCode::SUCCESS)
     }
 
     /// Writes every requested file. Called once, after the run, so the
@@ -303,64 +354,78 @@ fn parse_fidelity(args: &Args) -> Result<TierConfig, String> {
 /// the first replay. `0` disables segmentation; garbage is a usage error
 /// (exit 2), not a silent fall-back.
 fn apply_segments(args: &Args) -> Result<(), String> {
-    let Some(v) = args.get("segments") else {
-        return Ok(());
-    };
-    let n: usize = v
-        .parse()
-        .map_err(|e| format!("invalid --segments value '{v}': {e}"))?;
-    std::env::set_var(gemstone::uarch::segment::SEGMENTS_ENV, n.to_string());
+    if args.has("segments") {
+        let n: usize = args.number("segments", 0, "a worker count", |_| true)?;
+        std::env::set_var(gemstone::uarch::segment::SEGMENTS_ENV, n.to_string());
+    }
     Ok(())
 }
 
-fn run_pipeline(args: &Args, with_power: bool) -> ExitCode {
+/// The campaign `--scale` and `--fidelity` ask for, on the default board.
+fn experiment_config(args: &Args) -> Result<experiment::ExperimentConfig, String> {
+    Ok(experiment::ExperimentConfig {
+        workload_scale: args.scale()?,
+        fidelity: parse_fidelity(args)?,
+        ..experiment::ExperimentConfig::default()
+    })
+}
+
+/// Reports a runtime failure (exit 1). Usage errors travel as `Err` and
+/// exit 2 from `main`.
+fn fail(what: &str, e: impl std::fmt::Display) -> Result<ExitCode, String> {
+    eprintln!("{what}: {e}");
+    Ok(ExitCode::FAILURE)
+}
+
+/// Prints a rendered result (exit 0), or reports why there is none.
+fn print_or_fail<E: std::fmt::Display>(
+    what: &str,
+    text: std::result::Result<String, E>,
+) -> Result<ExitCode, String> {
+    match text {
+        Ok(text) => {
+            print!("{text}");
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(e) => fail(what, e),
+    }
+}
+
+fn run_pipeline(args: &Args, with_power: bool) -> Result<ExitCode, String> {
     let outputs = ObsOutputs::from_args(args);
     outputs.enable();
-    let fidelity = match parse_fidelity(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut opts = PipelineOptions::default();
-    opts.experiment.workload_scale = args.scale();
-    opts.experiment.fidelity = fidelity;
+    let mut opts = repro::pipeline_options(experiment_config(args)?);
     opts.with_power = with_power;
-    opts.clusters_k = args
-        .get("clusters")
-        .and_then(|v| v.parse().ok())
-        .or(Some(16));
-    match GemStone::new(opts).run() {
-        Ok(report) => {
-            println!("{}", report.render());
-            if let Some(path) = args.get("save") {
-                // Re-run collation quickly is wasteful; persist what we can:
-                // the experiment data is not retained by the report, so save
-                // a fresh collation at the same scale.
-                let cfg = experiment::ExperimentConfig {
-                    workload_scale: args.scale(),
-                    fidelity,
-                    ..experiment::ExperimentConfig::default()
-                };
-                let collated = Collated::build(&experiment::run_validation(&cfg));
-                if let Err(e) = persist::save_collated(&collated, path) {
-                    eprintln!("save failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("collated dataset saved to {path}");
-            }
-            if let Err(e) = outputs.write() {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+    opts.clusters_k = Some(args.number("clusters", 16, "a positive integer", |&k| k > 0)?);
+    let report = match GemStone::new(opts).run() {
+        Ok(report) => report,
+        Err(e) => return fail("pipeline failed", e),
+    };
+    println!("{}", report.render());
+    if let Some(path) = args.get("save") {
+        if let Err(e) = persist::save_collated(&report.collated, path) {
+            return fail("save failed", e);
         }
-        Err(e) => {
-            eprintln!("pipeline failed: {e}");
-            ExitCode::FAILURE
-        }
+        println!("collated dataset saved to {path}");
     }
+    outputs.finish()
+}
+
+/// `gemstone repro --out DIR`: the whole reproduction run once, written as
+/// one text file per experiment (see `gemstone_core::repro`).
+fn run_repro(args: &Args) -> Result<ExitCode, String> {
+    let dir = args
+        .get("out")
+        .ok_or("repro needs --out DIR, the directory for the experiment files")?;
+    let written = repro::run(experiment_config(args)?)
+        .and_then(|r| r.write(std::path::Path::new(dir)))
+        .map(|paths| {
+            paths
+                .iter()
+                .map(|p| format!("wrote {}\n", p.display()))
+                .collect()
+        });
+    print_or_fail("repro failed", written)
 }
 
 /// `gemstone collect`: the resilient characterisation sweep. Runs the
@@ -368,112 +433,70 @@ fn run_pipeline(args: &Args, with_power: bool) -> ExitCode {
 /// workloads whose retry budget is exhausted, and (with `--checkpoint`)
 /// persists progress after every workload so `--resume` continues a killed
 /// run — bit-identical to an uninterrupted one.
-fn run_collect(args: &Args) -> ExitCode {
+fn run_collect(args: &Args) -> Result<ExitCode, String> {
     use gemstone::core::resilience::{collect_resilient, ResilienceOptions};
 
     let outputs = ObsOutputs::from_args(args);
     outputs.enable();
-    let fidelity = match parse_fidelity(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = experiment::ExperimentConfig {
-        workload_scale: args.scale(),
-        fidelity,
-        ..experiment::ExperimentConfig::default()
-    };
+    let cfg = experiment_config(args)?;
     let workloads: Vec<_> = suites::validation_suite()
         .iter()
-        .map(|w| w.scaled(args.scale()))
+        .map(|w| w.scaled(cfg.workload_scale))
         .collect();
     let mut opts = ResilienceOptions {
         checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
         resume: args.has("resume"),
         ..ResilienceOptions::default()
     };
-    if let Some(n) = args.get("retries").and_then(|v| v.parse().ok()) {
-        opts.retry.max_attempts = n;
-    }
-    if let Some(m) = args.get("min-coverage").and_then(|v| v.parse().ok()) {
-        opts.min_coverage = m;
-    }
+    let attempts = opts.retry.max_attempts;
+    opts.retry.max_attempts = args.number("retries", attempts, "a positive integer", |&n| n > 0)?;
+    opts.min_coverage = args.min_coverage(opts.min_coverage)?;
     if opts.resume && opts.checkpoint.is_none() {
-        eprintln!("--resume needs --checkpoint FILE to resume from");
-        return ExitCode::from(2);
+        return Err("--resume needs --checkpoint FILE to resume from".into());
     }
 
     let outcome = match collect_resilient(&cfg, workloads, &opts) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("collect failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail("collect failed", e),
     };
     print!("{}", outcome.coverage.render());
     println!("records: {}", outcome.collated.records.len());
     if let Some(path) = args.get("save") {
         if let Err(e) = persist::save_collated(&outcome.collated, path) {
-            eprintln!("save failed: {e}");
-            return ExitCode::FAILURE;
+            return fail("save failed", e);
         }
         println!("collated dataset saved to {path}");
     }
     if let Some(path) = args.get("csv") {
         if let Err(e) = persist::export_csv(&outcome.collated, path) {
-            eprintln!("csv export failed: {e}");
-            return ExitCode::FAILURE;
+            return fail("csv export failed", e);
         }
         println!("csv written to {path}");
     }
-    if let Err(e) = outputs.write() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    outputs.finish()
 }
 
-fn run_power(args: &Args) -> ExitCode {
+fn run_power(args: &Args) -> Result<ExitCode, String> {
     let cluster = match args.get("cluster").unwrap_or("a15") {
         "a7" => Cluster::LittleA7,
         _ => Cluster::BigA15,
     };
+    let scale = args.scale()?;
     let specs: Vec<_> = suites::power_suite()
         .iter()
-        .map(|w| w.scaled(args.scale()))
+        .map(|w| w.scaled(scale))
         .collect();
     // The same fallible library entry the `power-model` jobs of
     // `gemstone serve` run — the CLI is just one more client of it.
-    match fitting::fit_cluster_model(
-        &OdroidXu3::new(),
-        cluster,
-        &specs,
-        &selection::SelectionOptions::gem5_restricted(),
-    ) {
-        Ok(fitted) => {
-            let q = &fitted.quality;
-            println!(
-                "{}: MAPE {:.2}%  SER {:.3} W  adj.R² {:.3}  VIF {:.1}  (n={})\n\n{}",
-                cluster.name(),
-                q.mape,
-                q.ser,
-                q.adj_r_squared,
-                q.mean_vif,
-                q.n,
-                fitted.model.equations()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("power modelling failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let restricted = selection::SelectionOptions::gem5_restricted();
+    let fitted = fitting::fit_cluster_model(&OdroidXu3::new(), cluster, &specs, &restricted);
+    print_or_fail(
+        "power modelling failed",
+        fitted.map(|f| render::power_model(&f, None)),
+    )
 }
 
-fn run_serve(args: &Args) -> ExitCode {
+fn run_serve(args: &Args) -> Result<ExitCode, String> {
     use gemstone::core::service::{serve, Service, ServiceConfig};
 
     let addr = args.get("addr").unwrap_or("127.0.0.1:8323");
@@ -484,50 +507,21 @@ fn run_serve(args: &Args) -> ExitCode {
             .unwrap_or_else(|| std::env::temp_dir().join("gemstone-serve")),
         ..ServiceConfig::default()
     };
-    if let Some(w) = args.get("workers") {
-        match w.parse() {
-            Ok(n) => cfg.workers = n,
-            Err(_) => {
-                eprintln!("--workers must be an integer, got {w:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(n) = args.get("queue-limit") {
-        match n.parse() {
-            Ok(n) if n > 0 => cfg.queue_limit = n,
-            _ => {
-                eprintln!("--queue-limit must be a positive integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(m) = args.get("min-coverage") {
-        match m.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => cfg.min_coverage = v,
-            _ => {
-                eprintln!("--min-coverage must be in [0,1], got {m:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    cfg.workers = args.number("workers", cfg.workers, "an integer", |_| true)?;
+    let limit = cfg.queue_limit;
+    cfg.queue_limit = args.number("queue-limit", limit, "a positive integer", |&n| n > 0)?;
+    cfg.min_coverage = args.min_coverage(cfg.min_coverage)?;
 
     let listener = match std::net::TcpListener::bind(addr) {
         Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("cannot bind {addr}"), e),
     };
     // The service layer reports through the obs registry (`/metrics`), so
     // turn the registry on for the daemon's lifetime.
     gemstone_obs::set_enabled(true);
     let svc = match Service::open(cfg.clone()) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open queue {}: {e}", cfg.queue_dir.display());
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("cannot open queue {}", cfg.queue_dir.display()), e),
     };
     // The smoke tests (and humans) wait for this line before submitting.
     println!(
@@ -539,60 +533,29 @@ fn run_serve(args: &Args) -> ExitCode {
         cfg.queue_dir.display()
     );
     match serve(&svc, &listener) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            ExitCode::FAILURE
-        }
+        Ok(()) => Ok(ExitCode::SUCCESS),
+        Err(e) => fail("serve failed", e),
     }
 }
 
-fn run_ablate(args: &Args) -> ExitCode {
-    let board = OdroidXu3::new();
-    let workloads: Vec<_> = suites::validation_suite()
+/// The validation suite at the `--scale` the command line asks for.
+fn validation_workloads(args: &Args) -> Result<Vec<WorkloadSpec>, String> {
+    let scale = args.scale()?;
+    Ok(suites::validation_suite()
         .iter()
-        .map(|w| w.scaled(args.scale()))
-        .collect();
-    match ablation::analyse(&board, &workloads, 1.0e9) {
-        Ok(ab) => {
-            let mut t = Table::new(vec!["variant", "MAPE %", "MPE %"]);
-            t.row(vec![
-                ab.baseline.label.clone(),
-                format!("{:.1}", ab.baseline.mape),
-                format!("{:+.1}", ab.baseline.mpe),
-            ]);
-            for v in ab.fix_one.iter().chain(ab.keep_one.iter()) {
-                t.row(vec![
-                    v.label.clone(),
-                    format!("{:.1}", v.mape),
-                    format!("{:+.1}", v.mpe),
-                ]);
-            }
-            t.row(vec![
-                ab.truth_config.label.clone(),
-                format!("{:.1}", ab.truth_config.mape),
-                format!("{:+.1}", ab.truth_config.mpe),
-            ]);
-            println!("{}", t.render());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("ablation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        .map(|w| w.scaled(scale))
+        .collect())
 }
 
-fn run_suitability(args: &Args) -> ExitCode {
-    let max_mape: f64 = args
-        .get("max-mape")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
-    let cfg = experiment::ExperimentConfig {
-        workload_scale: args.scale(),
-        ..experiment::ExperimentConfig::default()
-    };
-    let collated = Collated::build(&experiment::run_validation(&cfg));
+fn run_ablate(args: &Args) -> Result<ExitCode, String> {
+    let workloads = validation_workloads(args)?;
+    let ab = ablation::analyse(&OdroidXu3::new(), &workloads, 1.0e9);
+    print_or_fail("ablation failed", ab.map(|ab| render::ablation(&ab)))
+}
+
+fn run_suitability(args: &Args) -> Result<ExitCode, String> {
+    let max_mape = args.percent("max-mape", 20.0)?;
+    let collated = Collated::build(&experiment::run_validation(&experiment_config(args)?));
     let cases = vec![
         suitability::UseCase::timing(format!("all workloads (≤{max_mape} %)"), max_mape),
         suitability::UseCase::timing(format!("PARSEC only (≤{max_mape} %)"), max_mape)
@@ -618,74 +581,41 @@ fn run_suitability(args: &Args) -> ExitCode {
                     ]);
                 }
             }
-            Err(e) => {
-                eprintln!("assessment failed for {}: {e}", model.name());
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("assessment failed for {}", model.name()), e),
         }
     }
     println!("{}", t.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_improve(args: &Args) -> ExitCode {
-    let target: f64 = args
-        .get("target-mape")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
-    let board = OdroidXu3::new();
-    let workloads: Vec<_> = suites::validation_suite()
-        .iter()
-        .map(|w| w.scaled(args.scale()))
-        .collect();
-    match improve::improve_model(&board, &workloads, 1.0e9, target, 8) {
-        Ok(imp) => {
-            let mut t = Table::new(vec!["iter", "MAPE %", "MPE %", "fix applied"]);
-            for it in &imp.iterations {
-                t.row(vec![
-                    it.index.to_string(),
-                    format!("{:.1}", it.mape),
-                    format!("{:+.1}", it.mpe),
-                    it.fixed.unwrap_or("stop").to_string(),
-                ]);
-            }
-            println!("{}", t.render());
-            println!("final MAPE {:.1} %", imp.final_mape);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("improvement loop failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn run_improve(args: &Args) -> Result<ExitCode, String> {
+    let target = args.percent("target-mape", 10.0)?;
+    let workloads = validation_workloads(args)?;
+    let imp = improve::improve_model(&OdroidXu3::new(), &workloads, 1.0e9, target, 8);
+    print_or_fail(
+        "improvement loop failed",
+        imp.map(|imp| render::improve_loop(&imp)),
+    )
 }
 
-fn run_stats(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else {
-        eprintln!("stats needs a workload name (see `suites::power_suite()` for the list)");
-        return ExitCode::from(2);
-    };
+fn run_stats(args: &Args) -> Result<ExitCode, String> {
+    let name = args
+        .positional
+        .first()
+        .ok_or("stats needs a workload name (see `suites::power_suite()` for the list)")?;
     let spec = match resolve_workload(name) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail("stats", e),
     };
     let model = parse_model(args);
-    let tier = match parse_fidelity(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let tier = parse_fidelity(args)?;
+    let scale = args.scale()?;
     let t0 = std::time::Instant::now();
     // One fused grid replay covers the model's whole DVFS column; the
     // stats dump below is the 1 GHz lane (bit-identical to a scalar run
     // at 1 GHz), and the grid counters record what the fusion did.
     let freqs = model.cluster().frequencies();
-    let runs = Gem5Sim::run_grid_tier(&spec.scaled(args.scale()), model, freqs, tier);
+    let runs = Gem5Sim::run_grid_tier(&spec.scaled(scale), model, freqs, tier);
     let sim_micros = t0.elapsed().as_micros() as u64;
     let run = runs.iter().find(|r| r.freq_hz == 1.0e9).unwrap_or(&runs[0]);
     print!("{}", run.stats.to_stats_txt());
@@ -792,44 +722,35 @@ fn run_stats(args: &Args) -> ExitCode {
             println!("{name:<60} {value:>20}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `gemstone profile <workload>`: run one workload through the simulator
 /// and report what the *simulator* did — host wall-clock, simulation rate
 /// (MIPS), per-structure event rates, instruction mix, and cache-layer
 /// effectiveness. The obs layer is always on for this subcommand.
-fn run_profile(args: &Args) -> ExitCode {
-    let Some(name) = args.positional.first() else {
-        eprintln!("profile needs a workload name, e.g. `gemstone profile dhrystone`");
-        return ExitCode::from(2);
-    };
+fn run_profile(args: &Args) -> Result<ExitCode, String> {
+    let name = args
+        .positional
+        .first()
+        .ok_or("profile needs a workload name, e.g. `gemstone profile dhrystone`")?;
     let spec = match resolve_workload(name) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail("profile", e),
     };
     let model = parse_model(args);
-    let freq: f64 = args
-        .get("freq")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0e9);
-    let tier = match parse_fidelity(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    let freq = args.number("freq", 1.0e9, "a frequency in Hz > 0", |f: &f64| {
+        f.is_finite() && *f > 0.0
+    })?;
+    let tier = parse_fidelity(args)?;
+    let scale = args.scale()?;
     let outputs = ObsOutputs::from_args(args);
     // Profiling is the point of this subcommand — spans and registry
     // counters are live even when no export file was requested.
     gemstone_obs::set_enabled(true);
 
     let t0 = std::time::Instant::now();
-    let run = Gem5Sim::run_tier(&spec.scaled(args.scale()), model, freq, tier);
+    let run = Gem5Sim::run_tier(&spec.scaled(scale), model, freq, tier);
     let wall = t0.elapsed().as_secs_f64();
 
     let s = &run.stats;
@@ -948,11 +869,7 @@ fn run_profile(args: &Args) -> ExitCode {
         traces.histogram_misses
     );
 
-    if let Err(e) = outputs.write() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    outputs.finish()
 }
 
 /// What a `gemstone perf` input file turned out to hold, by inspection:
@@ -981,14 +898,7 @@ fn load_perf_input(path: &str) -> Result<PerfInput, String> {
 /// and MIPS) or two `BENCH_*.json` records (speedup) and exits non-zero
 /// when any metric regressed by more than the tolerance (default 20%) —
 /// the CI gate over the repo's bench trajectory.
-fn run_perf(args: &Args) -> ExitCode {
-    let tolerance: f64 = match args.get("tolerance").map(str::parse).transpose() {
-        Ok(t) => t.unwrap_or(20.0),
-        Err(_) => {
-            eprintln!("--tolerance needs a percentage, e.g. `--tolerance 20`");
-            return ExitCode::from(2);
-        }
-    };
+fn run_perf(args: &Args, tolerance: f64) -> ExitCode {
     match args.positional.as_slice() {
         [mode, path] if mode == "report" => {
             let journal = match load_perf_input(path) {
@@ -1071,18 +981,7 @@ fn main() -> ExitCode {
         }
     };
     let allowed: &[&str] = match cmd.as_str() {
-        "validate" => &[
-            "scale",
-            "clusters",
-            "save",
-            "fidelity",
-            "segments",
-            "metrics",
-            "trace",
-            "jsonl",
-            "flight-record",
-        ],
-        "report" => &[
+        "validate" | "report" => &[
             "scale",
             "clusters",
             "save",
@@ -1131,6 +1030,7 @@ fn main() -> ExitCode {
             "jsonl",
             "flight-record",
         ],
+        "repro" => &["out", "scale", "fidelity"],
         "perf" => &["tolerance"],
         _ => return usage(),
     };
@@ -1145,13 +1045,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(3);
     }
-    if let Err(e) = apply_segments(&args) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    match cmd.as_str() {
+    let run = apply_segments(&args).and_then(|()| match cmd.as_str() {
         "validate" => run_pipeline(&args, false),
         "report" => run_pipeline(&args, true),
+        "repro" => run_repro(&args),
         "collect" => run_collect(&args),
         "serve" => run_serve(&args),
         "power" => run_power(&args),
@@ -1160,9 +1057,14 @@ fn main() -> ExitCode {
         "improve" => run_improve(&args),
         "stats" => run_stats(&args),
         "profile" => run_profile(&args),
-        "perf" => run_perf(&args),
-        _ => usage(),
-    }
+        "perf" => Ok(run_perf(&args, args.percent("tolerance", 20.0)?)),
+        _ => Ok(usage()),
+    });
+    // Usage errors — a malformed flag value, a missing argument — exit 2.
+    run.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })
 }
 
 #[cfg(test)]
@@ -1177,7 +1079,7 @@ mod tests {
     fn args_parse_flags_and_positionals() {
         let a = Args::parse(&strs(&["mi-sha", "--scale", "0.5", "--model", "old"]), &[]).unwrap();
         assert_eq!(a.positional, vec!["mi-sha"]);
-        assert_eq!(a.scale(), 0.5);
+        assert_eq!(a.scale(), Ok(0.5));
         assert_eq!(a.get("model"), Some("old"));
         assert_eq!(a.get("missing"), None);
     }
@@ -1185,11 +1087,30 @@ mod tests {
     #[test]
     fn args_default_scale_and_errors() {
         let a = Args::parse(&strs(&[]), &[]).unwrap();
-        assert_eq!(a.scale(), 1.0);
+        assert_eq!(a.scale(), Ok(1.0));
         assert!(Args::parse(&strs(&["--scale"]), &[]).is_err());
-        // Unparseable scale falls back to the default.
-        let a = Args::parse(&strs(&["--scale", "not-a-number"]), &[]).unwrap();
-        assert_eq!(a.scale(), 1.0);
+        let a = Args::parse(&strs(&["--scale", "10"]), &[]).unwrap();
+        assert_eq!(a.scale(), Ok(10.0));
+        // Garbage, non-finite, non-positive and over-range scales are usage
+        // errors naming the flag, not a silent default or a panic.
+        for bad in ["not-a-number", "abc", "inf", "nan", "-1", "0", "10.5", ""] {
+            let a = Args::parse(&strs(&["--scale", bad]), &[]).unwrap();
+            let e = a.scale().unwrap_err();
+            assert!(e.contains("--scale") && e.contains("(0, 10]"), "{bad}: {e}");
+        }
+        // The other numeric flags go through the same reader.
+        let a = Args::parse(
+            &strs(&["--clusters", "x", "--min-coverage", "1.5", "--freq", "-2"]),
+            &[],
+        )
+        .unwrap();
+        assert!(a.number("clusters", 16_usize, "k", |_| true).is_err());
+        assert!(a.min_coverage(1.0).unwrap_err().contains("--min-coverage"));
+        assert!(a.number("freq", 1.0, "f", |f: &f64| *f > 0.0).is_err());
+        let a = Args::parse(&strs(&["--target-mape", "nan", "--retries", "-3"]), &[]).unwrap();
+        assert!(a.percent("target-mape", 10.0).is_err());
+        assert!(a.number("retries", 4_u32, "n", |_| true).is_err());
+        assert_eq!(a.percent("max-mape", 20.0), Ok(20.0));
     }
 
     #[test]
@@ -1203,7 +1124,7 @@ mod tests {
         .unwrap();
         assert!(a.has("resume"));
         assert_eq!(a.get("checkpoint"), Some("ck.json"));
-        assert_eq!(a.scale(), 0.1);
+        assert_eq!(a.scale(), Ok(0.1));
         // Without the bool-flag declaration, `--resume` would eat `--scale`.
         let a = Args::parse(&strs(&["--resume", "--scale", "0.1"]), &[]).unwrap();
         assert_eq!(a.get("resume"), Some("--scale"));
