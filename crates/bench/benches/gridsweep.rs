@@ -5,13 +5,14 @@
 //! the packed trace and re-simulating every shared structure — against
 //! one multi-lane [`Backend`] pass that decodes once and carries all
 //! frequencies as lanes. Covered per cluster (A7 and A15 columns) and across the three
-//! fidelity tiers. The pass prints the measured fused-vs-scalar speedup
-//! per (cluster, tier), so a bench run doubles as a check of the ≥3×
-//! target on the A15 approx column; the same measurements are the
-//! records, which CI diffs against `baselines/`.
+//! fidelity tiers. Each column is timed as the fastest of [`PASSES`]
+//! interleaved passes, which damps host noise. The bench prints the
+//! fused-vs-scalar speedup per (cluster, tier), so a run doubles as a
+//! check of the ≥3× target on the A15 approx column; the same
+//! measurements are the records, which CI diffs against `baselines/`.
 //!
 //! Results are bit-identical by construction: every lane replays the
-//! `f64` operation sequence of a one-lane run, and the pass asserts it.
+//! `f64` operation sequence of a one-lane run, and every pass asserts it.
 
 use gemstone_bench::{timed, write_bench_json, BenchRecord};
 use gemstone_platform::dvfs::Cluster;
@@ -23,6 +24,8 @@ use gemstone_workloads::trace::PackedTrace;
 
 const WORKLOAD: &str = "mi-fft";
 const SEED: u64 = 7;
+/// Timed passes per (cluster, tier) row; each column keeps its fastest.
+const PASSES: usize = 5;
 
 fn clusters() -> [(&'static str, CoreConfig, &'static [f64]); 2] {
     [
@@ -71,14 +74,19 @@ fn main() {
         for (tier_name, tier) in tier_configs() {
             // Speedup spot-check, printed once per (cluster, tier): the
             // wall-clock ratio of the per-frequency column to one fused
-            // replay of the same column.
-            let (scalar_cycles, scalar) = timed(|| run_per_frequency(&trace, &cfg, freqs, tier));
-            let (fused_cycles, fused) = timed(|| run_fused(&trace, &cfg, freqs, tier));
-            assert_eq!(
-                scalar_cycles.to_bits(),
-                fused_cycles.to_bits(),
-                "fused column diverged from per-frequency runs"
-            );
+            // replay of the same column, each at its fastest pass.
+            let (mut scalar, mut fused) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..PASSES {
+                let (scalar_cycles, s) = timed(|| run_per_frequency(&trace, &cfg, freqs, tier));
+                let (fused_cycles, f) = timed(|| run_fused(&trace, &cfg, freqs, tier));
+                assert_eq!(
+                    scalar_cycles.to_bits(),
+                    fused_cycles.to_bits(),
+                    "fused column diverged from per-frequency runs"
+                );
+                scalar = scalar.min(s);
+                fused = fused.min(f);
+            }
             let speedup = scalar / fused.max(1e-9);
             println!(
                 "grid_sweep/{cluster}/{tier_name}: {} lanes, fused {speedup:.1}x faster \

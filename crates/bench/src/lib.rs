@@ -15,9 +15,9 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// One machine-readable measurement from a benchmark's timed pass.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Benchmark family, e.g. `"segmented"`.
+    /// Benchmark family, e.g. `"gridsweep"`.
     pub bench: String,
-    /// Configuration label, e.g. `"workers=4"` or `"a15/approx"`.
+    /// Configuration label, e.g. `"threads=4"` or `"a15/approx"`.
     pub config: String,
     /// Wall-clock seconds of the measured pass.
     pub wall_s: f64,
@@ -80,16 +80,16 @@ mod tests {
         let file = std::env::temp_dir().join("gemstone-bench-json-test.json");
         let path = file.to_str().unwrap();
         let recs = vec![
-            BenchRecord::new("segmented", "workers=2".to_string(), 1.25, 1.9),
-            BenchRecord::new("segmented", "workers=4".to_string(), 0.75, 3.2),
+            BenchRecord::new("trace", "threads=2".to_string(), 1.25, 1.9),
+            BenchRecord::new("trace", "threads=4".to_string(), 0.75, 3.2),
             BenchRecord::new("grid", "a15/\"approx\"\\x".to_string(), 0.5, 1.0),
         ];
         write_bench_json(path, &recs).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         assert!(text.trim_start().starts_with('['));
         assert!(text.trim_end().ends_with(']'));
-        assert_eq!(text.matches("\"bench\": \"segmented\"").count(), 2);
-        assert!(text.contains("\"config\": \"workers=4\""));
+        assert_eq!(text.matches("\"bench\": \"trace\"").count(), 2);
+        assert!(text.contains("\"config\": \"threads=4\""));
         assert!(text.contains("\"speedup\": 3.200"));
         // Labels are escaped, not rewritten: they read back unchanged.
         let back = gemstone_obs::profile::parse_bench_json(&text).unwrap();

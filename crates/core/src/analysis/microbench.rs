@@ -11,7 +11,6 @@ use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_stats::threads::parallel_map;
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw, ex5_big, ex5_little, Ex5Variant};
 use gemstone_uarch::core::{CoreConfig, Engine};
-use gemstone_uarch::segment::TokenPool;
 use gemstone_workloads::microbench::{fig4_sizes, lat_mem_rd};
 
 /// One latency curve.
@@ -60,9 +59,7 @@ fn latency_ns(cfg: &CoreConfig, freq_hz: f64, size: u64, stride: u64, accesses: 
 /// Measures one labelled curve per configuration. The (configuration,
 /// size) engine runs are independent, so they fan out through
 /// [`parallel_map`] and are reassembled in the fixed curve and size order;
-/// results do not depend on the worker count. Each run holds one
-/// [`TokenPool`] permit, as sweep workers do, so segmented replays running
-/// alongside only borrow the cores Fig. 4 leaves idle.
+/// results do not depend on the worker count.
 fn measure(
     configs: &[(CoreConfig, &str)],
     freq_hz: f64,
@@ -75,7 +72,6 @@ fn measure(
         .flat_map(|(cfg, _)| sizes.iter().map(move |&size| (cfg, size)))
         .collect();
     let ns = parallel_map(&runs, |_, &(cfg, size)| {
-        let _busy = TokenPool::global().take_up_to(1);
         latency_ns(cfg, freq_hz, size, stride, accesses)
     });
     configs

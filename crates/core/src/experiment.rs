@@ -159,13 +159,9 @@ pub fn run_validation(cfg: &ExperimentConfig) -> ValidationData {
 /// Runs the same experiments over an arbitrary workload list (used by the
 /// examples and by ablation benches).
 ///
-/// Scheduling is two-level: this sweep fans out over *workloads*, and each
-/// engine replay may additionally fan out over trace *segments*
-/// (`gemstone_uarch::segment`). Every busy sweep worker holds one
-/// [`TokenPool`](gemstone_uarch::segment::TokenPool) permit, so segmented
-/// replays only borrow the cores this loop is not using — early in a sweep
-/// workloads run near-sequentially inside, and the straggler at the end
-/// fans its segments out over the idle workers.
+/// The sweep fans out over *workloads* on `cfg.threads` workers; each
+/// (cluster, workload) column is one fused grid replay on its worker's
+/// thread.
 pub fn run_over(cfg: &ExperimentConfig, workloads: Vec<WorkloadSpec>) -> ValidationData {
     // One mutex guards both result vectors: a worker hands over its whole
     // per-workload batch (hardware and gem5 together) under a single lock
@@ -194,11 +190,6 @@ pub fn run_over(cfg: &ExperimentConfig, workloads: Vec<WorkloadSpec>) -> Validat
                     gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
                         .attr("workload", &spec.name)
                         .attr("tier", cfg.fidelity.fidelity.name());
-                // Advisory: mark one core busy for the duration of this
-                // workload so segmented replays on other workers don't
-                // oversubscribe it. Taking zero permits (pool exhausted)
-                // is fine — the permit only steers, never gates.
-                let _busy = gemstone_uarch::segment::TokenPool::global().take_up_to(1);
                 let mut hw_local = Vec::new();
                 let mut g5_local = Vec::new();
                 // Each (cluster, workload) column is one fused grid

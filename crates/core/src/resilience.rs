@@ -331,10 +331,6 @@ pub fn collect_resilient(
                     gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
                         .attr("workload", &spec.name)
                         .attr("tier", cfg.fidelity.fidelity.name());
-                // Two-level scheduling, as in `experiment::run_over`: hold
-                // one advisory TokenPool permit per busy workload worker so
-                // segmented replays only borrow genuinely idle cores.
-                let _busy = gemstone_uarch::segment::TokenPool::global().take_up_to(1);
                 let outcome = characterise_workload(cfg, spec, &opts.faults, &opts.retry);
                 let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                 match outcome {

@@ -23,9 +23,7 @@
 //!   an uninterrupted run's.
 //! * **Bounded resources.** The queue has a fixed capacity (submissions
 //!   beyond it are refused — HTTP 429 upstream, [`SubmitError::Busy`]
-//!   here), the worker pool is sized once at start-up, and each busy
-//!   worker holds a [`TokenPool`] permit so segmented replays inside jobs
-//!   only borrow genuinely idle cores.
+//!   here) and the worker pool is sized once at start-up.
 //!
 //! `--min-coverage` is an *admission policy*: jobs may demand stricter
 //! coverage than the server floor but not weaker, so one misconfigured
@@ -60,7 +58,6 @@ use gemstone_platform::fault::{FaultInjector, RetryPolicy};
 use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
 use gemstone_powmon::fitting;
 use gemstone_powmon::selection::SelectionOptions;
-use gemstone_uarch::segment::TokenPool;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
 use std::collections::{BTreeMap, VecDeque};
@@ -761,12 +758,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             }
         };
 
-        // Hold one advisory TokenPool permit while busy, like the sweep
-        // workers do, so segmented replays inside the job only borrow
-        // genuinely idle cores. Released on unwind too (PR note in
-        // segment.rs), so a panicking job cannot leak capacity.
         let outcome = {
-            let _busy = TokenPool::global().take_up_to(1);
             let _span = gemstone_obs::span::span("service.job")
                 .attr("kind", spec.kind_name())
                 .attr("id", &id);

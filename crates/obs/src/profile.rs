@@ -10,7 +10,7 @@
 //! cleared) is promoted to a root rather than dropped.
 //!
 //! Self time is inclusive time minus the inclusive time of children.
-//! Children that ran *concurrently* (segment or sweep workers) can sum
+//! Children that ran *concurrently* (sweep workers) can sum
 //! to more than their parent's wall clock; self time clamps at zero in
 //! that case — the parent genuinely had no exclusive time.
 //!
@@ -395,7 +395,7 @@ pub fn render_report(journal: &Journal) -> String {
 /// `gemstone_bench::BenchRecord`, re-parsed from `BENCH_*.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRec {
-    /// Bench name (`segmented_replay`, `grid_sweep`, …).
+    /// Bench name (`trace_replay`, `grid_sweep`, …).
     pub bench: String,
     /// Configuration within the bench (`a15/approx`, `4w`, …).
     pub config: String,
@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn name_paths_collapse_transparent_spans() {
         let direct = vec![ev("run", 1, 0, 0, 100), ev("tier", 2, 1, 0, 90)];
-        let segmented = vec![
+        let fanned = vec![
             ev("run", 1, 0, 0, 100),
             ev("seg", 2, 1, 0, 95),
             ev("worker", 3, 2, 0, 40),
@@ -675,7 +675,7 @@ mod tests {
             ev("tier", 6, 5, 40, 35),
         ];
         let a = SpanTree::build(&direct).name_paths(&[]);
-        let b = SpanTree::build(&segmented).name_paths(&["seg", "worker"]);
+        let b = SpanTree::build(&fanned).name_paths(&["seg", "worker"]);
         assert_eq!(a, b);
     }
 
@@ -683,14 +683,14 @@ mod tests {
     fn journal_round_trip() {
         let r = crate::Registry::new();
         r.counter("engine.instructions").add(2_000_000);
-        r.gauge("tokenpool.permits.held").set(3.0);
+        r.gauge("sweep.queue.depth").set(3.0);
         r.histogram("sim.latency.seconds", &[0.001, 0.01])
             .observe(0.005);
         let events = vec![
             ev("engine.run", 7, 0, 0, 1_000_000),
             SpanEvent {
                 attrs: vec![(Cow::Borrowed("workload"), "fft".to_string())],
-                ..ev("engine.run.segmented", 8, 7, 10, 900_000)
+                ..ev("engine.run.grid", 8, 7, 10, 900_000)
             },
         ];
         let text = crate::export::jsonl(&r, &events);
@@ -699,7 +699,7 @@ mod tests {
         assert_eq!(journal.events[1].parent, 7);
         assert_eq!(journal.events[1].attrs[0].1, "fft");
         assert_eq!(journal.counters["engine.instructions"], 2_000_000);
-        assert!((journal.gauges["tokenpool.permits.held"] - 3.0).abs() < 1e-12);
+        assert!((journal.gauges["sweep.queue.depth"] - 3.0).abs() < 1e-12);
         let (count, _sum, p50, _, _) = journal.histograms["sim.latency.seconds"];
         assert_eq!(count, 1);
         assert!(p50 > 0.0);
@@ -714,7 +714,7 @@ mod tests {
     fn bench_diff_flags_injected_regression() {
         let base = vec![
             BenchRec {
-                bench: "segmented_replay".into(),
+                bench: "trace_replay".into(),
                 config: "4w".into(),
                 wall_s: 1.0,
                 speedup: 3.0,
@@ -734,7 +734,7 @@ mod tests {
         let report = diff_bench(&base, &cand, 20.0);
         assert_eq!(report.regressions(), 1);
         assert!(report.render().contains("REGRESSION"));
-        assert!(report.lines[0].name.contains("segmented_replay/4w"));
+        assert!(report.lines[0].name.contains("trace_replay/4w"));
         // ...but passes a loose enough tolerance.
         assert_eq!(diff_bench(&base, &cand, 50.0).regressions(), 0);
         // Unmatched configs are reported, not failed.

@@ -648,17 +648,15 @@ mod tests {
     }
 
     #[test]
-    fn segmented_replay_is_cache_transparent() {
-        use gemstone_uarch::segment::segment_instrs;
+    fn replay_across_drain_boundaries_is_cache_transparent() {
+        use gemstone_uarch::core::Engine;
         use gemstone_workloads::spec::Suite;
 
-        // Long enough that the packed-trace replay takes the time-parallel
-        // segmented path wherever the token pool admits it; the
-        // direct-generation path always streams sequentially. Both must
-        // produce the same bits under the same cache key — segmentation is
-        // an execution strategy, never part of the cache identity.
-        let s = WorkloadSpec::builder("seg-transparent", Suite::MiBench)
-            .instructions(2 * segment_instrs() + 1_234)
+        // Long enough to cross two accumulator drains: the packed-trace
+        // replay and direct generation must produce the same bits, and a
+        // warm cache hit must return them unchanged.
+        let s = WorkloadSpec::builder("drain-transparent", Suite::MiBench)
+            .instructions(2 * Engine::DRAIN_INSTRS + 1_234)
             .build();
         let cfg = cortex_a7_hw();
         let traced = SimCache::execute_with(&TraceCache::new(), &cfg, &s, 1.0e9);

@@ -48,7 +48,7 @@
 //! assert!(lanes[0].seconds > lanes[1].seconds); // same cycles, slower clock
 //! ```
 
-use crate::core::{check_lanes, CoreConfig, Engine, SimResult};
+use crate::core::{check_lanes, drive, CoreConfig, Engine, SimResult};
 use crate::instr::{Instr, InstrClass};
 use crate::stats::{ClassCounts, SimStats};
 use std::fmt;
@@ -286,7 +286,7 @@ pub struct SampleMeta {
 
 /// Records one completed run at `fidelity` over `lanes` frequency lanes of
 /// `instructions` committed instructions each — the one accounting routine
-/// behind every run entry point ([`Engine::run`], [`Engine::run_segmented`],
+/// behind every run entry point ([`Engine::run`], [`SampledEngine::run`],
 /// [`Backend::run_stream`], [`Backend::run_histogram`]). Each lane is
 /// one logical run: `engine.runs`, `engine.instructions` and the
 /// `engine.tier.<tier>.*` counters grow by `lanes` runs and
@@ -444,9 +444,9 @@ impl AtomicEngine {
 /// Per-lane measurement accumulators of the sampled tier.
 #[derive(Debug, Clone, Default)]
 struct SampledLane {
-    /// Measured cycles since the last canonical boundary drain; earlier
-    /// spans live in `measured_partials` (same discipline as [`Engine`]'s
-    /// cycle accumulators — see [`SampledEngine::boundary`]).
+    /// Measured cycles since the last drain; earlier spans live in
+    /// `measured_partials` (same discipline as [`Engine`]'s cycle
+    /// accumulators — see [`SampledEngine::boundary`]).
     measured_cycles: f64,
     measured_partials: Vec<f64>,
     window_cycles: f64,
@@ -471,7 +471,7 @@ impl SampledLane {
 /// stream. The window schedule, functional warming and architectural
 /// counts are shared across frequency lanes; each lane measures its own
 /// per-window cycle deltas.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SampledEngine {
     interval: u64,
     detailed_len: u64,
@@ -538,11 +538,10 @@ impl SampledEngine {
         self.detailed.warm_frontend(instr);
     }
 
-    /// Canonical boundary drain: drains the inner engine's spans and every
-    /// lane's measured-cycles accumulator. Sequential runs call this at
-    /// every global multiple of [`crate::segment::segment_instrs`], like
-    /// [`Engine::boundary`], so every f64 fold is fixed by the instruction
-    /// index alone.
+    /// Drains the inner engine's spans and every lane's measured-cycles
+    /// accumulator. [`SampledEngine::run`] calls this every
+    /// [`Engine::DRAIN_INSTRS`] instructions, like [`Engine::boundary`], so
+    /// every f64 fold is fixed by the instruction index alone.
     pub fn boundary(&mut self) {
         self.detailed.boundary();
         for lane in &mut self.lanes {
@@ -647,19 +646,10 @@ impl SampledEngine {
 
     /// Runs the sampled schedule over an instruction stream and returns one
     /// result per lane, with the sampled tier's span and run accounting,
-    /// draining at every canonical segment boundary like [`Engine::run`].
+    /// draining on the same cadence as [`Engine::run`].
     pub fn run(&mut self, stream: impl Iterator<Item = Instr>) -> Vec<SimResult> {
         let _span = run_span(Fidelity::Sampled, self.lane_count());
-        let seg = crate::segment::segment_instrs();
-        let mut until = seg;
-        for instr in stream {
-            self.step(&instr);
-            until -= 1;
-            if until == 0 {
-                self.boundary();
-                until = seg;
-            }
-        }
+        drive(self, stream, SampledEngine::step, SampledEngine::boundary);
         finish_run(Fidelity::Sampled, self.finish())
     }
 
@@ -830,9 +820,7 @@ impl Backend {
     /// real measurement performs before its timed region. A no-op on the
     /// atomic tier, whose class-histogram model carries no
     /// microarchitectural state — the stream is not even decoded.
-    /// Drivers call this once, before [`Backend::run_stream`] or (approx
-    /// tier) [`Engine::run_segmented`]; both timed paths then stay
-    /// bit-identical to each other over the warmed state.
+    /// Drivers call this once, before the timed replay.
     pub fn warm_prologue(&mut self, stream: impl Iterator<Item = Instr>) {
         match self {
             Backend::Atomic(_) => {}
@@ -844,8 +832,8 @@ impl Backend {
     /// Runs the backend over an instruction stream and returns one result
     /// per lane, with the per-tier obs span and run accounting
     /// (DESIGN.md §10). The detailed tiers drain their f64 accumulators
-    /// every [`crate::segment::segment_instrs`] instructions; the atomic
-    /// tier is order-free.
+    /// every [`Engine::DRAIN_INSTRS`] instructions; the atomic tier is
+    /// order-free.
     pub fn run_stream(&mut self, stream: impl Iterator<Item = Instr>) -> Vec<SimResult> {
         match self {
             Backend::Atomic(engine) => {

@@ -44,10 +44,6 @@ pub trait DirectionPredictor {
     fn update(&mut self, static_id: u32, taken: bool, mispredicted: bool);
     /// Human-readable predictor name.
     fn name(&self) -> &'static str;
-    /// Clones the predictor behind the trait object — segment snapshots
-    /// clone whole engines, so every predictor must be duplicable with its
-    /// trained state intact.
-    fn clone_box(&self) -> Box<dyn DirectionPredictor + Send>;
 }
 
 #[inline]
@@ -104,10 +100,6 @@ impl DirectionPredictor for BimodalPredictor {
 
     fn name(&self) -> &'static str {
         "bimodal"
-    }
-
-    fn clone_box(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
     }
 }
 
@@ -179,10 +171,6 @@ impl DirectionPredictor for GsharePredictor {
         } else {
             "gshare"
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
     }
 }
 
@@ -287,10 +275,6 @@ impl DirectionPredictor for TournamentPredictor {
 
     fn name(&self) -> &'static str {
         "tournament"
-    }
-
-    fn clone_box(&self) -> Box<dyn DirectionPredictor + Send> {
-        Box::new(self.clone())
     }
 }
 
@@ -462,18 +446,6 @@ pub struct BranchUnit {
     ras: ReturnAddressStack,
     indirect: Vec<Option<(u32, u64)>>,
     counters: BranchCounters,
-}
-
-impl Clone for BranchUnit {
-    fn clone(&self) -> Self {
-        BranchUnit {
-            dir: self.dir.clone_box(),
-            btb: self.btb.clone(),
-            ras: self.ras.clone(),
-            indirect: self.indirect.clone(),
-            counters: self.counters,
-        }
-    }
 }
 
 impl std::fmt::Debug for BranchUnit {
@@ -659,23 +631,6 @@ impl BranchUnit {
     /// Current counter snapshot.
     pub fn counters(&self) -> BranchCounters {
         self.counters
-    }
-
-    /// Adds another unit's event counters into this one (segment splice).
-    /// Predictor state is untouched — segments warm their own copies.
-    pub(crate) fn absorb_counters(&mut self, other: &BranchCounters) {
-        let c = &mut self.counters;
-        c.lookups += other.lookups;
-        c.cond_predicted += other.cond_predicted;
-        c.cond_incorrect += other.cond_incorrect;
-        c.btb_hits += other.btb_hits;
-        c.btb_misses += other.btb_misses;
-        c.used_ras += other.used_ras;
-        c.ras_incorrect += other.ras_incorrect;
-        c.indirect_lookups += other.indirect_lookups;
-        c.indirect_misses += other.indirect_misses;
-        c.immediate_branches += other.immediate_branches;
-        c.returns += other.returns;
     }
 
     /// Name of the underlying direction predictor.

@@ -379,26 +379,6 @@ impl Cache {
     pub fn counters(&self) -> CacheCounters {
         self.counters
     }
-
-    /// Adds another cache's event counters into this one (segment splice).
-    /// Tag-array state is untouched.
-    pub(crate) fn absorb_counters(&mut self, other: &CacheCounters) {
-        let c = &mut self.counters;
-        c.accesses += other.accesses;
-        c.read_accesses += other.read_accesses;
-        c.write_accesses += other.write_accesses;
-        c.hits += other.hits;
-        c.misses += other.misses;
-        c.read_misses += other.read_misses;
-        c.write_misses += other.write_misses;
-        c.writeback_lines += other.writeback_lines;
-        c.writebacks_reported += other.writebacks_reported;
-        c.refill_reads += other.refill_reads;
-        c.refill_writes += other.refill_writes;
-        c.refill_writes_reported += other.refill_writes_reported;
-        c.evictions += other.evictions;
-        c.prefetch_fills += other.prefetch_fills;
-    }
 }
 
 /// A simple stride/next-line prefetcher attached to a cache level.

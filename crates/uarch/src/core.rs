@@ -261,10 +261,10 @@ pub struct SimResult {
 }
 
 /// One drained span of the f64 accumulators: everything charged between
-/// two canonical segment boundaries (see [`Engine::boundary`]). The final
-/// totals are the left-to-right fold of these partials, so they depend
+/// two drain boundaries (see [`Engine::boundary`]). The final totals are
+/// the left-to-right fold of these partials, so the f64 rounding depends
 /// only on where the boundaries fall — a pure function of the instruction
-/// index — and never on how many threads computed them.
+/// index.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CyclePartial {
     /// Cycles charged in the span.
@@ -290,10 +290,9 @@ impl CyclePartial {
 struct Lane {
     freq_hz: f64,
     dram_cycles: f64,
-    // The open span since the last canonical boundary; drained spans live
-    // in `partials`. Totals are always the in-order fold of `partials`
-    // then the open span, so a run spliced from per-segment engines is
-    // bit-identical to a sequential one (same spans, same fold order).
+    // The open span since the last drain boundary; drained spans live in
+    // `partials`. Totals are always the in-order fold of `partials` then
+    // the open span.
     cycles: f64,
     stall_fetch: f64,
     stall_memory: f64,
@@ -316,7 +315,7 @@ impl Lane {
 
 /// The engine's own integer event counters (the cache, TLB and branch
 /// structures keep theirs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Events {
     l1i_reported_accesses: u64,
     unaligned_loads: u64,
@@ -326,19 +325,6 @@ struct Events {
     dtlb_miss_stores: u64,
     snoops: u64,
     nonspec_stalls: u64,
-}
-
-impl Events {
-    fn add(&mut self, o: &Events) {
-        self.l1i_reported_accesses += o.l1i_reported_accesses;
-        self.unaligned_loads += o.unaligned_loads;
-        self.unaligned_stores += o.unaligned_stores;
-        self.strex_fails += o.strex_fails;
-        self.dtlb_miss_loads += o.dtlb_miss_loads;
-        self.dtlb_miss_stores += o.dtlb_miss_stores;
-        self.snoops += o.snoops;
-        self.nonspec_stalls += o.nonspec_stalls;
-    }
 }
 
 /// Checks the arguments every engine constructor shares.
@@ -365,7 +351,7 @@ pub(crate) fn check_lanes(freqs_hz: &[f64], threads: u32) {
 /// the exact `f64` operation sequence a one-lane engine at that frequency
 /// performs, so a K-lane run is bit-identical to K one-lane runs; a
 /// single-frequency run is simply a one-lane run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Engine {
     cfg: CoreConfig,
     threads: u32,
@@ -473,20 +459,20 @@ impl Engine {
     /// Lane `i`'s *open* cycle span — cycles since the last
     /// [`Engine::boundary`] drain. Within-step cycle deltas must be
     /// measured against this, never against the folded total: the open
-    /// span is identical between a sequential run and a segment-local
-    /// engine (both drain at the same global indices), while the folded
-    /// base differs — and f64 addition rounds differently under a
-    /// different base.
+    /// span's base is fixed by the drain cadence alone, and f64 addition
+    /// rounds differently under a different base.
     pub(crate) fn lane_open_cycles(&self, i: usize) -> f64 {
         self.lanes[i].cycles
     }
 
-    /// Drains every lane's open span onto its partials list. Drivers call
-    /// this at every canonical segment boundary (every
-    /// [`crate::segment::segment_instrs`] instructions of the stream, a
-    /// pure function of the instruction index). Because sequential and
-    /// segmented runs drain at identical indices, they produce identical
-    /// partials lists — the foundation of the bit-identical splice.
+    /// Instructions between accumulator drains in every detailed replay
+    /// ([`Engine::run`] and the sampled tier's run).
+    pub const DRAIN_INSTRS: u64 = 65_536;
+
+    /// Drains every lane's open span onto its partials list. Replays call
+    /// this after every [`Engine::DRAIN_INSTRS`] instructions, so the
+    /// spans — and the order [`Engine::finish`] folds them in — are a pure
+    /// function of the instruction index.
     pub fn boundary(&mut self) {
         let shared = self.stalls;
         for lane in &mut self.lanes {
@@ -498,135 +484,13 @@ impl Engine {
         self.stalls = StallCycles::default();
     }
 
-    /// Splices a detached segment's results into this engine, lane by
-    /// lane: integer event counts sum exactly, each lane's f64 partials
-    /// are appended in order and its open span is folded as the next span.
-    /// Call in segment order, starting from a fresh engine.
-    /// Microarchitectural *state* (caches, predictor tables, RNG) is not
-    /// merged — segments own warmed copies and only their event record is
-    /// combined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seg` has a different lane count.
-    pub fn absorb_segment(&mut self, seg: &Engine) {
-        assert_eq!(
-            self.lanes.len(),
-            seg.lanes.len(),
-            "segments must share the lane layout"
-        );
-        for (mine, theirs) in self.lanes.iter_mut().zip(&seg.lanes) {
-            mine.partials.extend(theirs.partials.iter().copied());
-            mine.cycles += theirs.cycles;
-            mine.stall_fetch += theirs.stall_fetch;
-            mine.stall_memory += theirs.stall_memory;
-        }
-        self.stalls.accumulate(&seg.stalls);
-        self.committed = self.committed.add(&seg.committed);
-        self.wrong_path = self.wrong_path.add(&seg.wrong_path);
-        self.events.add(&seg.events);
-        self.bu.absorb_counters(&seg.bu.counters());
-        self.tlbs.absorb_counters(&seg.tlbs);
-        self.l1i.absorb_counters(&seg.l1i.counters());
-        self.l1d.absorb_counters(&seg.l1d.counters());
-        self.l2.absorb_counters(&seg.l2.counters());
-    }
-
-    /// Debug-build check for the segmented runner: asserts this engine's
-    /// event record and every lane's f64 spans are bit-identical to a
-    /// sequential reference engine's. Microarchitectural *state* (cache
-    /// sets, predictor tables, RNG) is deliberately excluded — a spliced
-    /// master never owns any.
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_assert_matches(&self, reference: &Engine) {
-        let bits = |p: &CyclePartial| {
-            let s = &p.stalls;
-            [
-                p.cycles,
-                s.mispredict,
-                s.fetch,
-                s.fetch_tlb,
-                s.memory,
-                s.data_tlb,
-                s.serialization,
-                s.execute,
-            ]
-            .map(f64::to_bits)
-        };
-        assert_eq!(self.lanes.len(), reference.lanes.len(), "lane count");
-        for (i, (a, b)) in self.lanes.iter().zip(&reference.lanes).enumerate() {
-            let spans = |l: &Lane, shared| {
-                let mut v: Vec<_> = l.partials.iter().map(bits).collect();
-                v.push(bits(&l.open(shared)));
-                v
-            };
-            assert_eq!(
-                spans(a, self.stalls),
-                spans(b, reference.stalls),
-                "lane {i}: partials or open span diverged"
-            );
-        }
-        assert_eq!(
-            self.committed.to_histogram(),
-            reference.committed.to_histogram()
-        );
-        assert_eq!(
-            self.wrong_path.to_histogram(),
-            reference.wrong_path.to_histogram()
-        );
-        assert_eq!(
-            self.events, reference.events,
-            "scalar event counters diverged"
-        );
-        // The counter structs are plain u64 bags; their Debug form is exact.
-        let counters = |e: &Engine| {
-            format!(
-                "{:?}/{:?}/{:?}/{:?}/{:?}/{:?}",
-                e.bu.counters(),
-                e.tlbs.instruction_counters(),
-                e.tlbs.data_counters(),
-                e.l1i.counters(),
-                e.l1d.counters(),
-                e.l2.counters()
-            )
-        };
-        assert_eq!(
-            counters(self),
-            counters(reference),
-            "structure counters diverged"
-        );
-    }
-
     /// Runs the engine over an instruction stream and returns one result
     /// per lane, with the approx tier's span and run accounting
-    /// (DESIGN.md §10).
-    ///
-    /// Drains the f64 accumulators at every canonical segment boundary
-    /// (see [`Engine::boundary`]), so a full run's totals are bit-identical
-    /// whether it executed here or was spliced from concurrent segments.
+    /// (DESIGN.md §10), draining the f64 accumulators every
+    /// [`Engine::DRAIN_INSTRS`] instructions.
     pub fn run(&mut self, stream: impl Iterator<Item = Instr>) -> Vec<SimResult> {
         let _span = run_span(Fidelity::Approx, self.lane_count());
-        crate::segment::drive_sequential(self, crate::segment::segment_instrs(), stream);
-        finish_run(Fidelity::Approx, self.finish())
-    }
-
-    /// Runs the engine over a planned trace with up to `workers` concurrent
-    /// segment workers (see [`crate::segment::run_segmented`]) — segments ×
-    /// frequency lanes multiply. The span, the run accounting and the
-    /// results are exactly those of [`Engine::run`] over `make_iter(0)` —
-    /// bit-identical for every worker count.
-    pub fn run_segmented<I, F>(
-        &mut self,
-        plan: &crate::segment::SegmentPlan,
-        workers: usize,
-        make_iter: F,
-    ) -> Vec<SimResult>
-    where
-        I: Iterator<Item = Instr>,
-        F: Fn(u64) -> I + Sync,
-    {
-        let _span = run_span(Fidelity::Approx, self.lane_count());
-        crate::segment::run_segmented(self, plan, workers, make_iter);
+        drive(self, stream, Engine::step, Engine::boundary);
         finish_run(Fidelity::Approx, self.finish())
     }
 
@@ -654,9 +518,8 @@ impl Engine {
     /// the coherence-snoop and store-exclusive outcomes that a detailed
     /// step would roll — so an engine warmed over a prefix is
     /// state-identical (RNG included) to one that stepped it. The sampled
-    /// tier drives this through fast-forward phases, and the segmented
-    /// engine builds its per-segment start snapshots with it. The warmed
-    /// structures are all shared, so one pass serves every lane.
+    /// tier drives this through fast-forward phases. The warmed structures
+    /// are all shared, so one pass serves every lane.
     #[inline]
     pub fn warm_state(&mut self, instr: &Instr) {
         self.warm(instr, true);
@@ -1120,7 +983,7 @@ impl Engine {
             .iter()
             .map(|lane| {
                 // The in-order fold of the drained partials plus the open
-                // span, so spliced and sequential lanes agree bit-for-bit.
+                // span.
                 let mut folded = CyclePartial::default();
                 for p in &lane.partials {
                     folded.accumulate(p);
@@ -1140,6 +1003,27 @@ impl Engine {
                 }
             })
             .collect()
+    }
+}
+
+/// The one replay loop of the detailed tiers: steps every instruction of
+/// `stream` through `step` and calls `drain` after every
+/// [`Engine::DRAIN_INSTRS`]-th.
+#[inline]
+pub(crate) fn drive<E>(
+    engine: &mut E,
+    stream: impl Iterator<Item = Instr>,
+    step: impl Fn(&mut E, &Instr),
+    drain: impl Fn(&mut E),
+) {
+    let mut until = Engine::DRAIN_INSTRS;
+    for instr in stream {
+        step(engine, &instr);
+        until -= 1;
+        if until == 0 {
+            drain(engine);
+            until = Engine::DRAIN_INSTRS;
+        }
     }
 }
 

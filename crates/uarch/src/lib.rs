@@ -25,9 +25,8 @@
 //! the memory hierarchy ([`tlb`], [`cache`], [`memory`]) and a
 //! width/latency-based execution core ([`core`]), and produces both a
 //! gem5-style statistics dump ([`stats`]) and ARM PMU event counts
-//! ([`pmu`]). Long replays can be split into time-parallel segments —
-//! warmed once, simulated concurrently, spliced bit-identically
-//! ([`segment`]).
+//! ([`pmu`]). The [`backend`] module runs the engine at three fidelity
+//! tiers; every detailed replay is one sequential pass over the stream.
 //!
 //! # Example
 //!
@@ -57,6 +56,5 @@ pub mod core;
 pub mod instr;
 pub mod memory;
 pub mod pmu;
-pub mod segment;
 pub mod stats;
 pub mod tlb;

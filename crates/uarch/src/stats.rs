@@ -190,10 +190,8 @@ pub struct StallCycles {
 }
 
 impl StallCycles {
-    /// In-place per-component sum. The segmented splice folds per-segment
-    /// stall partials through this in a fixed order, so the addition
-    /// sequence — and therefore the f64 rounding — never depends on the
-    /// thread count.
+    /// In-place per-component sum (fixed component order). The engine
+    /// folds its drained stall spans through this in instruction order.
     pub fn accumulate(&mut self, other: &StallCycles) {
         self.mispredict += other.mispredict;
         self.fetch += other.fetch;

@@ -293,21 +293,6 @@ impl TlbHierarchy {
         self.dcounters
     }
 
-    /// Adds another hierarchy's event counters into this one (segment
-    /// splice). Translation state is untouched.
-    pub(crate) fn absorb_counters(&mut self, other: &TlbHierarchy) {
-        for (mine, theirs) in [
-            (&mut self.icounters, &other.icounters),
-            (&mut self.dcounters, &other.dcounters),
-        ] {
-            mine.l1_accesses += theirs.l1_accesses;
-            mine.l1_misses += theirs.l1_misses;
-            mine.l2_accesses += theirs.l2_accesses;
-            mine.l2_hits += theirs.l2_hits;
-            mine.walks += theirs.walks;
-        }
-    }
-
     /// Whether the second level is split (the gem5 model shape).
     pub fn second_level_is_split(&self) -> bool {
         self.l2.is_split()

@@ -1,9 +1,8 @@
 //! Seeded equivalence tests for the lane-vector engine family (DESIGN.md
-//! §11–§12): for any stream, segment geometry, worker count, lane column
-//! and tier, a spliced segmented run must be bit-identical to the
-//! sequential reference, a K-lane run must be bit-identical to K separate
-//! one-lane runs, and functional warming must leave an engine in exactly
-//! the state detailed stepping would.
+//! §11): for any stream, drain cadence, lane column and tier, a K-lane run
+//! must be bit-identical to K separate one-lane runs, and functional
+//! warming must leave an engine in exactly the state detailed stepping
+//! would.
 //!
 //! Cases come from a fixed seed sequence (`rand::cases`), so every build
 //! runs the same cases; a failing case prints its seed, and
@@ -13,7 +12,6 @@ use gemstone_uarch::backend::{AtomicEngine, Fidelity, SampleParams, SampledEngin
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw, ex5_big, Ex5Variant};
 use gemstone_uarch::core::{CoreConfig, Engine, SimResult};
 use gemstone_uarch::instr::{BranchRef, Instr, InstrClass, MemRef};
-use gemstone_uarch::segment::{drive_sequential, run_segmented, SegmentPlan};
 use gemstone_uarch::stats::SimStats;
 use rand::cases::{for_each_case, Cases};
 
@@ -103,16 +101,38 @@ fn assert_bit_identical(got: &[SimResult], expect: &[SimResult], what: &str) {
     }
 }
 
+/// Steps `stream` through `step`, calling `drain` after every
+/// `drain_instrs`-th instruction — the replay loop of the detailed tiers,
+/// at an arbitrary cadence.
+fn drive<E>(
+    engine: &mut E,
+    drain_instrs: u64,
+    stream: &[Instr],
+    step: impl Fn(&mut E, &Instr),
+    drain: impl Fn(&mut E),
+) {
+    for (k, instr) in stream.iter().enumerate() {
+        step(engine, instr);
+        if (k as u64 + 1).is_multiple_of(drain_instrs) {
+            drain(engine);
+        }
+    }
+}
+
+/// Steps an approx engine over `stream`, draining every `drain_instrs`.
+fn drive_engine(engine: &mut Engine, drain_instrs: u64, stream: &[Instr]) {
+    drive(engine, drain_instrs, stream, Engine::step, Engine::boundary);
+}
+
 /// Drives a `tier` engine over the lanes `freqs`, draining the f64
-/// accumulators every `seg_instrs` instructions as the sequential loops
-/// do.
+/// accumulators every `drain_instrs` instructions.
 fn run_lanes(
     tier: TierConfig,
     cfg: &CoreConfig,
     freqs: &[f64],
     threads: u32,
     stream: &[Instr],
-    seg_instrs: u64,
+    drain_instrs: u64,
 ) -> Vec<SimResult> {
     const SEED: u64 = 0x5EED;
     match tier.fidelity {
@@ -123,17 +143,18 @@ fn run_lanes(
         }
         Fidelity::Approx => {
             let mut e = Engine::with_seed(cfg.clone(), freqs, threads, SEED);
-            drive_sequential(&mut e, seg_instrs, stream.iter().copied());
+            drive_engine(&mut e, drain_instrs, stream);
             e.finish()
         }
         Fidelity::Sampled => {
             let mut e = SampledEngine::new(cfg.clone(), freqs, threads, SEED, tier.sample);
-            for (k, instr) in stream.iter().enumerate() {
-                e.step(instr);
-                if (k as u64 + 1).is_multiple_of(seg_instrs) {
-                    e.boundary();
-                }
-            }
+            drive(
+                &mut e,
+                drain_instrs,
+                stream,
+                SampledEngine::step,
+                SampledEngine::boundary,
+            );
             e.finish()
         }
     }
@@ -144,16 +165,16 @@ fn run_lanes(
 fn lanes_case(seed: u64) {
     let mut rng = Cases::new(seed);
     let stream = stream(rng.range(4_000, 9_000) as usize, rng.next());
-    let seg_instrs = rng.pick(&[1_024u64, 3_000, 1 << 20]);
+    let drain_instrs = rng.pick(&[1_024u64, 3_000, 1 << 20]);
     for k in 1..=5 {
         let freqs: Vec<f64> = (0..k).map(|_| rng.pick(&FREQS)).collect();
-        lane_column(&freqs, &stream, seg_instrs);
+        lane_column(&freqs, &stream, drain_instrs);
     }
 }
 
 /// Asserts the column `freqs` run as one K-lane engine equals K one-lane
 /// engines, on every tier, configuration and thread count.
-fn lane_column(freqs: &[f64], stream: &[Instr], seg_instrs: u64) {
+fn lane_column(freqs: &[f64], stream: &[Instr], drain_instrs: u64) {
     for tier in [
         TierConfig::atomic(),
         TierConfig::approx(),
@@ -161,10 +182,10 @@ fn lane_column(freqs: &[f64], stream: &[Instr], seg_instrs: u64) {
     ] {
         for cfg in configs() {
             for threads in [1, 4] {
-                let fused = run_lanes(tier, &cfg, freqs, threads, stream, seg_instrs);
+                let fused = run_lanes(tier, &cfg, freqs, threads, stream, drain_instrs);
                 let separate: Vec<SimResult> = freqs
                     .iter()
-                    .flat_map(|&f| run_lanes(tier, &cfg, &[f], threads, stream, seg_instrs))
+                    .flat_map(|&f| run_lanes(tier, &cfg, &[f], threads, stream, drain_instrs))
                     .collect();
                 let what = format!("{tier} {} x{threads} @ {freqs:?}", cfg.name);
                 assert_bit_identical(&fused, &separate, &what);
@@ -180,46 +201,13 @@ fn k_lanes_equal_k_separate_one_lane_runs() {
     for_each_case(3, CASE_SEED, lanes_case);
 }
 
-/// One splice case: any segment size, worker count, thread count,
-/// configuration and lane column.
-fn segmented_case(seed: u64) {
-    let mut rng = Cases::new(seed);
-    let stream = stream(rng.range(12_000, 40_000) as usize, rng.next());
-    let seg_instrs = rng.pick(&[1_024u64, 2_048, 4_096, 9_999]);
-    let workers = rng.range(1, 8) as usize;
-    let threads = rng.pick(&[1u32, 2, 4]);
-    let cfg = rng.pick(&[0usize, 1, 2]);
-    let cfg = configs()[cfg].clone();
-    let freqs: Vec<f64> = (0..rng.range(1, 4)).map(|_| rng.pick(&FREQS)).collect();
-    let mut reference = Engine::with_seed(cfg.clone(), &freqs, threads, 11);
-    drive_sequential(&mut reference, seg_instrs, stream.iter().copied());
-    let plan = SegmentPlan::new(stream.len() as u64, seg_instrs);
-    let mut master = Engine::with_seed(cfg, &freqs, threads, 11);
-    run_segmented(&mut master, &plan, workers, |offset| {
-        stream[offset as usize..].iter().copied()
-    });
-    assert_bit_identical(
-        &master.finish(),
-        &reference.finish(),
-        &format!("{workers} workers, segments of {seg_instrs}"),
-    );
-}
-
-/// Splicing is exact for any segment size, worker count, thread count,
-/// configuration and lane column — not just the defaults the unit tests
-/// pin.
-#[test]
-fn segmented_replay_is_bit_identical_for_random_geometry() {
-    for_each_case(24, CASE_SEED, segmented_case);
-}
-
-/// One warming case: warm a prefix ending on a segment boundary, step the
+/// One warming case: warm a prefix ending on a drain boundary, step the
 /// rest.
 fn warm_prefix_case(seed: u64) {
     let mut rng = Cases::new(seed);
     let stream = stream(rng.range(12_000, 30_000) as usize, rng.next());
-    let seg_instrs = rng.pick(&[1_024u64, 4_096, 7_777]);
-    let k = (rng.range(1, 5) * seg_instrs).min(stream.len() as u64) as usize;
+    let drain_instrs = rng.pick(&[1_024u64, 4_096, 7_777]);
+    let k = (rng.range(1, 5) * drain_instrs).min(stream.len() as u64) as usize;
     let threads = rng.pick(&[1u32, 2, 4]);
     let cfg = configs()[rng.pick(&[0usize, 1, 2])].clone();
     let build = || Engine::with_seed(cfg.clone(), &[1.0e9], threads, 5);
@@ -229,15 +217,15 @@ fn warm_prefix_case(seed: u64) {
     for instr in &stream[..k] {
         warmed.warm_state(instr);
     }
-    drive_sequential(&mut warmed, seg_instrs, stream[k..].iter().copied());
+    drive_engine(&mut warmed, drain_instrs, &stream[k..]);
     let suffix = warmed.finish().remove(0).stats;
 
     // Full and prefix-only sequential runs.
     let mut full = build();
-    drive_sequential(&mut full, seg_instrs, stream.iter().copied());
+    drive_engine(&mut full, drain_instrs, &stream);
     let full = full.finish().remove(0).stats;
     let mut prefix = build();
-    drive_sequential(&mut prefix, seg_instrs, stream[..k].iter().copied());
+    drive_engine(&mut prefix, drain_instrs, &stream[..k]);
     let prefix = prefix.finish().remove(0).stats;
 
     // Integer event counts are exact, so they subtract exactly. Any state
@@ -259,7 +247,7 @@ fn warm_prefix_case(seed: u64) {
 }
 
 /// Functional warming leaves an engine state-identical to detailed
-/// stepping, at any segment boundary. Warming records nothing, so an
+/// stepping, at any drain boundary. Warming records nothing, so an
 /// engine warmed over `[0, k)` and stepped over `[k, n)` reports the
 /// suffix's events alone — which must equal a full sequential run's
 /// events minus a prefix-only run's, event for event.

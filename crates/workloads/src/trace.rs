@@ -53,7 +53,6 @@ use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::backend::Backend;
 use gemstone_uarch::core::SimResult;
 use gemstone_uarch::instr::{BranchRef, Instr, InstrClass, MemRef};
-use gemstone_uarch::segment::{segment_instrs, segment_workers, SegmentPlan, TokenPool};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -69,11 +68,6 @@ pub const TRACE_BYTES_ENV: &str = "GEMSTONE_TRACE_BYTES";
 
 /// Default byte budget of the process-wide trace cache (512 MiB).
 pub const DEFAULT_TRACE_BYTES: usize = 512 << 20;
-
-/// Instructions between payload-index entries. Seeking to an arbitrary
-/// offset scans at most this many class bytes, so sampling windows can
-/// start replays anywhere without re-decoding the prefix.
-const INDEX_STRIDE: usize = 4096;
 
 const MEM_UNALIGNED: u8 = 1 << 0;
 const MEM_STORE: u8 = 1 << 1;
@@ -151,16 +145,6 @@ pub struct PackedTrace {
     pcs: Vec<u64>,
     mems: Vec<PackedMem>,
     branches: Vec<PackedBranch>,
-    /// Sparse seek index: entry `k` holds the cumulative payload-column
-    /// offsets at instruction `k * INDEX_STRIDE`.
-    index: Vec<PayloadOffsets>,
-}
-
-/// Cumulative payload-column offsets at one indexed instruction boundary.
-#[derive(Debug, Clone, Copy)]
-struct PayloadOffsets {
-    mem: u64,
-    branch: u64,
 }
 
 impl PackedTrace {
@@ -180,15 +164,8 @@ impl PackedTrace {
             pcs: Vec::with_capacity(n),
             mems: Vec::new(),
             branches: Vec::new(),
-            index: Vec::with_capacity(n / INDEX_STRIDE + 1),
         };
         for instr in stream {
-            if trace.classes.len().is_multiple_of(INDEX_STRIDE) {
-                trace.index.push(PayloadOffsets {
-                    mem: trace.mems.len() as u64,
-                    branch: trace.branches.len() as u64,
-                });
-            }
             assert_eq!(
                 instr.mem.is_some(),
                 instr.class.is_memory(),
@@ -213,7 +190,6 @@ impl PackedTrace {
         // (bytes() accounts capacity against the cache budget).
         trace.mems.shrink_to_fit();
         trace.branches.shrink_to_fit();
-        trace.index.shrink_to_fit();
         trace
     }
 
@@ -239,7 +215,6 @@ impl PackedTrace {
             + self.pcs.capacity() * std::mem::size_of::<u64>()
             + self.mems.capacity() * std::mem::size_of::<PackedMem>()
             + self.branches.capacity() * std::mem::size_of::<PackedBranch>()
-            + self.index.capacity() * std::mem::size_of::<PayloadOffsets>()
             + std::mem::size_of::<Self>()
     }
 
@@ -251,32 +226,6 @@ impl PackedTrace {
             idx: 0,
             mem_idx: 0,
             branch_idx: 0,
-        }
-    }
-
-    /// Decoding iterator starting at instruction `offset` (clamped to the
-    /// trace length) without decoding the prefix: the sparse payload index
-    /// positions the seek within [`INDEX_STRIDE`] instructions and only
-    /// class bytes — never payloads — are scanned from there.
-    pub fn iter_from(&self, offset: usize) -> Replay<'_> {
-        let offset = offset.min(self.len());
-        let entry = (offset / INDEX_STRIDE).min(self.index.len().saturating_sub(1));
-        let (mut idx, mut mem_idx, mut branch_idx) = match self.index.get(entry) {
-            Some(e) => (entry * INDEX_STRIDE, e.mem as usize, e.branch as usize),
-            None => (0, 0, 0), // empty trace: offset is already 0
-        };
-        while idx < offset {
-            let class =
-                InstrClass::from_index(self.classes[idx]).expect("trace holds valid class indices");
-            mem_idx += class.is_memory() as usize;
-            branch_idx += class.is_branch() as usize;
-            idx += 1;
-        }
-        Replay {
-            trace: self,
-            idx,
-            mem_idx,
-            branch_idx,
         }
     }
 
@@ -300,28 +249,13 @@ impl PackedTrace {
     /// histogram and never decodes an instruction, while the approximate
     /// and sampled tiers replay every decoded instruction — the sampled
     /// tier needs real addresses even in fast-forward phases to
-    /// functionally warm caches, TLBs and the branch predictor. When the
-    /// trace spans multiple segments and `GEMSTONE_SEGMENTS` admits it,
-    /// the approximate tier runs time-parallel segments (warm once,
-    /// simulate concurrently, splice — `gemstone_uarch::segment`), so
-    /// segments × frequency lanes multiply, borrowing whatever
-    /// [`TokenPool`] permits the sweep scheduler has left free. Results
+    /// functionally warm caches, TLBs and the branch predictor. Results
     /// are bit-identical to [`Backend::run_stream`] over
-    /// [`PackedTrace::iter`] either way, one per lane, and the same
-    /// per-tier span and run counters are recorded.
+    /// [`PackedTrace::iter`], one per lane, and the same per-tier span and
+    /// run counters are recorded.
     pub fn run_backend(&self, backend: &mut Backend) -> Vec<SimResult> {
-        let cap = segment_workers();
-        let plan = SegmentPlan::new(self.len() as u64, segment_instrs());
         match backend {
             Backend::Atomic(_) => backend.run_histogram(&self.class_histogram(0..self.len())),
-            Backend::Approx(engine) if cap > 1 && plan.segment_count() > 1 => {
-                // One implicit permit for the calling worker, plus however
-                // many of the pool's spares this run can grab.
-                let permits = TokenPool::global().take_up_to(cap - 1);
-                engine.run_segmented(&plan, 1 + permits.count(), |offset| {
-                    self.iter_from(offset as usize)
-                })
-            }
             _ => backend.run_stream(self.iter()),
         }
     }
@@ -991,41 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_from_matches_skipping_the_prefix() {
-        let trace = PackedTrace::from_spec(&spec(10_000));
-        for offset in [0, 1, 117, 4_095, 4_096, 4_097, 8_192, 9_999, 10_000, 12_000] {
-            let sought: Vec<Instr> = trace.iter_from(offset).collect();
-            let skipped: Vec<Instr> = trace.iter().skip(offset).collect();
-            assert_eq!(sought, skipped, "offset {offset}");
-        }
-        let mut it = trace.iter_from(9_000);
-        assert_eq!(it.len(), 1_000);
-        it.next();
-        assert_eq!(it.len(), 999);
-    }
-
-    #[test]
-    fn iter_from_on_empty_trace() {
-        let trace = PackedTrace::encode(std::iter::empty());
-        assert_eq!(trace.iter_from(0).count(), 0);
-        assert_eq!(trace.iter_from(5).count(), 0);
-    }
-
-    #[test]
-    fn iter_from_short_trace_seeks_past_the_only_index_entry() {
-        // A trace shorter than the index stride has exactly one sparse
-        // entry (at instruction 0); every non-zero offset seeks past it by
-        // scanning class bytes alone.
-        let trace = PackedTrace::from_spec(&spec(300));
-        for offset in [0, 1, 299, 300, 301] {
-            let sought: Vec<Instr> = trace.iter_from(offset).collect();
-            let skipped: Vec<Instr> = trace.iter().skip(offset).collect();
-            assert_eq!(sought, skipped, "offset {offset}");
-        }
-        assert_eq!(trace.iter_from(trace.len()).count(), 0);
-    }
-
-    #[test]
     #[allow(clippy::reversed_empty_ranges)] // inverted bounds are the point
     fn class_histogram_matches_decoded_classes() {
         let trace = PackedTrace::from_spec(&spec(9_000));
@@ -1072,73 +971,43 @@ mod tests {
         }
     }
 
+    /// Over at least two drain boundaries, one lane or three, every tier's
+    /// packed replay (the atomic tier's histogram path included) equals
+    /// streaming the decoded trace.
     #[test]
-    fn run_backend_segmented_replay_is_bit_identical() {
+    fn replay_across_drain_boundaries_is_bit_identical() {
         use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
         use gemstone_uarch::configs::cortex_a7_hw;
-        use gemstone_uarch::segment::segment_instrs;
+        use gemstone_uarch::core::Engine;
 
-        // Long enough to span three segments at the canonical length, so
-        // run_backend takes the time-parallel path wherever the pool has
-        // spare permits (and degrades to the sequential loop where not —
-        // bit-identical either way, which is exactly the assertion).
-        let s = spec(2 * segment_instrs() + 1_500);
+        let s = spec(2 * Engine::DRAIN_INSTRS + 777);
         let trace = PackedTrace::from_spec(&s);
         let cfg = cortex_a7_hw();
-        for tier in [
-            TierConfig::approx(),
-            TierConfig::sampled(SampleParams::default()),
-        ] {
-            let mut via_trace = Backend::new(tier, &cfg, &[1.0e9], s.threads, 7);
-            let mut via_stream = Backend::new(tier, &cfg, &[1.0e9], s.threads, 7);
-            let a = trace.run_backend(&mut via_trace).remove(0);
-            let b = via_stream.run_stream(trace.iter()).remove(0);
-            assert_eq!(
-                a.cycles.to_bits(),
-                b.cycles.to_bits(),
-                "tier {}",
-                tier.fidelity
-            );
-            assert_eq!(
-                format!("{:?}", a.stats),
-                format!("{:?}", b.stats),
-                "tier {}",
-                tier.fidelity
-            );
-        }
-    }
-
-    #[test]
-    fn multi_lane_segmented_replay_is_bit_identical() {
-        use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
-        use gemstone_uarch::configs::cortex_a7_hw;
-        use gemstone_uarch::segment::segment_instrs;
-
-        let s = spec(2 * segment_instrs() + 777);
-        let trace = PackedTrace::from_spec(&s);
-        let cfg = cortex_a7_hw();
-        let freqs = [0.6e9, 1.0e9, 1.4e9];
-        for tier in [
-            TierConfig::atomic(),
-            TierConfig::approx(),
-            TierConfig::sampled(SampleParams::default()),
-        ] {
-            let mut via_trace = Backend::new(tier, &cfg, &freqs, s.threads, 7);
-            let mut via_stream = Backend::new(tier, &cfg, &freqs, s.threads, 7);
-            let a = trace.run_backend(&mut via_trace);
-            let b = via_stream.run_stream(trace.iter());
-            assert_eq!(a.len(), freqs.len());
-            for (lane, (ra, rb)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    ra.cycles.to_bits(),
-                    rb.cycles.to_bits(),
-                    "{tier} lane {lane}"
-                );
-                assert_eq!(
-                    format!("{:?}", ra.stats),
-                    format!("{:?}", rb.stats),
-                    "{tier} lane {lane}"
-                );
+        for freqs in [&[1.0e9][..], &[0.6e9, 1.0e9, 1.4e9]] {
+            for tier in [
+                TierConfig::atomic(),
+                TierConfig::approx(),
+                TierConfig::sampled(SampleParams::default()),
+            ] {
+                let mut via_trace = Backend::new(tier, &cfg, freqs, s.threads, 7);
+                let mut via_stream = Backend::new(tier, &cfg, freqs, s.threads, 7);
+                let a = trace.run_backend(&mut via_trace);
+                let b = via_stream.run_stream(trace.iter());
+                assert_eq!(a.len(), freqs.len());
+                for (lane, (ra, rb)) in a.iter().zip(&b).enumerate() {
+                    assert_eq!(
+                        ra.cycles.to_bits(),
+                        rb.cycles.to_bits(),
+                        "{tier} lane {lane} of {}",
+                        freqs.len()
+                    );
+                    assert_eq!(
+                        format!("{:?}", ra.stats),
+                        format!("{:?}", rb.stats),
+                        "{tier} lane {lane} of {}",
+                        freqs.len()
+                    );
+                }
             }
         }
     }

@@ -36,11 +36,6 @@
 //! The sampled tier's geometry is controlled by `GEMSTONE_SAMPLE_INTERVAL`,
 //! `GEMSTONE_SAMPLE_WINDOW` and `GEMSTONE_SAMPLE_WARMUP`.
 //!
-//! `validate`, `report`, `collect` and `profile` accept `--segments N` to
-//! cap the per-replay worker count of time-parallel segmented simulation
-//! (`0` disables it; the default is the machine's parallelism). The knob
-//! only affects wall-clock time — results are bit-identical at any value.
-//!
 //! Numeric flags are checked: `--scale` must lie in (0, 10], and a value
 //! that does not parse or is out of range is a usage error.
 //!
@@ -181,11 +176,6 @@ fn usage() -> ExitCode {
          \u{20}  --fidelity atomic|approx|sampled   execution tier (default: GEMSTONE_FIDELITY\n\
          \u{20}                                     or approx; sampled-tier geometry via\n\
          \u{20}                                     GEMSTONE_SAMPLE_{{INTERVAL,WINDOW,WARMUP}})\n\
-         \n\
-         validate, report, collect and profile also accept\n\
-         \u{20}  --segments N     cap segmented-replay workers (0 disables;\n\
-         \u{20}                   default: machine parallelism; results are\n\
-         \u{20}                   bit-identical at any value)\n\
          \n\
          validate, report, collect and profile also accept observability outputs:\n\
          \u{20}  --metrics FILE        Prometheus text-format metrics dump\n\
@@ -347,18 +337,6 @@ fn parse_fidelity(args: &Args) -> Result<TierConfig, String> {
             })
         }
     }
-}
-
-/// Applies `--segments N` by exporting `GEMSTONE_SEGMENTS` for the engine
-/// layer, which caches the knob on first use — so this must run before
-/// the first replay. `0` disables segmentation; garbage is a usage error
-/// (exit 2), not a silent fall-back.
-fn apply_segments(args: &Args) -> Result<(), String> {
-    if args.has("segments") {
-        let n: usize = args.number("segments", 0, "a worker count", |_| true)?;
-        std::env::set_var(gemstone::uarch::segment::SEGMENTS_ENV, n.to_string());
-    }
-    Ok(())
 }
 
 /// The campaign `--scale` and `--fidelity` ask for, on the default board.
@@ -651,56 +629,15 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
             "gemstone.engine.grid.lanes",
             registry.counter("engine.grid.lanes").get(),
         ),
-        (
-            "gemstone.engine.segment.runs",
-            registry.counter("engine.segment.runs").get(),
-        ),
-        (
-            "gemstone.engine.segment.snapshots",
-            registry.counter("engine.segment.snapshots").get(),
-        ),
-        (
-            "gemstone.engine.segment.splices",
-            registry.counter("engine.segment.splices").get(),
-        ),
         ("gemstone.sim.wall_micros", sim_micros),
     ] {
         println!("{name:<60} {value:>20}");
     }
-    // Two-level scheduler: token-pool occupancy plus the wait-latency
-    // histogram quantiles (microseconds), and the sweep queue gauge.
-    let pool_wait = registry.histogram(
-        "tokenpool.wait.seconds",
-        gemstone_obs::registry::log2_time_bounds(),
+    println!(
+        "{:<60} {:>20.0}",
+        "gemstone.sweep.queue.depth",
+        registry.gauge("sweep.queue.depth").get()
     );
-    let wait_us = |q: f64| {
-        pool_wait
-            .quantile(q)
-            .map_or_else(|| "-".to_string(), |s| format!("{:.1}", s * 1.0e6))
-    };
-    for (name, value) in [
-        (
-            "gemstone.tokenpool.permits.held",
-            format!("{:.0}", registry.gauge("tokenpool.permits.held").get()),
-        ),
-        (
-            "gemstone.tokenpool.permits.waiting",
-            format!("{:.0}", registry.gauge("tokenpool.permits.waiting").get()),
-        ),
-        (
-            "gemstone.tokenpool.wait.count",
-            pool_wait.count().to_string(),
-        ),
-        ("gemstone.tokenpool.wait.p50_us", wait_us(0.5)),
-        ("gemstone.tokenpool.wait.p95_us", wait_us(0.95)),
-        ("gemstone.tokenpool.wait.p99_us", wait_us(0.99)),
-        (
-            "gemstone.sweep.queue.depth",
-            format!("{:.0}", registry.gauge("sweep.queue.depth").get()),
-        ),
-    ] {
-        println!("{name:<60} {value:>20}");
-    }
     let name = run.stats.fidelity.name();
     println!("{:<60} {name:>20}", "gemstone.fidelity");
     if let Some(m) = &run.stats.sample {
@@ -961,32 +898,15 @@ fn run_perf(args: &Args, tolerance: f64) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    // A crash mid-sweep should leave the flight-recorder ring on disk —
-    // the last few thousand span/note events before the panic.
-    gemstone_obs::flight::install_panic_hook();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
-        return usage();
-    };
-    let bool_flags: &[&str] = match cmd.as_str() {
-        "collect" => &["resume"],
-        _ => &[],
-    };
-    let args = match Args::parse(&raw[1..], bool_flags) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
-    let allowed: &[&str] = match cmd.as_str() {
+/// The flags subcommand `cmd` accepts (`None` for an unknown command);
+/// any other flag exits 3.
+fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
         "validate" | "report" => &[
             "scale",
             "clusters",
             "save",
             "fidelity",
-            "segments",
             "metrics",
             "trace",
             "jsonl",
@@ -1001,7 +921,6 @@ fn main() -> ExitCode {
             "retries",
             "min-coverage",
             "fidelity",
-            "segments",
             "metrics",
             "trace",
             "jsonl",
@@ -1024,7 +943,6 @@ fn main() -> ExitCode {
             "model",
             "freq",
             "fidelity",
-            "segments",
             "metrics",
             "trace",
             "jsonl",
@@ -1032,7 +950,31 @@ fn main() -> ExitCode {
         ],
         "repro" => &["out", "scale", "fidelity"],
         "perf" => &["tolerance"],
-        _ => return usage(),
+        _ => return None,
+    })
+}
+
+fn main() -> ExitCode {
+    // A crash mid-sweep should leave the flight-recorder ring on disk —
+    // the last few thousand span/note events before the panic.
+    gemstone_obs::flight::install_panic_hook();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = raw.first().cloned() else {
+        return usage();
+    };
+    let bool_flags: &[&str] = match cmd.as_str() {
+        "collect" => &["resume"],
+        _ => &[],
+    };
+    let args = match Args::parse(&raw[1..], bool_flags) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    let Some(allowed) = allowed_flags(&cmd) else {
+        return usage();
     };
     if let Some(flag) = args.unknown_flag(allowed) {
         eprintln!(
@@ -1045,7 +987,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(3);
     }
-    let run = apply_segments(&args).and_then(|()| match cmd.as_str() {
+    let run = match cmd.as_str() {
         "validate" => run_pipeline(&args, false),
         "report" => run_pipeline(&args, true),
         "repro" => run_repro(&args),
@@ -1057,9 +999,11 @@ fn main() -> ExitCode {
         "improve" => run_improve(&args),
         "stats" => run_stats(&args),
         "profile" => run_profile(&args),
-        "perf" => Ok(run_perf(&args, args.percent("tolerance", 20.0)?)),
+        "perf" => args
+            .percent("tolerance", 20.0)
+            .map(|tolerance| run_perf(&args, tolerance)),
         _ => Ok(usage()),
-    });
+    };
     // Usage errors — a malformed flag value, a missing argument — exit 2.
     run.unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -1140,28 +1084,14 @@ mod tests {
         assert_eq!(a.unknown_flag(&["scale", "model"]), Some("bogus"));
         let a = Args::parse(&strs(&["--scale", "0.5"]), &[]).unwrap();
         assert_eq!(a.unknown_flag(&["scale", "model"]), None);
-        // `--segments` is allowlisted on the sweep commands and rejected
-        // (exit 3 in main) anywhere it is left off the list.
-        let a = Args::parse(&strs(&["--segments", "4"]), &[]).unwrap();
-        assert_eq!(a.unknown_flag(&["scale", "segments"]), None);
-        assert_eq!(a.unknown_flag(&["scale", "model"]), Some("segments"));
-    }
-
-    #[test]
-    fn segments_flag_parses_and_rejects_garbage() {
-        // Absent flag: no-op.
-        let a = Args::parse(&strs(&[]), &[]).unwrap();
-        assert!(apply_segments(&a).is_ok());
-        // Garbage value: the exit-2 error names the flag.
-        let a = Args::parse(&strs(&["--segments", "many"]), &[]).unwrap();
-        assert!(apply_segments(&a).unwrap_err().contains("--segments"));
-        // A valid count lands in the environment knob the engines read.
-        let a = Args::parse(&strs(&["--segments", "3"]), &[]).unwrap();
-        assert!(apply_segments(&a).is_ok());
-        assert_eq!(
-            std::env::var(gemstone::uarch::segment::SEGMENTS_ENV).as_deref(),
-            Ok("3")
-        );
+        // The removed `--segments` flag is unknown to every subcommand
+        // (exit 3 in main).
+        let a = Args::parse(&strs(&["--segments", "2"]), &[]).unwrap();
+        for cmd in ["validate", "report", "collect", "profile", "repro", "stats"] {
+            let allowed = allowed_flags(cmd).expect("known subcommand");
+            assert_eq!(a.unknown_flag(allowed), Some("segments"), "{cmd}");
+        }
+        assert_eq!(allowed_flags("bogus"), None);
     }
 
     #[test]

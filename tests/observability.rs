@@ -5,12 +5,6 @@
 
 use gemstone::platform::simcache::SimCache;
 use gemstone::prelude::*;
-use gemstone::uarch::configs::cortex_a7_hw;
-use gemstone::uarch::core::Engine;
-use gemstone::uarch::segment::{SegmentPlan, SEGMENT_SPAN};
-use gemstone::workloads::trace::PackedTrace;
-use gemstone_obs::profile::SpanTree;
-use gemstone_obs::span::SpanEvent;
 use gemstone_obs::{export, Registry, SpanLog};
 
 #[test]
@@ -99,83 +93,4 @@ fn metrics_spans_and_exporters_flow_end_to_end() {
             "bad jsonl: {line}"
         );
     }
-}
-
-/// Every span recorded under `root` (the root event included), in the
-/// id order spans were opened. Span ids are handed out at open and a
-/// parent is always open (or captured) before its children, so a single
-/// ascending pass finds the whole subtree.
-fn subtree(events: &[SpanEvent], root: u64) -> Vec<SpanEvent> {
-    let mut sorted: Vec<&SpanEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.id);
-    let mut keep = std::collections::BTreeSet::from([root]);
-    let mut out = Vec::new();
-    for e in sorted {
-        if e.id == root || keep.contains(&e.parent) {
-            keep.insert(e.id);
-            out.push(e.clone());
-        }
-    }
-    out
-}
-
-/// A segmented run farms detailed work out to scoped worker threads, but
-/// its *logical* span tree — what `gemstone perf` aggregates — must match
-/// a sequential run of the same trace once the segmentation-internal
-/// spans are treated as transparent. This pins the cross-thread parent
-/// propagation: if a worker span lost its parent it would surface as a
-/// stray root and the shapes would diverge.
-#[test]
-fn segmented_and_sequential_runs_share_a_logical_span_tree() {
-    gemstone_obs::set_enabled(true);
-
-    let spec = suites::by_name("mi-sha").unwrap().scaled(0.05);
-    let trace = PackedTrace::from_spec(&spec);
-    let len = trace.len() as u64;
-    // Force a real multi-segment plan regardless of the global segment
-    // cadence; the shape comparison only cares about span structure.
-    let plan = SegmentPlan::new(len, (len / 6).max(1));
-    assert!(plan.segment_count() >= 2, "trace too short to segment");
-
-    let seq_root = {
-        let root = gemstone_obs::span::span("test.shape.sequential");
-        let mut engine = Engine::new(cortex_a7_hw(), &[1.0e9], 1);
-        engine.run(trace.iter());
-        root.id()
-    };
-    let seg_root = {
-        let root = gemstone_obs::span::span("test.shape.segmented");
-        let mut engine = Engine::new(cortex_a7_hw(), &[1.0e9], 1);
-        engine.run_segmented(&plan, 3, |offset| trace.iter_from(offset as usize));
-        root.id()
-    };
-
-    let events = SpanLog::global().snapshot();
-    let seq_tree = SpanTree::build(&subtree(&events, seq_root));
-    let seg_tree = SpanTree::build(&subtree(&events, seg_root));
-
-    // The raw segmented tree attributes warming and every worker segment
-    // under the run span — across the snapshot-channel thread hand-off.
-    let raw = seg_tree.name_paths(&["test.shape.segmented"]);
-    for path in [
-        "engine.run",
-        "engine.run/engine.run.segmented",
-        "engine.run/engine.run.segmented/engine.segment.warm",
-        "engine.run/engine.run.segmented/engine.segment.worker",
-    ] {
-        assert!(raw.contains(path), "segmented tree missing {path}: {raw:?}");
-    }
-
-    // Modulo the segmentation-internal spans, the logical shapes agree.
-    let seq_shape = seq_tree.name_paths(&["test.shape.sequential"]);
-    let seg_shape = seg_tree.name_paths(&[
-        "test.shape.segmented",
-        SEGMENT_SPAN,
-        "engine.segment.warm",
-        "engine.segment.worker",
-    ]);
-    assert_eq!(
-        seq_shape, seg_shape,
-        "sequential and segmented span trees diverged"
-    );
 }
