@@ -39,16 +39,6 @@ fn checkpoint_counter() -> &'static gemstone_obs::Counter {
     C.get_or_init(|| gemstone_obs::Registry::global().counter("checkpoint.writes"))
 }
 
-/// FNV-1a over a byte string (checkpoint fingerprinting).
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprints an experiment: any change to the board's measurement
 /// conditions, the cluster/model grid or the (scaled) workload
 /// specifications produces a different string, so a stale checkpoint can
@@ -77,7 +67,10 @@ pub fn fingerprint(cfg: &ExperimentConfig, workloads: &[WorkloadSpec]) -> String
         cfg.workload_scale,
         cfg.fidelity.canonical()
     );
-    format!("v{CHECKPOINT_VERSION}:{:016x}", fnv_str(&text))
+    format!(
+        "v{CHECKPOINT_VERSION}:{:016x}",
+        gemstone_obs::fnv::fnv1a(text.as_bytes())
+    )
 }
 
 /// Partial sweep state persisted between units of work.

@@ -15,10 +15,13 @@
 
 use gemstone_platform::board::{HwRun, OdroidXu3};
 use gemstone_platform::dvfs::{nearest_frequency, Cluster};
+use gemstone_platform::fault::{FaultError, FaultInjector, QuarantinedWorkload, RetryPolicy};
 use gemstone_platform::gem5sim::{Gem5Model, Gem5Run, Gem5Sim};
+use gemstone_stats::threads::parallel_map_with;
 use gemstone_uarch::backend::TierConfig;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -161,80 +164,137 @@ pub fn run_validation(cfg: &ExperimentConfig) -> ValidationData {
 ///
 /// The sweep fans out over *workloads* on `cfg.threads` workers; each
 /// (cluster, workload) column is one fused grid replay on its worker's
-/// thread.
+/// thread. It never consults a fault injector: the fault-aware sweep is
+/// [`crate::resilience::collect_resilient`].
 pub fn run_over(cfg: &ExperimentConfig, workloads: Vec<WorkloadSpec>) -> ValidationData {
-    // One mutex guards both result vectors: a worker hands over its whole
-    // per-workload batch (hardware and gem5 together) under a single lock
-    // instead of two back-to-back acquisitions.
+    let no_faults = FaultInjector::disabled();
+    let retry = RetryPolicy::default();
+    let specs: Vec<&WorkloadSpec> = workloads.iter().collect();
+    // Each worker hands its workload's runs over under one lock as soon
+    // as they are done. Holding every workload's batch until the sweep
+    // ends and concatenating then would keep two copies of the run
+    // records alive at once (about 1 MiB more peak RSS on the atomic
+    // validation at scale 4).
     let runs = Mutex::new((Vec::new(), Vec::new()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // The sweep span is this run's profile root; worker threads attach
-    // their per-workload spans to it by explicit id, since the span
-    // nesting stack is thread-local and cannot follow the spawn.
+    sweep(cfg, &specs, |spec| {
+        let (hw, g5) = characterise_workload(cfg, spec, &no_faults, &retry)
+            .expect("a disabled fault injector never quarantines");
+        let mut guard = runs.lock().unwrap_or_else(PoisonError::into_inner);
+        guard.0.extend(hw);
+        guard.1.extend(g5);
+    });
+    // Workers finish in scheduling order, and the list need not be sorted
+    // by name: restore the global order before the data leaves the
+    // experiment layer, so collation and persisted artefacts are stable
+    // across runs, thread counts and list orders.
+    let (mut hw_runs, mut gem5_runs) = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
+    hw_runs.sort_by(hw_order);
+    gem5_runs.sort_by(gem5_order);
+    ValidationData::new(hw_runs, gem5_runs, workloads)
+}
+
+/// Runs `per_workload` over `workloads` on `cfg.threads` workers, inside
+/// one `experiment.sweep` span with an `experiment.workload` child per
+/// workload, keeping the `sweep.queue.depth` gauge current.
+pub(crate) fn sweep(
+    cfg: &ExperimentConfig,
+    workloads: &[&WorkloadSpec],
+    per_workload: impl Fn(&WorkloadSpec) + Sync,
+) {
+    let threads = cfg.threads.max(1);
+    let tier = cfg.fidelity.fidelity.name();
+    // The sweep span is this run's profile root; workers attach their
+    // per-workload spans to it by explicit id, since the span nesting
+    // stack is thread-local and cannot follow the work onto a worker.
     let sweep_span = gemstone_obs::span::span("experiment.sweep")
         .attr("workloads", workloads.len())
-        .attr("threads", cfg.threads.max(1))
-        .attr("tier", cfg.fidelity.fidelity.name());
+        .attr("threads", threads)
+        .attr("tier", tier);
     let sweep_id = sweep_span.id();
     let queue_depth = gemstone_obs::Registry::global().gauge("sweep.queue.depth");
     queue_depth.set(workloads.len() as f64);
+    parallel_map_with(threads, workloads, |i, spec| {
+        queue_depth.set(workloads.len().saturating_sub(i + 1) as f64);
+        let _wl_span = gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
+            .attr("workload", &spec.name)
+            .attr("tier", tier);
+        per_workload(spec);
+    });
+}
 
-    std::thread::scope(|scope| {
-        let queue_depth = &queue_depth;
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(spec) = workloads.get(i) else { break };
-                queue_depth.set(workloads.len().saturating_sub(i + 1) as f64);
-                let _wl_span =
-                    gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
-                        .attr("workload", &spec.name)
-                        .attr("tier", cfg.fidelity.fidelity.name());
-                let mut hw_local = Vec::new();
-                let mut g5_local = Vec::new();
-                // Each (cluster, workload) column is one fused grid
-                // replay: the trace is decoded once and every DVFS point
-                // is a lane of the same pass.
-                for &cluster in &cfg.clusters {
-                    hw_local.extend(cfg.board.run_grid_tier(
-                        spec,
-                        cluster,
-                        cluster.frequencies(),
-                        cfg.fidelity,
-                    ));
-                }
-                for &model in &cfg.models {
-                    g5_local.extend(Gem5Sim::run_grid_tier(
-                        spec,
-                        model,
-                        model.cluster().frequencies(),
-                        cfg.fidelity,
-                    ));
-                }
-                let mut guard = runs.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.0.extend(hw_local);
-                guard.1.extend(g5_local);
-            });
+/// Characterises one workload over the full cluster/model × frequency
+/// grid: one fused grid replay per cluster and per model column. Returns
+/// the workload's hardware and gem5 runs, each sorted by
+/// ([`hw_order`], [`gem5_order`]), or the quarantine verdict if a grid
+/// point exhausted its retry budget.
+///
+/// With `faults` active, every grid point of a column is vetted (with
+/// per-point retries) before the column is replayed. Faults fire before
+/// any simulation or RNG work, so a workload that passes vetting yields
+/// exactly the fault-free runs, and a quarantined workload never costs a
+/// simulation. With `faults` inactive, vetting is skipped outright.
+pub(crate) fn characterise_workload(
+    cfg: &ExperimentConfig,
+    spec: &WorkloadSpec,
+    faults: &FaultInjector,
+    retry: &RetryPolicy,
+) -> Result<(Vec<HwRun>, Vec<Gem5Run>), QuarantinedWorkload> {
+    let vet = |column: &str,
+               freqs: &[f64],
+               check: &dyn Fn(f64, u32) -> Result<(), FaultError>|
+     -> Result<(), QuarantinedWorkload> {
+        if !faults.is_active() {
+            return Ok(());
         }
-    });
+        for &f in freqs {
+            let key = format!("{}:{column}:{f:.0}", spec.name);
+            retry
+                .run(&key, |attempt| check(f, attempt))
+                .map_err(|e| QuarantinedWorkload {
+                    workload: spec.name.clone(),
+                    site: e.error.site.name().to_string(),
+                    attempts: e.attempts,
+                    reason: e.to_string(),
+                })?;
+        }
+        Ok(())
+    };
 
-    // Workers push whole per-workload batches in completion order, which
-    // varies with scheduling. Restore a deterministic order before the
-    // data leaves the experiment layer, so collation and persisted
-    // artefacts are stable across runs and thread counts.
-    let (mut hw_runs, mut gem5_runs) = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
-    hw_runs.sort_by(|a, b| {
-        (a.workload.as_str(), a.cluster.name())
-            .cmp(&(b.workload.as_str(), b.cluster.name()))
-            .then(a.freq_hz.total_cmp(&b.freq_hz))
-    });
-    gem5_runs.sort_by(|a, b| {
-        (a.workload.as_str(), a.model.name())
-            .cmp(&(b.workload.as_str(), b.model.name()))
-            .then(a.freq_hz.total_cmp(&b.freq_hz))
-    });
+    let mut hw_runs = Vec::new();
+    for &cluster in &cfg.clusters {
+        let freqs = cluster.frequencies();
+        vet(cluster.name(), freqs, &|f, attempt| {
+            cfg.board.check_faults(faults, spec, cluster, f, attempt)
+        })?;
+        hw_runs.extend(cfg.board.run_grid_tier(spec, cluster, freqs, cfg.fidelity));
+    }
+    let mut gem5_runs = Vec::new();
+    for &model in &cfg.models {
+        let freqs = model.cluster().frequencies();
+        vet(model.name(), freqs, &|f, attempt| {
+            Gem5Sim::check_faults(faults, spec, model, f, attempt)
+        })?;
+        gem5_runs.extend(Gem5Sim::run_grid_tier(spec, model, freqs, cfg.fidelity));
+    }
+    hw_runs.sort_by(hw_order);
+    gem5_runs.sort_by(gem5_order);
+    Ok((hw_runs, gem5_runs))
+}
 
-    ValidationData::new(hw_runs, gem5_runs, workloads)
+/// The canonical hardware-run order: (workload, cluster name, frequency).
+/// Within one workload it orders by (cluster, frequency), so per-workload
+/// slices concatenated in workload-name order are in global order.
+fn hw_order(a: &HwRun, b: &HwRun) -> Ordering {
+    (a.workload.as_str(), a.cluster.name())
+        .cmp(&(b.workload.as_str(), b.cluster.name()))
+        .then(a.freq_hz.total_cmp(&b.freq_hz))
+}
+
+/// The canonical gem5-run order: (workload, model name, frequency).
+fn gem5_order(a: &Gem5Run, b: &Gem5Run) -> Ordering {
+    (a.workload.as_str(), a.model.name())
+        .cmp(&(b.workload.as_str(), b.model.name()))
+        .then(a.freq_hz.total_cmp(&b.freq_hz))
 }
 
 #[cfg(test)]

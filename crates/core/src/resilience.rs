@@ -21,10 +21,11 @@
 //!
 //! Bit-identity holds because (1) injected faults fire before any
 //! simulation or RNG work, so a retried success equals a never-faulted
-//! run; (2) each workload is characterised independently and its records
-//! sorted with exactly the comparators `run_over` uses; and (3) the final
-//! dataset is assembled workload-by-workload in lexicographic order — the
-//! same workload-major order `run_over`'s global sort produces.
+//! run; (2) each workload is characterised by the same per-workload
+//! routine `run_over` uses, which sorts its runs with the comparators of
+//! `run_over`'s global sort; and (3) the final dataset is assembled
+//! workload-by-workload in lexicographic order — the same workload-major
+//! order that global sort produces.
 //!
 //! Metrics: `quarantine.workloads` counts dropped workloads;
 //! `retry.attempts`, `faults.injected` and `checkpoint.writes` are
@@ -45,14 +46,12 @@
 //! ```
 
 use crate::checkpoint::{fingerprint, CollectCheckpoint};
-use crate::collate::{Collated, WorkloadRecord};
-use crate::experiment::{ExperimentConfig, ValidationData};
+use crate::collate::Collated;
+use crate::experiment::{characterise_workload, sweep, ExperimentConfig, ValidationData};
 use crate::{GemStoneError, Result};
 use gemstone_platform::fault::{FaultInjector, QuarantinedWorkload, RetryPolicy};
-use gemstone_platform::gem5sim::Gem5Sim;
 use gemstone_workloads::spec::WorkloadSpec;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Process-wide count of workloads dropped after exhausting their retry
@@ -192,76 +191,6 @@ pub struct SweepOutcome {
     pub coverage: CoverageReport,
 }
 
-/// Characterises one workload over the full cluster/model × frequency
-/// grid, retrying each operation. Returns the workload's collated records
-/// in canonical order, or the quarantine verdict if any operation
-/// exhausted its retry budget.
-fn characterise_workload(
-    cfg: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    faults: &FaultInjector,
-    retry: &RetryPolicy,
-) -> std::result::Result<Vec<WorkloadRecord>, QuarantinedWorkload> {
-    let quarantine = |e: gemstone_platform::fault::RetryExhausted<
-        gemstone_platform::fault::FaultError,
-    >| QuarantinedWorkload {
-        workload: spec.name.clone(),
-        site: e.error.site.name().to_string(),
-        attempts: e.attempts,
-        reason: e.to_string(),
-    };
-
-    // Vet every grid point (with per-point retries) before committing to
-    // one fused replay per cluster/model column. Faults fire before any
-    // simulation or RNG work on the per-point path too, so retry and
-    // quarantine behaviour — including which error quarantines the
-    // workload — are identical, and a quarantined workload never costs a
-    // simulation.
-    let mut hw_runs = Vec::new();
-    for &cluster in &cfg.clusters {
-        let freqs = cluster.frequencies();
-        for &f in freqs {
-            let key = format!("{}:{}:{:.0}", spec.name, cluster.name(), f);
-            retry
-                .run(&key, |attempt| {
-                    cfg.board.check_faults(faults, spec, cluster, f, attempt)
-                })
-                .map_err(quarantine)?;
-        }
-        hw_runs.extend(cfg.board.run_grid_tier(spec, cluster, freqs, cfg.fidelity));
-    }
-    let mut gem5_runs = Vec::new();
-    for &model in &cfg.models {
-        let freqs = model.cluster().frequencies();
-        for &f in freqs {
-            let key = format!("{}:{}:{:.0}", spec.name, model.name(), f);
-            retry
-                .run(&key, |attempt| {
-                    Gem5Sim::check_faults(faults, spec, model, f, attempt)
-                })
-                .map_err(quarantine)?;
-        }
-        gem5_runs.extend(Gem5Sim::run_grid_tier(spec, model, freqs, cfg.fidelity));
-    }
-
-    // The exact comparators run_over applies globally; restricted to one
-    // workload they order by (cluster/model, frequency), so concatenating
-    // per-workload slices in workload order rebuilds the global order.
-    hw_runs.sort_by(|a, b| {
-        (a.workload.as_str(), a.cluster.name())
-            .cmp(&(b.workload.as_str(), b.cluster.name()))
-            .then(a.freq_hz.total_cmp(&b.freq_hz))
-    });
-    gem5_runs.sort_by(|a, b| {
-        (a.workload.as_str(), a.model.name())
-            .cmp(&(b.workload.as_str(), b.model.name()))
-            .then(a.freq_hz.total_cmp(&b.freq_hz))
-    });
-
-    let data = ValidationData::new(hw_runs, gem5_runs, vec![spec.clone()]);
-    Ok(Collated::build(&data).records)
-}
-
 /// Runs the validation experiments over `workloads` with retries,
 /// quarantine and (optionally) checkpoint/resume — the fault-tolerant
 /// counterpart of [`crate::experiment::run_over`] + [`Collated::build`].
@@ -303,60 +232,44 @@ pub fn collect_resilient(
     // Workers settle one workload at a time; the checkpoint is advanced
     // (and persisted) under the lock, so every on-disk snapshot is a
     // consistent prefix of the sweep. The first persistence error stops
-    // the sweep.
+    // the sweep: no workload is settled after it.
     let state = Mutex::new((ck, None::<GemStoneError>));
-    let next = AtomicUsize::new(0);
-    // As in `experiment::run_over`, the sweep span's id crosses into the
-    // worker threads explicitly so per-workload spans stay under it.
-    let sweep_span = gemstone_obs::span::span("powmon.collect_resilient.sweep")
-        .attr("workloads", pending.len())
-        .attr("threads", cfg.threads.max(1));
-    let sweep_id = sweep_span.id();
-    let queue_depth = gemstone_obs::Registry::global().gauge("sweep.queue.depth");
-    queue_depth.set(pending.len() as f64);
-    std::thread::scope(|scope| {
-        let queue_depth = &queue_depth;
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| loop {
-                {
-                    let st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if st.1.is_some() {
-                        break;
-                    }
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = pending.get(i) else { break };
-                queue_depth.set(pending.len().saturating_sub(i + 1) as f64);
-                let _wl_span =
-                    gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
-                        .attr("workload", &spec.name)
-                        .attr("tier", cfg.fidelity.fidelity.name());
-                let outcome = characterise_workload(cfg, spec, &opts.faults, &opts.retry);
-                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                match outcome {
-                    Ok(records) => {
-                        st.0.completed.insert(spec.name.clone(), records);
-                    }
-                    Err(q) => {
-                        quarantine_counter().add(1);
-                        gemstone_obs::flight::note(
-                            "resilience.quarantine",
-                            format!(
-                                "workload {} quarantined at {} after {} attempts",
-                                q.workload, q.site, q.attempts
-                            ),
-                        );
-                        gemstone_obs::flight::auto_dump("quarantine");
-                        st.0.quarantined.push(q);
-                    }
-                }
-                if let Some(path) = &opts.checkpoint {
-                    if let Err(e) = st.0.save(path) {
-                        st.1 = Some(e);
-                        break;
-                    }
-                }
-            });
+    let lock = || state.lock().unwrap_or_else(PoisonError::into_inner);
+    sweep(cfg, &pending, |spec| {
+        if lock().1.is_some() {
+            return;
+        }
+        let outcome = characterise_workload(cfg, spec, &opts.faults, &opts.retry).map(
+            |(hw_runs, gem5_runs)| {
+                let data = ValidationData::new(hw_runs, gem5_runs, vec![spec.clone()]);
+                Collated::build(&data).records
+            },
+        );
+        let mut st = lock();
+        if st.1.is_some() {
+            return;
+        }
+        match outcome {
+            Ok(records) => {
+                st.0.completed.insert(spec.name.clone(), records);
+            }
+            Err(q) => {
+                quarantine_counter().add(1);
+                gemstone_obs::flight::note(
+                    "resilience.quarantine",
+                    format!(
+                        "workload {} quarantined at {} after {} attempts",
+                        q.workload, q.site, q.attempts
+                    ),
+                );
+                gemstone_obs::flight::auto_dump("quarantine");
+                st.0.quarantined.push(q);
+            }
+        }
+        if let Some(path) = &opts.checkpoint {
+            if let Err(e) = st.0.save(path) {
+                st.1 = Some(e);
+            }
         }
     });
     let (mut ck, err) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -396,7 +309,7 @@ mod tests {
     use std::time::Duration;
 
     fn unique_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
             "gemstone-resilience-{tag}-{}-{}",

@@ -309,11 +309,7 @@ impl JobSpec {
     /// rendered as 16 hex digits. Identity, not security — ids name
     /// queue-directory files and coalesce duplicates.
     pub fn id(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical_json().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = gemstone_obs::fnv::fnv1a(self.canonical_json().as_bytes());
         format!("{h:016x}")
     }
 
@@ -847,8 +843,9 @@ fn execute(cfg: &ServiceConfig, id: &str, spec: &JobSpec) -> Result<()> {
             let spec = suites::by_name(workload)
                 .expect("admission validated workload names")
                 .scaled(*scale);
-            let run = Gem5Sim::try_run(&spec, *model, *freq_hz, 0)
+            Gem5Sim::check_faults(&FaultInjector::global(), &spec, *model, *freq_hz, 0)
                 .map_err(|e| GemStoneError::MissingData(format!("simulation failed: {e}")))?;
+            let run = Gem5Sim::run(&spec, *model, *freq_hz);
             let mut out = String::new();
             out.push_str("{\"workload\":");
             push_str_lit(&mut out, workload);

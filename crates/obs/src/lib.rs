@@ -27,6 +27,7 @@
 //!   walks the critical path; `gemstone perf` renders it.
 //! * [`flight`] — a bounded lock-free flight-recorder ring of recent
 //!   span/note events, dumped on faults, quarantine, panic or demand.
+//! * [`fnv`] — the workspace's one FNV-1a hash, streaming from any state.
 //! * [`json`] — the workspace's one JSON codec: parser, typed field
 //!   readers and writers (this crate stays dependency-free).
 //!
@@ -55,6 +56,7 @@
 pub mod env;
 pub mod export;
 pub mod flight;
+pub mod fnv;
 pub mod http;
 pub mod json;
 pub mod profile;

@@ -136,83 +136,14 @@ impl OdroidXu3 {
         )
     }
 
-    /// [`OdroidXu3::run`] with fault awareness: consults the process-wide
-    /// [`FaultInjector`] before touching the run harness, the power sensor
-    /// and the PMU capture loop, so characterisation sweeps can observe
-    /// (and retry) the failures a real board produces. `attempt` is the
-    /// 0-based retry count — transient faults clear once it is high
-    /// enough. With fault injection disabled (the default) this is `run`
-    /// plus one branch.
-    ///
-    /// A run that succeeds after faults is bit-identical to one that never
-    /// faulted: faults fire before any simulation or RNG work.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires for this
-    /// (workload, cluster, frequency, attempt).
-    pub fn try_run(
-        &self,
-        spec: &WorkloadSpec,
-        cluster: Cluster,
-        freq_hz: f64,
-        attempt: u32,
-    ) -> Result<HwRun, FaultError> {
-        self.try_run_with(&FaultInjector::global(), spec, cluster, freq_hz, attempt)
-    }
-
-    /// [`OdroidXu3::try_run`] against an explicit injector — for
-    /// deterministic fault tests that must not depend on `GEMSTONE_FAULTS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires.
-    pub fn try_run_with(
-        &self,
-        faults: &FaultInjector,
-        spec: &WorkloadSpec,
-        cluster: Cluster,
-        freq_hz: f64,
-        attempt: u32,
-    ) -> Result<HwRun, FaultError> {
-        self.try_run_tier_with(
-            faults,
-            spec,
-            cluster,
-            freq_hz,
-            attempt,
-            TierConfig::default(),
-        )
-    }
-
-    /// [`OdroidXu3::try_run_with`] at an explicit fidelity tier, so
-    /// resilient sweeps stay bit-identical to [`OdroidXu3::run_tier`] on
-    /// the fault-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires.
-    pub fn try_run_tier_with(
-        &self,
-        faults: &FaultInjector,
-        spec: &WorkloadSpec,
-        cluster: Cluster,
-        freq_hz: f64,
-        attempt: u32,
-        tier: TierConfig,
-    ) -> Result<HwRun, FaultError> {
-        self.check_faults(faults, spec, cluster, freq_hz, attempt)?;
-        Ok(self.run_tier(spec, cluster, freq_hz, tier))
-    }
-
     /// Consults `faults` for every site a run at this DVFS point would
     /// touch — the run harness, the power sensor and the PMU capture loop
-    /// — without doing any simulation or measurement work. Grid-batched
-    /// sweeps use this to vet a whole frequency column (retrying each
-    /// point independently) before committing to one fused replay, which
-    /// keeps retry and quarantine behaviour identical to the
-    /// per-frequency path: faults fire before any simulation or RNG work
-    /// in both.
+    /// — without doing any simulation or measurement work. Sweeps use
+    /// this to vet a whole frequency column (retrying each point
+    /// independently) before committing to one fused replay. Since faults
+    /// fire before any simulation or RNG work, a run after faults is
+    /// bit-identical to one that never faulted. `attempt` is the 0-based
+    /// retry count; transient faults clear once it is high enough.
     ///
     /// # Errors
     ///
@@ -488,10 +419,10 @@ mod tests {
     fn try_run_matches_run_and_recovers_bit_identically() {
         use crate::fault::{FaultInjector, FaultPlan};
         let board = OdroidXu3::new();
-        // Disabled injector: identical to the infallible path.
         let plain = board.run(&spec(), Cluster::BigA15, 1.0e9);
-        let ok = board
-            .try_run_with(
+        // A disabled injector never faults.
+        board
+            .check_faults(
                 &FaultInjector::disabled(),
                 &spec(),
                 Cluster::BigA15,
@@ -499,11 +430,9 @@ mod tests {
                 0,
             )
             .unwrap();
-        assert_eq!(plain.time_s, ok.time_s);
-        assert_eq!(plain.power_w, ok.power_w);
-        assert_eq!(plain.pmc, ok.pmc);
-        // Everything faults on attempt 0, clears by the fail budget, and
-        // the recovered measurement is bit-identical to the clean one.
+        // Everything faults on attempt 0 and clears by the fail budget;
+        // faults fire before any simulation or RNG work, so the run after
+        // them is bit-identical to the clean one.
         let inj = FaultInjector::new(FaultPlan {
             seed: 5,
             transient_rate: 1.0,
@@ -511,11 +440,12 @@ mod tests {
             max_transient_fails: 2,
         });
         assert!(board
-            .try_run_with(&inj, &spec(), Cluster::BigA15, 1.0e9, 0)
+            .check_faults(&inj, &spec(), Cluster::BigA15, 1.0e9, 0)
             .is_err());
-        let recovered = board
-            .try_run_with(&inj, &spec(), Cluster::BigA15, 1.0e9, 2)
+        board
+            .check_faults(&inj, &spec(), Cluster::BigA15, 1.0e9, 2)
             .unwrap();
+        let recovered = board.run(&spec(), Cluster::BigA15, 1.0e9);
         assert_eq!(plain.time_s, recovered.time_s);
         assert_eq!(plain.power_w, recovered.power_w);
         assert_eq!(plain.pmc, recovered.pmc);

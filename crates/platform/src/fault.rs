@@ -168,17 +168,11 @@ pub struct QuarantinedWorkload {
 /// FNV-1a over a list of byte slices — the deterministic hash behind fault
 /// decisions and retry jitter.
 fn fnv(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    use gemstone_obs::fnv::{fnv1a_from, OFFSET};
+    parts.iter().fold(OFFSET, |h, part| {
         // Separator so ("ab","c") and ("a","bc") hash differently.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+        fnv1a_from(fnv1a_from(h, part), &[0xff])
+    })
 }
 
 /// Uniform in [0, 1) from the top bits of a hash.
@@ -270,9 +264,9 @@ impl FromStr for FaultPlan {
     }
 }
 
-/// Deterministic fault source consulted by the fallible platform entry
-/// points ([`crate::board::OdroidXu3::try_run`],
-/// [`crate::gem5sim::Gem5Sim::try_run`]).
+/// Deterministic fault source consulted by the platform's fault checks
+/// ([`crate::board::OdroidXu3::check_faults`],
+/// [`crate::gem5sim::Gem5Sim::check_faults`]).
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plan: Option<FaultPlan>,

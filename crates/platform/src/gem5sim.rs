@@ -127,66 +127,12 @@ impl Gem5Sim {
         )
     }
 
-    /// [`Gem5Sim::run`] with fault awareness: consults the process-wide
-    /// [`FaultInjector`] first, so a "wedged" simulation job surfaces as a
-    /// structured [`FaultError`] the sweep drivers can retry. `attempt` is
-    /// the 0-based retry count. A run that succeeds after faults is
-    /// bit-identical to one that never faulted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires for this
-    /// (workload, model, frequency, attempt).
-    pub fn try_run(
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        freq_hz: f64,
-        attempt: u32,
-    ) -> Result<Gem5Run, FaultError> {
-        Self::try_run_with(&FaultInjector::global(), spec, model, freq_hz, attempt)
-    }
-
-    /// [`Gem5Sim::try_run`] against an explicit injector — for
-    /// deterministic fault tests that must not depend on `GEMSTONE_FAULTS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires.
-    pub fn try_run_with(
-        faults: &FaultInjector,
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        freq_hz: f64,
-        attempt: u32,
-    ) -> Result<Gem5Run, FaultError> {
-        Self::try_run_tier_with(faults, spec, model, freq_hz, attempt, TierConfig::default())
-    }
-
-    /// [`Gem5Sim::try_run_with`] at an explicit fidelity tier, so
-    /// resilient sweeps stay bit-identical to [`Gem5Sim::run_tier`] on the
-    /// fault-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected [`FaultError`] when a fault fires.
-    pub fn try_run_tier_with(
-        faults: &FaultInjector,
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        freq_hz: f64,
-        attempt: u32,
-        tier: TierConfig,
-    ) -> Result<Gem5Run, FaultError> {
-        Self::check_faults(faults, spec, model, freq_hz, attempt)?;
-        Ok(Self::run_tier(spec, model, freq_hz, tier))
-    }
-
     /// Consults `faults` for the simulation-job site a run at this
     /// frequency would touch, without doing any simulation work.
-    /// Grid-batched sweeps use this to vet a whole frequency column
-    /// (retrying each point independently) before committing to one fused
-    /// replay; faults fire before any simulation in both paths, so retry
-    /// and quarantine behaviour are identical.
+    /// Sweeps use this to vet a whole frequency column (retrying each
+    /// point independently) before committing to one fused replay; since
+    /// faults fire before any simulation, a run after faults is
+    /// bit-identical to one that never faulted.
     ///
     /// # Errors
     ///
@@ -206,22 +152,6 @@ impl Gem5Sim {
         Ok(())
     }
 
-    /// Like [`Gem5Sim::run`], but consulting an explicit [`SimCache`]
-    /// instead of the process-wide one — for isolated cache tests and
-    /// benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not positive.
-    pub fn run_with_cache(
-        cache: &SimCache,
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        freq_hz: f64,
-    ) -> Gem5Run {
-        Self::run_config_with_cache(cache, spec, model, model.config(), freq_hz)
-    }
-
     /// Runs a workload on a *custom* core configuration, reported under
     /// `model`'s name. This is the hook for model-improvement iteration
     /// ("adjustments can then be made to the problem component of the gem5
@@ -238,30 +168,21 @@ impl Gem5Sim {
         cfg: gemstone_uarch::core::CoreConfig,
         freq_hz: f64,
     ) -> Gem5Run {
-        Self::run_config_with_cache(&SimCache::global(), spec, model, cfg, freq_hz)
+        Self::run_config_with_cache_tier(
+            &SimCache::global(),
+            spec,
+            model,
+            cfg,
+            freq_hz,
+            TierConfig::default(),
+        )
     }
 
     /// Like [`Gem5Sim::run_config`], but consulting an explicit
-    /// [`SimCache`]. The cache key covers every configuration field, so
-    /// custom configurations reported under the same model name never
-    /// share an entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not positive.
-    pub fn run_config_with_cache(
-        cache: &SimCache,
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        cfg: gemstone_uarch::core::CoreConfig,
-        freq_hz: f64,
-    ) -> Gem5Run {
-        Self::run_config_with_cache_tier(cache, spec, model, cfg, freq_hz, TierConfig::default())
-    }
-
-    /// Like [`Gem5Sim::run_config_with_cache`], at an explicit fidelity
-    /// tier. The tier is part of the cache identity, so fast-tier runs
-    /// never pollute (or read) the reference-tier memo.
+    /// [`SimCache`] at an explicit fidelity tier. The cache key covers
+    /// every configuration field and the tier, so custom configurations
+    /// reported under the same model name never share an entry, and
+    /// fast-tier runs never pollute (or read) the reference-tier memo.
     ///
     /// # Panics
     ///
@@ -347,6 +268,17 @@ mod tests {
         suites::by_name(name).unwrap().scaled(0.1)
     }
 
+    fn run_cached(cache: &SimCache, s: &WorkloadSpec, model: Gem5Model, f: f64) -> Gem5Run {
+        Gem5Sim::run_config_with_cache_tier(
+            cache,
+            s,
+            model,
+            model.config(),
+            f,
+            TierConfig::default(),
+        )
+    }
+
     #[test]
     fn deterministic() {
         let s = spec("mi-fft");
@@ -360,9 +292,9 @@ mod tests {
     fn cache_cold_warm_disabled_bit_identical() {
         let s = spec("mi-fft");
         let cache = SimCache::new();
-        let cold = Gem5Sim::run_with_cache(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
-        let warm = Gem5Sim::run_with_cache(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
-        let off = Gem5Sim::run_with_cache(&SimCache::disabled(), &s, Gem5Model::Ex5BigOld, 1.0e9);
+        let cold = run_cached(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
+        let warm = run_cached(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
+        let off = run_cached(&SimCache::disabled(), &s, Gem5Model::Ex5BigOld, 1.0e9);
         let global = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
         for other in [&warm, &off, &global] {
             assert_eq!(cold.time_s, other.time_s);
@@ -386,7 +318,7 @@ mod tests {
         );
         assert_eq!(cache.grid_fills(), freqs.len() as u64);
         for (&f, run) in freqs.iter().zip(&column) {
-            let single = Gem5Sim::run_with_cache(&SimCache::new(), &s, Gem5Model::Ex5BigOld, f);
+            let single = run_cached(&SimCache::new(), &s, Gem5Model::Ex5BigOld, f);
             assert_eq!(run.freq_hz, f);
             assert_eq!(run.time_s, single.time_s);
             assert_eq!(run.stats_map, single.stats_map);
@@ -405,9 +337,10 @@ mod tests {
             permanent_rate: 0.0,
             max_transient_fails: 1,
         });
-        let e = Gem5Sim::try_run_with(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 0).unwrap_err();
+        let e = Gem5Sim::check_faults(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 0).unwrap_err();
         assert!(e.is_transient());
-        let recovered = Gem5Sim::try_run_with(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 1).unwrap();
+        Gem5Sim::check_faults(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 1).unwrap();
+        let recovered = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
         assert_eq!(clean.time_s, recovered.time_s);
         assert_eq!(clean.stats_map, recovered.stats_map);
     }

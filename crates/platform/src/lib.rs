@@ -34,9 +34,10 @@
 //! reads time out, governors hiccup, gem5 jobs wedge. [`fault`] models
 //! that failure surface deterministically (seedable [`fault::FaultPlan`],
 //! `GEMSTONE_FAULTS` knob, off by default) and provides the
-//! [`fault::RetryPolicy`] the collection drivers wrap around the fallible
-//! entry points [`board::OdroidXu3::try_run`] and
-//! [`gem5sim::Gem5Sim::try_run`].
+//! [`fault::RetryPolicy`] the collection drivers wrap around the fault
+//! checks [`board::OdroidXu3::check_faults`] and
+//! [`gem5sim::Gem5Sim::check_faults`], which fire before any simulation
+//! work.
 //!
 //! # Examples
 //!

@@ -48,6 +48,7 @@
 //! assert_eq!((cache.misses(), cache.hits()), (1, 1));
 //! ```
 
+use gemstone_obs::fnv::fnv1a;
 use gemstone_obs::registry::log2_time_bounds;
 use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::backend::{Backend, Fidelity, TierConfig};
@@ -197,12 +198,6 @@ impl SimCache {
                 Arc::new(cache)
             })
             .clone()
-    }
-
-    /// Fingerprints one simulation tuple at the default (cycle-approximate)
-    /// fidelity tier.
-    pub fn fingerprint(spec: &WorkloadSpec, cfg: &CoreConfig, freq_hz: f64) -> SimKey {
-        Self::fingerprint_tier(spec, cfg, freq_hz, TierConfig::default())
     }
 
     /// Fingerprints one simulation tuple. The fingerprint covers every
@@ -362,13 +357,6 @@ impl SimCache {
     }
 
     /// Executes the engine directly at the default fidelity tier,
-    /// bypassing the result memo (the process-wide trace cache still
-    /// serves the instruction stream).
-    pub fn execute(cfg: &CoreConfig, spec: &WorkloadSpec, freq_hz: f64) -> SimOutcome {
-        Self::execute_with(&TraceCache::global(), cfg, spec, freq_hz)
-    }
-
-    /// Executes the engine directly at the default fidelity tier,
     /// replaying the packed trace from `traces` when available and
     /// generating the stream otherwise (the two paths are bit-identical).
     pub fn execute_with(
@@ -377,11 +365,16 @@ impl SimCache {
         spec: &WorkloadSpec,
         freq_hz: f64,
     ) -> SimOutcome {
-        Self::execute_tier_with(traces, cfg, spec, freq_hz, TierConfig::default())
+        Self::execute_grid_with(traces, cfg, spec, &[freq_hz], TierConfig::default()).remove(0)
     }
 
-    /// Executes the selected fidelity tier directly, bypassing the result
-    /// memo. The atomic tier replays the trace cache's memoised class
+    /// Executes one replay over a frequency column directly, bypassing the
+    /// result memo: the trace is decoded once and every frequency in
+    /// `freqs_hz` is simulated as a lane of the same pass. Returns one
+    /// outcome per frequency, in order, each bit-identical to a one-lane
+    /// replay at that frequency.
+    ///
+    /// The atomic tier replays the trace cache's memoised class
     /// histogram ([`TraceCache::class_histogram`]) and never materialises
     /// a trace; the detailed tiers replay packed traces (see
     /// [`PackedTrace::run_backend`](gemstone_workloads::trace::PackedTrace::run_backend)).
@@ -395,22 +388,6 @@ impl SimCache {
     /// hardware, where loader/libc startup and untimed harness warm-up
     /// iterations run the workload's code paths first — while the data
     /// working set stays cold and its compulsory misses are measured.
-    pub fn execute_tier_with(
-        traces: &TraceCache,
-        cfg: &CoreConfig,
-        spec: &WorkloadSpec,
-        freq_hz: f64,
-        tier: TierConfig,
-    ) -> SimOutcome {
-        Self::execute_grid_with(traces, cfg, spec, &[freq_hz], tier).remove(0)
-    }
-
-    /// Executes one replay over a frequency column directly, bypassing the
-    /// result memo: the trace is decoded once and every frequency in
-    /// `freqs_hz` is simulated as a lane of the same pass (see
-    /// [`SimCache::execute_tier_with`] for the paths and the prologue).
-    /// Returns one outcome per frequency, in order, each bit-identical to
-    /// a one-lane replay at that frequency.
     pub fn execute_grid_with(
         traces: &TraceCache,
         cfg: &CoreConfig,
@@ -519,15 +496,6 @@ impl fmt::Debug for SimCache {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +512,7 @@ mod tests {
         let s = spec("mi-fft");
         let cold = cache.run(&cortex_a15_hw(), &s, 1.0e9);
         let warm = cache.run(&cortex_a15_hw(), &s, 1.0e9);
-        let direct = SimCache::execute(&cortex_a15_hw(), &s, 1.0e9);
+        let direct = SimCache::execute_with(&TraceCache::global(), &cortex_a15_hw(), &s, 1.0e9);
         assert_eq!(cold.seconds, warm.seconds);
         assert_eq!(cold.seconds, direct.seconds);
         assert_eq!(cold.stats.cycles, warm.stats.cycles);
@@ -586,28 +554,19 @@ mod tests {
 
     #[test]
     fn key_separates_spec_config_and_frequency() {
-        let a = SimCache::fingerprint(&spec("mi-sha"), &cortex_a15_hw(), 1.0e9);
-        assert_eq!(
-            a,
-            SimCache::fingerprint(&spec("mi-sha"), &cortex_a15_hw(), 1.0e9)
-        );
-        assert_ne!(
-            a,
-            SimCache::fingerprint(&spec("mi-fft"), &cortex_a15_hw(), 1.0e9)
-        );
-        assert_ne!(
-            a,
-            SimCache::fingerprint(&spec("mi-sha"), &cortex_a7_hw(), 1.0e9)
-        );
-        assert_ne!(
-            a,
-            SimCache::fingerprint(&spec("mi-sha"), &cortex_a15_hw(), 1.4e9)
-        );
+        let key = |s: &WorkloadSpec, cfg: &CoreConfig, f: f64| {
+            SimCache::fingerprint_tier(s, cfg, f, TierConfig::default())
+        };
+        let a = key(&spec("mi-sha"), &cortex_a15_hw(), 1.0e9);
+        assert_eq!(a, key(&spec("mi-sha"), &cortex_a15_hw(), 1.0e9));
+        assert_ne!(a, key(&spec("mi-fft"), &cortex_a15_hw(), 1.0e9));
+        assert_ne!(a, key(&spec("mi-sha"), &cortex_a7_hw(), 1.0e9));
+        assert_ne!(a, key(&spec("mi-sha"), &cortex_a15_hw(), 1.4e9));
         // Two configs that differ only in internal fields (same cluster)
         // still get distinct keys.
         assert_ne!(
-            SimCache::fingerprint(&spec("mi-sha"), &ex5_big(Ex5Variant::Old), 1.0e9),
-            SimCache::fingerprint(&spec("mi-sha"), &ex5_big(Ex5Variant::Fixed), 1.0e9)
+            key(&spec("mi-sha"), &ex5_big(Ex5Variant::Old), 1.0e9),
+            key(&spec("mi-sha"), &ex5_big(Ex5Variant::Fixed), 1.0e9)
         );
     }
 
@@ -725,7 +684,10 @@ mod tests {
         assert_ne!(approx, atomic);
         assert_ne!(approx, sampled);
         assert_ne!(atomic, sampled);
-        assert_eq!(approx, SimCache::fingerprint(&s, &cfg, 1.0e9));
+        assert_eq!(
+            approx,
+            SimCache::fingerprint_tier(&s, &cfg, 1.0e9, TierConfig::default())
+        );
         // Sampling geometry is part of the sampled key only.
         let wide = SampleParams {
             interval: 10_000,
@@ -768,7 +730,7 @@ mod tests {
         let tier = TierConfig::atomic();
         let exec = |traces: &TraceCache| {
             (
-                SimCache::execute_tier_with(traces, &cfg, &s, 1.0e9, tier),
+                SimCache::execute_grid_with(traces, &cfg, &s, &[1.0e9], tier).remove(0),
                 SimCache::execute_grid_with(traces, &cfg, &s, &FREQS, tier),
             )
         };
@@ -870,13 +832,14 @@ mod tests {
         assert_eq!(column[3].stats.cycles, warm_b.stats.cycles);
         // The partially-fused column still matches fresh scalar runs.
         for (&f, out) in FREQS.iter().zip(&column) {
-            let single = SimCache::execute_tier_with(
+            let single = SimCache::execute_grid_with(
                 &TraceCache::global(),
                 &cfg,
                 &s,
-                f,
+                &[f],
                 TierConfig::approx(),
-            );
+            )
+            .remove(0);
             assert_eq!(single.stats.gem5_stats_map(), out.stats.gem5_stats_map());
         }
     }

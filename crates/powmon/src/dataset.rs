@@ -1,11 +1,11 @@
 //! Power-characterisation datasets: one observation per
 //! (workload, frequency) with measured power and PMC event rates.
 //!
-//! [`collect`] runs the characterisation sweep in parallel over a scoped
-//! worker pool (the same work-queue pattern as the validation experiment
-//! driver); observations always come back in the deterministic
-//! workload-major, frequency-minor order regardless of scheduling, because
-//! every board run is itself deterministic.
+//! [`collect`] runs the characterisation sweep in parallel over workloads
+//! on [`gemstone_stats::threads::parallel_map_with`]; observations always
+//! come back in the deterministic workload-major, frequency-minor order
+//! regardless of scheduling, because every curve lands in its workload's
+//! slot and every board run is itself deterministic.
 //!
 //! # Examples
 //!
@@ -26,27 +26,18 @@
 
 use gemstone_platform::board::{HwRun, OdroidXu3};
 use gemstone_platform::dvfs::{nearest_frequency, Cluster};
-use gemstone_platform::fault::{FaultInjector, QuarantinedWorkload, RetryPolicy};
+use gemstone_stats::threads::parallel_map_with;
 use gemstone_uarch::backend::TierConfig;
 use gemstone_uarch::pmu::EventCode;
 use gemstone_workloads::spec::WorkloadSpec;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Process-wide count of characterisation grid points simulated
 /// (`powmon.collect.runs` in the metrics registry).
 fn collect_runs_counter() -> &'static gemstone_obs::Counter {
     static C: OnceLock<std::sync::Arc<gemstone_obs::Counter>> = OnceLock::new();
     C.get_or_init(|| gemstone_obs::Registry::global().counter("powmon.collect.runs"))
-}
-
-/// Process-wide count of workloads dropped from power sweeps after
-/// exhausting their retry budget (`quarantine.workloads` — shared with the
-/// validation sweep driver).
-fn quarantine_counter() -> &'static gemstone_obs::Counter {
-    static C: OnceLock<std::sync::Arc<gemstone_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| gemstone_obs::Registry::global().counter("quarantine.workloads"))
 }
 
 /// One (workload, DVFS point) power observation.
@@ -181,135 +172,15 @@ pub fn collect_with_threads(
     collect_runs_counter().add((workloads.len() * freqs.len()) as u64);
     // One work item per workload: its whole frequency curve comes from a
     // single fused grid replay (decode once, one lane per DVFS point).
-    let slots: Mutex<Vec<(usize, Vec<PowerObservation>)>> =
-        Mutex::new(Vec::with_capacity(workloads.len()));
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = workloads.get(i) else { break };
-                let runs = board.run_grid_tier(spec, cluster, freqs, TierConfig::default());
-                let curve = freqs
-                    .iter()
-                    .zip(&runs)
-                    .map(|(&f, run)| observation_from(cluster, spec, f, run))
-                    .collect();
-                slots
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((i, curve));
-            });
-        }
+    let curves = parallel_map_with(threads, workloads, |_, spec| {
+        let runs = board.run_grid_tier(spec, cluster, freqs, TierConfig::default());
+        freqs
+            .iter()
+            .zip(&runs)
+            .map(|(&f, run)| observation_from(cluster, spec, f, run))
+            .collect::<Vec<_>>()
     });
-
-    // Restore the deterministic grid order regardless of completion order.
-    let mut indexed = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-    indexed.sort_by_key(|&(i, _)| i);
-    PowerDataset::new(cluster, indexed.into_iter().flat_map(|(_, o)| o).collect())
-}
-
-/// [`collect`] with retries and workload quarantine: every board run is
-/// wrapped in `retry` against `faults`, and a workload whose retry budget
-/// is exhausted at any grid point is dropped *whole* (all its frequencies)
-/// rather than aborting the sweep or leaving a partial frequency curve the
-/// power-model fit would silently mis-weight. Surviving observations keep
-/// the exact values and workload-major, frequency-minor order of a
-/// fault-free [`collect`].
-pub fn collect_resilient(
-    board: &OdroidXu3,
-    cluster: Cluster,
-    workloads: &[WorkloadSpec],
-    freqs: &[f64],
-    faults: &FaultInjector,
-    retry: &RetryPolicy,
-) -> (PowerDataset, Vec<QuarantinedWorkload>) {
-    collect_resilient_with_threads(
-        board,
-        cluster,
-        workloads,
-        freqs,
-        faults,
-        retry,
-        gemstone_stats::threads::worker_threads(),
-    )
-}
-
-/// [`collect_resilient`] with an explicit worker-thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_resilient_with_threads(
-    board: &OdroidXu3,
-    cluster: Cluster,
-    workloads: &[WorkloadSpec],
-    freqs: &[f64],
-    faults: &FaultInjector,
-    retry: &RetryPolicy,
-    threads: usize,
-) -> (PowerDataset, Vec<QuarantinedWorkload>) {
-    let _span = gemstone_obs::span::span("powmon.collect_resilient");
-    collect_runs_counter().add((workloads.len() * freqs.len()) as u64);
-    type Slot = (usize, Result<Vec<PowerObservation>, QuarantinedWorkload>);
-    let slots: Mutex<Vec<Slot>> = Mutex::new(Vec::with_capacity(workloads.len()));
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = workloads.get(i) else { break };
-                // Vet every DVFS point (with per-point retries) before
-                // committing to one fused replay for the whole curve.
-                // Faults fire before any simulation or RNG work on the
-                // per-point path too, so retry and quarantine behaviour —
-                // including which error is reported — are identical, and a
-                // quarantined workload never costs a simulation. A
-                // workload is dropped *whole* rather than leaving a
-                // partial frequency curve the power-model fit would
-                // silently mis-weight.
-                let vetted = freqs.iter().try_for_each(|&f| {
-                    let key = format!("{}:{}:{:.0}", spec.name, cluster.name(), f);
-                    retry
-                        .run(&key, |attempt| {
-                            board.check_faults(faults, spec, cluster, f, attempt)
-                        })
-                        .map_err(|e| QuarantinedWorkload {
-                            workload: spec.name.clone(),
-                            site: e.error.site.name().to_string(),
-                            attempts: e.attempts,
-                            reason: e.to_string(),
-                        })
-                });
-                let outcome = vetted.map(|()| {
-                    let runs = board.run_grid_tier(spec, cluster, freqs, TierConfig::default());
-                    freqs
-                        .iter()
-                        .zip(&runs)
-                        .map(|(&f, run)| observation_from(cluster, spec, f, run))
-                        .collect()
-                });
-                slots
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((i, outcome));
-            });
-        }
-    });
-
-    // Restore grid order; quarantined workloads contribute no observations.
-    let mut indexed = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-    indexed.sort_by_key(|&(i, _)| i);
-    let mut quarantined: Vec<QuarantinedWorkload> = Vec::new();
-    let mut observations = Vec::new();
-    for (_, outcome) in indexed {
-        match outcome {
-            Ok(curve) => observations.extend(curve),
-            Err(q) => quarantined.push(q),
-        }
-    }
-    quarantine_counter().add(quarantined.len() as u64);
-    quarantined.sort_by(|a, b| a.workload.cmp(&b.workload));
-    (PowerDataset::new(cluster, observations), quarantined)
+    PowerDataset::new(cluster, curves.into_iter().flatten().collect())
 }
 
 /// Turns one board run into a power observation. Rates are per second of
@@ -386,146 +257,6 @@ mod tests {
             assert_eq!(a.power_w, b.power_w);
             assert_eq!(a.time_s, b.time_s);
             assert_eq!(a.rates, b.rates);
-        }
-    }
-
-    #[test]
-    fn resilient_collect_without_faults_matches_collect() {
-        let board = OdroidXu3::new();
-        let specs: Vec<WorkloadSpec> = ["mi-sha", "mi-crc32"]
-            .iter()
-            .map(|n| suites::by_name(n).unwrap().scaled(0.05))
-            .collect();
-        let freqs = [600.0e6, 1000.0e6];
-        let clean = collect(&board, Cluster::LittleA7, &specs, &freqs);
-        let (ds, quarantined) = collect_resilient(
-            &board,
-            Cluster::LittleA7,
-            &specs,
-            &freqs,
-            &FaultInjector::disabled(),
-            &RetryPolicy::default(),
-        );
-        assert!(quarantined.is_empty());
-        assert_eq!(ds.observations.len(), clean.observations.len());
-        for (a, b) in clean.observations.iter().zip(&ds.observations) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.freq_hz, b.freq_hz);
-            assert_eq!(a.power_w, b.power_w);
-            assert_eq!(a.rates, b.rates);
-        }
-    }
-
-    #[test]
-    fn resilient_collect_retries_transient_faults_to_identical_values() {
-        use gemstone_platform::fault::FaultPlan;
-        let board = OdroidXu3::new();
-        let specs: Vec<WorkloadSpec> = ["mi-sha", "mi-crc32"]
-            .iter()
-            .map(|n| suites::by_name(n).unwrap().scaled(0.05))
-            .collect();
-        let freqs = [600.0e6, 1000.0e6];
-        let clean = collect(&board, Cluster::LittleA7, &specs, &freqs);
-        let inj = FaultInjector::new(FaultPlan {
-            seed: 17,
-            transient_rate: 0.7,
-            permanent_rate: 0.0,
-            max_transient_fails: 2,
-        });
-        let retry = RetryPolicy {
-            base_delay: std::time::Duration::from_micros(10),
-            max_delay: std::time::Duration::from_micros(100),
-            ..RetryPolicy::default()
-        };
-        let (ds, quarantined) =
-            collect_resilient(&board, Cluster::LittleA7, &specs, &freqs, &inj, &retry);
-        assert!(quarantined.is_empty(), "{quarantined:?}");
-        for (a, b) in clean.observations.iter().zip(&ds.observations) {
-            assert_eq!(a.workload, b.workload);
-            assert_eq!(a.power_w, b.power_w);
-            assert_eq!(a.rates, b.rates);
-        }
-    }
-
-    #[test]
-    fn resilient_collect_quarantines_whole_workloads() {
-        use gemstone_platform::fault::{FaultPlan, FaultSite};
-        let board = OdroidXu3::new();
-        let specs: Vec<WorkloadSpec> = ["mi-sha", "mi-crc32", "whet-whetstone"]
-            .iter()
-            .map(|n| suites::by_name(n).unwrap().scaled(0.05))
-            .collect();
-        let freqs = [600.0e6, 1000.0e6];
-        // The injector is deterministic, so the expected quarantine set can
-        // be computed directly: a workload is dropped iff any of its grid
-        // keys faults permanently (attempt high enough to clear transients).
-        let sites = [
-            FaultSite::BoardRun,
-            FaultSite::SensorRead,
-            FaultSite::PmuCapture,
-        ];
-        let dropped_by = |inj: &FaultInjector| -> Vec<&str> {
-            specs
-                .iter()
-                .filter(|s| {
-                    freqs.iter().any(|&f| {
-                        let key = format!("{}:{}:{:.0}", s.name, Cluster::LittleA7.name(), f);
-                        sites
-                            .iter()
-                            .any(|&site| inj.check(site, &key, 1000).is_err())
-                    })
-                })
-                .map(|s| s.name.as_str())
-                .collect()
-        };
-        // Each workload faces 2 frequencies × 3 sites = 6 checks and
-        // survives only if all pass, so whether a seed drops some but not
-        // all workloads is luck: take the first seed that splits the set.
-        let (inj, expect_dropped) = (0..64)
-            .map(|seed| {
-                let inj = FaultInjector::new(FaultPlan {
-                    seed,
-                    transient_rate: 0.0,
-                    permanent_rate: 0.15,
-                    max_transient_fails: 1,
-                });
-                let dropped = dropped_by(&inj);
-                (inj, dropped)
-            })
-            .find(|(_, dropped)| !dropped.is_empty() && dropped.len() < specs.len())
-            .expect("a seed in 0..64 splits the set");
-        let retry = RetryPolicy {
-            base_delay: std::time::Duration::from_micros(10),
-            ..RetryPolicy::default()
-        };
-        let (ds, quarantined) =
-            collect_resilient(&board, Cluster::LittleA7, &specs, &freqs, &inj, &retry);
-        let mut dropped: Vec<&str> = quarantined.iter().map(|q| q.workload.as_str()).collect();
-        let mut expected = expect_dropped.clone();
-        dropped.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(dropped, expected);
-        // Survivors keep full frequency curves with fault-free values.
-        let clean = collect(&board, Cluster::LittleA7, &specs, &freqs);
-        for o in &ds.observations {
-            assert!(!expect_dropped.contains(&o.workload.as_str()));
-            let reference = clean
-                .observations
-                .iter()
-                .find(|c| c.workload == o.workload && c.freq_hz == o.freq_hz)
-                .unwrap();
-            assert_eq!(o.power_w, reference.power_w);
-            assert_eq!(o.rates, reference.rates);
-        }
-        for s in &specs {
-            if !expect_dropped.contains(&s.name.as_str()) {
-                let curve = ds
-                    .observations
-                    .iter()
-                    .filter(|o| o.workload == s.name)
-                    .count();
-                assert_eq!(curve, freqs.len(), "{}", s.name);
-            }
         }
     }
 

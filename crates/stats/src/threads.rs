@@ -1,16 +1,17 @@
 //! The shared worker-thread knob used by every parallel layer in GemStone.
 //!
-//! All fan-out sites — `powmon::dataset::collect`, the correlation sweeps,
-//! the stepwise candidate scan and the concurrent pipeline stages — consult
-//! one resolver so a single setting controls parallelism everywhere:
+//! All fan-out sites — the validation, resilient and power
+//! characterisation sweeps, the correlation sweeps, the stepwise candidate
+//! scan and the concurrent pipeline stages — consult one resolver so a
+//! single setting controls parallelism everywhere:
 //!
 //! 1. a programmatic override installed with [`set_worker_threads`];
 //! 2. the `GEMSTONE_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`] (fallback: 4).
 //!
-//! Thread count never changes results: every parallel helper in this crate
-//! partitions work deterministically and writes into pre-assigned slots, so
-//! output is identical for any worker count (including 1).
+//! Thread count never changes results: [`parallel_map`] writes each item's
+//! result into a pre-assigned slot, so output is identical for any worker
+//! count (including 1).
 //!
 //! # Examples
 //!
@@ -63,33 +64,59 @@ pub fn set_worker_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Applies `f(index, item)` to every item, fanning the work across
-/// [`worker_threads`] scoped threads. Items are split into contiguous chunks
-/// with one pre-assigned output slot each, so the result order (and every
-/// value in it) is independent of the worker count.
+/// Applies `f(index, item)` to every item on [`worker_threads`] workers;
+/// see [`parallel_map_with`].
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = worker_threads().min(items.len());
+    parallel_map_with(worker_threads(), items, f)
+}
+
+/// Applies `f(index, item)` to every item on `threads` scoped workers
+/// (at most one per item; `threads <= 1` runs serially on the calling
+/// thread). Workers claim items one at a time from a shared atomic
+/// cursor, so uneven per-item costs balance, and each result lands in its
+/// item's pre-assigned output slot, so the result order (and every value
+/// in it) is independent of the worker count and of scheduling.
+pub fn parallel_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    let threads = threads.min(items.len());
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let chunk = items.len().div_ceil(threads);
+    let next = AtomicUsize::new(0);
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
     std::thread::scope(|s| {
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let f = &f;
-            s.spawn(move || {
-                for (k, (item, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + k, item));
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The cursor only hands out indices; results
+                        // travel back through the join, which orders them.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(i, item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, u) in done {
+                out[i] = Some(u);
+            }
         }
     });
     out.into_iter()
@@ -115,9 +142,24 @@ mod tests {
 
     #[test]
     fn parallel_map_matches_serial_in_order() {
-        let items: Vec<usize> = (0..101).collect();
-        let serial: Vec<usize> = items.iter().enumerate().map(|(i, v)| i * 7 + v).collect();
-        assert_eq!(parallel_map(&items, |i, v| i * 7 + v), serial);
+        // Uneven per-item cost (item 0 is by far the heaviest, then a
+        // spread) makes workers finish out of index order.
+        let f = |i: usize, v: &u64| -> u64 {
+            let rounds = if i == 0 { 200_000 } else { (v % 13) * 1_000 };
+            (0..rounds).fold(*v, |h, r| h.rotate_left(5) ^ r.wrapping_mul(0x9E37))
+        };
+        for len in [0u64, 1, 7, 101] {
+            let items: Vec<u64> = (0..len).map(|v| v * 31 + 7).collect();
+            let serial: Vec<u64> = items.iter().enumerate().map(|(i, v)| f(i, v)).collect();
+            assert_eq!(parallel_map(&items, f), serial, "len {len}");
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    parallel_map_with(threads, &items, f),
+                    serial,
+                    "len {len}, {threads} workers"
+                );
+            }
+        }
     }
 
     #[test]

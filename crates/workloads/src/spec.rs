@@ -331,12 +331,8 @@ impl WorkloadSpec {
 
     /// Deterministic seed derived from the name and base seed.
     pub fn derived_seed(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for b in self.name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        use gemstone_obs::fnv::{fnv1a_from, OFFSET};
+        fnv1a_from(OFFSET ^ self.seed, self.name.as_bytes())
     }
 
     /// Returns a copy with the instruction count scaled by `factor`

@@ -48,6 +48,7 @@
 
 use crate::gen::StreamGen;
 use crate::spec::WorkloadSpec;
+use gemstone_obs::fnv::fnv1a;
 use gemstone_obs::registry::log2_time_bounds;
 use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::backend::Backend;
@@ -708,15 +709,6 @@ impl fmt::Debug for TraceCache {
             .field("histogram_misses", &self.histogram_misses())
             .finish()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

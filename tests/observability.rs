@@ -3,9 +3,15 @@
 //! exporter output — the same path `gemstone report --metrics/--trace`
 //! exercises.
 
+use gemstone::core::checkpoint::CollectCheckpoint;
+use gemstone::core::resilience::{collect_resilient, ResilienceOptions};
+use gemstone::platform::fault::FaultInjector;
 use gemstone::platform::simcache::SimCache;
 use gemstone::prelude::*;
-use gemstone_obs::{export, Registry, SpanLog};
+use gemstone::workloads::spec::WorkloadSpec;
+use gemstone_obs::profile::{Journal, SpanTree};
+use gemstone_obs::{export, Registry, SpanEvent, SpanLog};
+use std::sync::Arc;
 
 #[test]
 fn metrics_spans_and_exporters_flow_end_to_end() {
@@ -93,4 +99,81 @@ fn metrics_spans_and_exporters_flow_end_to_end() {
             "bad jsonl: {line}"
         );
     }
+}
+
+fn attr<'a>(event: &'a SpanEvent, key: &str) -> Option<&'a str> {
+    event
+        .attrs
+        .iter()
+        .find(|(k, _)| k.as_ref() == key)
+        .map(|(_, v)| v.as_str())
+}
+
+#[test]
+fn resumed_resilient_sweep_journals_one_workload_span_per_pending_workload() {
+    gemstone_obs::set_enabled(true);
+    let cfg = ExperimentConfig {
+        workload_scale: 0.02,
+        clusters: vec![Cluster::BigA15],
+        models: vec![Gem5Model::Ex5BigOld],
+        threads: 2,
+        ..ExperimentConfig::default()
+    };
+    let workloads: Vec<WorkloadSpec> = ["mi-sha", "mi-crc32", "mi-fft"]
+        .iter()
+        .map(|n| suites::by_name(n).unwrap().scaled(0.02))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("gemstone-obs-sweep-{}", std::process::id()));
+    let path = dir.join("ck.json");
+    let mut opts = ResilienceOptions {
+        faults: Arc::new(FaultInjector::disabled()),
+        checkpoint: Some(path.clone()),
+        min_coverage: 1.0,
+        ..ResilienceOptions::default()
+    };
+    collect_resilient(&cfg, workloads.clone(), &opts).unwrap();
+    // Keep one workload settled, so the resumed sweep has two pending.
+    let mut ck = CollectCheckpoint::load(&path).unwrap();
+    ck.completed.retain(|name, _| name == "mi-sha");
+    ck.save(&path).unwrap();
+    opts.resume = true;
+
+    // Span ids are handed out in open order, so every span the resumed
+    // sweep opens has a larger id than this marker.
+    let marker = gemstone_obs::span::span("test.marker").id();
+    let outcome = collect_resilient(&cfg, workloads, &opts).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(outcome.coverage.resumed, 1);
+    let events: Vec<SpanEvent> = SpanLog::global()
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.id > marker)
+        .collect();
+    let journal = Journal::parse(&export::jsonl(Registry::global(), &events)).unwrap();
+    let tree = SpanTree::build(&journal.events);
+
+    let sweeps: Vec<_> = tree
+        .roots
+        .iter()
+        .map(|&i| &tree.nodes[i])
+        .filter(|n| n.event.name.as_ref() == "experiment.sweep")
+        .collect();
+    assert_eq!(sweeps.len(), 1, "one sweep root");
+    let sweep = &sweeps[0].event;
+    let tier = cfg.fidelity.fidelity.name();
+    assert_eq!(attr(sweep, "workloads"), Some("2"));
+    assert_eq!(attr(sweep, "threads"), Some("2"));
+    assert_eq!(attr(sweep, "tier"), Some(tier));
+    let mut pending: Vec<&str> = sweeps[0]
+        .children
+        .iter()
+        .map(|&c| &tree.nodes[c].event)
+        .filter(|e| e.name.as_ref() == "experiment.workload")
+        .map(|e| {
+            assert_eq!(attr(e, "tier"), Some(tier));
+            attr(e, "workload").unwrap()
+        })
+        .collect();
+    pending.sort_unstable();
+    assert_eq!(pending, ["mi-crc32", "mi-fft"]);
 }
