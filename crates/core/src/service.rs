@@ -142,17 +142,27 @@ impl JobSpec {
     /// Parses a job specification from the `POST /jobs` body.
     ///
     /// Unknown kinds and malformed fields are rejected with a
-    /// human-readable message (HTTP 400 upstream). Optional fields take
-    /// the CLI defaults: scale 1.0, all clusters, all models, the full
-    /// suite.
+    /// human-readable message (HTTP 400 upstream), and so is a `scale`
+    /// outside the CLI's (0, 10] ([`WorkloadSpec::MAX_SCALE`]). Optional
+    /// fields take the CLI defaults: scale 1.0, all clusters, all models,
+    /// the full suite.
     ///
     /// # Errors
     ///
     /// A description of the first structural problem.
     pub fn parse(body: &str) -> std::result::Result<JobSpec, String> {
+        let spec = Self::parse_fields(body)?;
+        spec.check_scale()?;
+        Ok(spec)
+    }
+
+    /// [`JobSpec::parse`] without the bound on `scale`, so that
+    /// [`Service::open`] can still read a job persisted before the bound
+    /// existed, and quarantine it.
+    fn parse_fields(body: &str) -> std::result::Result<JobSpec, String> {
         let v = Value::parse(body)?;
         let positive = |n: f64| n > 0.0 && n.is_finite();
-        let scale = optional_number(&v, "scale", "a positive number", positive)?.unwrap_or(1.0);
+        let scale = optional_number(&v, "scale", "a number", |_| true)?.unwrap_or(1.0);
         match v.str_field("kind")? {
             "validate" => {
                 let clusters = match v.get("clusters") {
@@ -202,10 +212,15 @@ impl JobSpec {
                         })
                         .collect::<std::result::Result<_, _>>()?,
                 };
-                // Absent: filled from the server floor at admission.
-                let min_coverage =
-                    optional_number(&v, "min_coverage", "in [0,1]", |n| (0.0..=1.0).contains(&n))?
-                        .unwrap_or(f64::NAN);
+                // Absent (or null, as the canonical form writes it):
+                // filled from the server floor at admission.
+                let min_coverage = match v.get("min_coverage") {
+                    Some(Value::Null) => None,
+                    _ => optional_number(&v, "min_coverage", "in [0,1]", |n| {
+                        (0.0..=1.0).contains(&n)
+                    })?,
+                }
+                .unwrap_or(f64::NAN);
                 Ok(JobSpec::Validate {
                     scale,
                     clusters,
@@ -311,6 +326,23 @@ impl JobSpec {
     pub fn id(&self) -> String {
         let h = gemstone_obs::fnv::fnv1a(self.canonical_json().as_bytes());
         format!("{h:016x}")
+    }
+
+    /// The admission bound every job kind shares: `scale` in (0, 10],
+    /// as the CLI's `--scale`.
+    fn check_scale(&self) -> std::result::Result<(), String> {
+        let (JobSpec::Validate { scale, .. }
+        | JobSpec::Profile { scale, .. }
+        | JobSpec::PowerModel { scale, .. }) = self;
+        if WorkloadSpec::scale_in_range(*scale) {
+            Ok(())
+        } else {
+            Err(format!(
+                "\"scale\" must be a number in (0, {}], got {:?}",
+                WorkloadSpec::MAX_SCALE,
+                Value::Number(*scale)
+            ))
+        }
     }
 
     fn kind_name(&self) -> &'static str {
@@ -511,7 +543,10 @@ impl Service {
     /// Jobs whose artefact already exists come back as [`JobState::Done`]
     /// without re-running; unfinished ones (including previously
     /// quarantined ones — a restart is the retry) are queued in job-id
-    /// order and resume from their checkpoints.
+    /// order and resume from their checkpoints. A persisted job that
+    /// admission would now refuse (a `scale` outside (0, 10]) comes back
+    /// [`JobState::Quarantined`] with the admission message and never
+    /// runs.
     ///
     /// # Errors
     ///
@@ -532,26 +567,28 @@ impl Service {
         names.sort();
         for path in names {
             let body = std::fs::read_to_string(&path)?;
-            let spec = JobSpec::parse(&body)
+            let spec = JobSpec::parse_fields(&body)
                 .map_err(|e| GemStoneError::Parse(format!("{}: {e}", path.display())))?;
             let id = spec.id();
+            let refused = spec.check_scale().err();
             let done = cfg.queue_dir.join(format!("{id}.result.json")).exists();
+            let job_state = if refused.is_some() {
+                JobState::Quarantined
+            } else if done {
+                JobState::Done
+            } else {
+                state.queue.push_back(id.clone());
+                JobState::Queued
+            };
             state.jobs.insert(
-                id.clone(),
+                id,
                 JobRecord {
                     spec,
-                    state: if done {
-                        JobState::Done
-                    } else {
-                        JobState::Queued
-                    },
+                    state: job_state,
                     coalesced: 0,
-                    error: None,
+                    error: refused,
                 },
             );
-            if !done {
-                state.queue.push_back(id);
-            }
         }
         metric("service.queue.depth").set(state.queue.len() as f64);
 
@@ -584,6 +621,7 @@ impl Service {
     ///
     /// See [`SubmitError`].
     pub fn submit(&self, mut spec: JobSpec) -> std::result::Result<Submitted, SubmitError> {
+        spec.check_scale().map_err(SubmitError::Rejected)?;
         // Admission policy: the server floor fills an unspecified
         // coverage requirement and rejects weaker ones.
         if let JobSpec::Validate { min_coverage, .. } = &mut spec {
@@ -1046,6 +1084,83 @@ mod tests {
         ] {
             assert!(JobSpec::parse(bad).is_err(), "{bad} must be rejected");
         }
+    }
+
+    #[test]
+    fn out_of_range_scale_is_a_400_for_every_kind() {
+        let dir = unique_dir("scale-bound");
+        let svc = Service::open(ServiceConfig {
+            queue_dir: dir.clone(),
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        for body in [
+            r#"{"kind":"profile","workload":"mi-sha","model":"Ex5BigOld","scale":1e12}"#,
+            r#"{"kind":"validate","scale":10.5}"#,
+            r#"{"kind":"power-model","cluster":"BigA15","scale":0}"#,
+            r#"{"kind":"profile","workload":"mi-sha","model":"Ex5BigOld","scale":1e309}"#,
+        ] {
+            let req = gemstone_obs::http::Request {
+                method: "POST".into(),
+                path: "/jobs".into(),
+                body: body.into(),
+            };
+            let (status, _, reply) = handle_request(&svc, &req);
+            assert_eq!(status, 400, "{body}: {reply}");
+            assert!(reply.contains("(0, 10]"), "{reply}");
+        }
+        // The in-process entry point applies the same bound.
+        let err = svc
+            .submit(JobSpec::Profile {
+                workload: "mi-sha".into(),
+                scale: 1e12,
+                model: Gem5Model::Ex5BigOld,
+                freq_hz: 1.0e9,
+            })
+            .unwrap_err();
+        assert!(matches!(err, SubmitError::Rejected(_)), "{err}");
+        // 10 itself is the CLI's largest scale, so it is admitted.
+        assert!(svc
+            .submit_json(r#"{"kind":"power-model","cluster":"BigA15","scale":10}"#)
+            .is_ok());
+        assert_eq!(svc.job_ids().len(), 1, "refused jobs were never persisted");
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_persisted_out_of_range_job_opens_quarantined_and_never_runs() {
+        let dir = unique_dir("scale-persisted");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A job accepted before the bound existed, left in the queue.
+        let spec = JobSpec::Profile {
+            workload: "mi-sha".into(),
+            scale: 1e12,
+            model: Gem5Model::Ex5BigOld,
+            freq_hz: 1.0e9,
+        };
+        let id = spec.id();
+        std::fs::write(dir.join(format!("{id}.job.json")), spec.canonical_json()).unwrap();
+        let svc = Service::open(ServiceConfig {
+            queue_dir: dir.clone(),
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        assert!(svc.drained(), "nothing is queued");
+        let status = svc.status(&id).unwrap();
+        assert_eq!(status.state, JobState::Quarantined);
+        assert_eq!(status.spec, spec);
+        let error = status.error.unwrap();
+        assert!(
+            error.contains("\"scale\" must be a number in (0, 10]"),
+            "{error}"
+        );
+        svc.shutdown();
+        assert!(!dir.join(format!("{id}.result.json")).exists());
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

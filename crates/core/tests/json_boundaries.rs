@@ -6,7 +6,10 @@
 //! Invariants: nothing panics; a truncated document is an error; a decoder
 //! either rejects its input or returns a value whose encoding is a fixed
 //! point of decode-then-encode (no garbage that changes on every pass);
-//! and every canonical document decodes and re-encodes to itself.
+//! and every canonical document decodes and re-encodes to itself. Job
+//! bodies built from hostile values (extreme numbers, wrong JSON types,
+//! unknown names, duplicate keys) either fail to parse or give a job
+//! whose `scale` and `freq_hz` the service can run.
 //!
 //! Cases come from a fixed seed sequence (`rand::cases`), so every build
 //! runs the same cases; a failing case prints its document and seed.
@@ -182,4 +185,160 @@ fn bit_flipped_documents_are_rejected_or_decode_to_a_fixed_point() {
             }
         });
     }
+}
+
+/// Job-body cases for the hostile-value loop.
+const JOB_BODIES: usize = 4096;
+
+/// Numbers at and beyond the edges a job field accepts.
+const HOSTILE_NUMBERS: &[&str] = &[
+    "0",
+    "-0",
+    "5e-324",
+    "-5e-324",
+    "1e-300",
+    "0.03",
+    "1",
+    "10",
+    "10.000000000000002",
+    "1e12",
+    "1e308",
+    "1e309",
+    "-1e309",
+    "-1",
+    "1.4e9",
+    "18446744073709551616",
+];
+
+/// Values of the wrong JSON type for every field.
+const WRONG_TYPES: &[&str] = &["null", "true", "\"0.5\"", "[]", "{}", "[0.5]", "\"\""];
+
+/// Names, known and unknown, for each string field; the list fields
+/// draw their elements from the same pools.
+const WORKLOADS: &[&str] = &[
+    "\"mi-sha\"",
+    "\"mi-fft\"",
+    "\"no-such-workload\"",
+    "\"\\u0000\"",
+];
+const MODELS: &[&str] = &[
+    "\"Ex5BigOld\"",
+    "\"Ex5Little\"",
+    "\"Ex5BigFixed\"",
+    "\"GPT-5\"",
+];
+const CLUSTERS: &[&str] = &["\"BigA15\"", "\"LittleA7\"", "\"M4Max\""];
+
+const JOB_FIELDS: &[&str] = &[
+    "kind",
+    "scale",
+    "freq_hz",
+    "min_coverage",
+    "workload",
+    "model",
+    "cluster",
+    "clusters",
+    "models",
+    "workloads",
+];
+
+/// One value for `field`: three times in four from the values that field
+/// expects (valid or not), otherwise anything hostile.
+fn hostile_value(g: &mut Cases, field: &str) -> String {
+    let list =
+        |g: &mut Cases, pool: &[&str]| format!("[{}]", g.vec(0..3, |g| g.pick(pool)).join(","));
+    if g.below(4) != 0 {
+        return match field {
+            "kind" => g
+                .pick(&["\"validate\"", "\"profile\"", "\"power-model\"", "\"mine\""])
+                .to_string(),
+            "scale" | "freq_hz" | "min_coverage" => g.pick(HOSTILE_NUMBERS).to_string(),
+            "workload" => g.pick(WORKLOADS).to_string(),
+            "model" => g.pick(MODELS).to_string(),
+            "cluster" => g.pick(CLUSTERS).to_string(),
+            "workloads" => list(g, WORKLOADS),
+            "models" => list(g, MODELS),
+            _ => list(g, CLUSTERS),
+        };
+    }
+    let pool = g.pick(&[WORKLOADS, MODELS, CLUSTERS]);
+    match g.below(4) {
+        0 => g.pick(HOSTILE_NUMBERS).to_string(),
+        1 => g.pick(WRONG_TYPES).to_string(),
+        2 => g.pick(pool).to_string(),
+        _ => list(g, pool),
+    }
+}
+
+/// A job body: `kind` first, each other field present with probability
+/// 1/2, some repeated with another value (the parser reads the first),
+/// members in shuffled order.
+fn hostile_job_body(seed: u64) -> String {
+    let mut g = Cases::new(seed);
+    let mut members = Vec::new();
+    for &field in JOB_FIELDS {
+        if field == "kind" || g.below(2) == 0 {
+            members.push(format!("\"{field}\":{}", hostile_value(&mut g, field)));
+        }
+    }
+    for _ in 0..g.below(3) {
+        let field = g.pick(JOB_FIELDS);
+        members.push(format!("\"{field}\":{}", hostile_value(&mut g, field)));
+    }
+    for i in (1..members.len()).rev() {
+        members.swap(i, g.below(i + 1));
+    }
+    format!("{{{}}}", members.join(","))
+}
+
+#[test]
+fn hostile_job_bodies_parse_to_runnable_jobs_or_errors() {
+    let accepted = std::sync::atomic::AtomicUsize::new(0);
+    for_each_case(JOB_BODIES, CASE_SEED + 200, |seed| {
+        let body = hostile_job_body(seed);
+        let Ok(spec) = JobSpec::parse(&body) else {
+            return;
+        };
+        accepted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let (JobSpec::Validate { scale, .. }
+        | JobSpec::Profile { scale, .. }
+        | JobSpec::PowerModel { scale, .. }) = &spec;
+        assert!(*scale > 0.0 && *scale <= 10.0, "{body}: scale {scale}");
+        if let JobSpec::Profile { freq_hz, .. } = &spec {
+            assert!(freq_hz.is_finite() && *freq_hz > 0.0, "{body}: {freq_hz}");
+        }
+        let canonical = spec.canonical_json();
+        let back = JobSpec::parse(&canonical).unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert_eq!(back.canonical_json(), canonical, "{body}");
+        assert_eq!(back.id(), spec.id(), "{body}");
+        // An unfilled coverage floor is NaN, which `==` never matches.
+        if !matches!(&spec, JobSpec::Validate { min_coverage, .. } if min_coverage.is_nan()) {
+            assert_eq!(back, spec, "{body}");
+        }
+    });
+    let accepted = accepted.into_inner();
+    assert!(
+        accepted > JOB_BODIES / 50,
+        "only {accepted} of {JOB_BODIES} bodies parsed: the loop barely reaches the Ok path"
+    );
+}
+
+/// The failures the hostile-body loop found, kept as fixed cases.
+#[test]
+fn hostile_job_body_regressions() {
+    // Out-of-range scales are refused for every kind; 10 is the largest
+    // accepted, as on the CLI.
+    for body in [
+        r#"{"kind":"profile","workload":"mi-sha","model":"Ex5BigOld","scale":1e308}"#,
+        r#"{"kind":"validate","scale":10.000000000000002}"#,
+        r#"{"kind":"power-model","cluster":"BigA15","scale":-0}"#,
+    ] {
+        assert!(JobSpec::parse(body).is_err(), "{body}");
+    }
+    assert!(JobSpec::parse(r#"{"kind":"validate","scale":10}"#).is_ok());
+    // A validate body without a coverage floor has the canonical form
+    // `"min_coverage":null`, which must parse back to the same job.
+    let spec = JobSpec::parse(r#"{"kind":"validate","scale":5e-324}"#).unwrap();
+    let back = JobSpec::parse(&spec.canonical_json()).unwrap();
+    assert_eq!(back.id(), spec.id());
 }

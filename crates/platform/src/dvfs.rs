@@ -40,6 +40,16 @@ impl Cluster {
         }
     }
 
+    /// The lane of `freq_hz` in [`Cluster::frequencies`]: `Some(i)` only
+    /// when the frequency is bit-equal to the `i`-th operating point, so
+    /// a one-point run can be served from its fused column without
+    /// changing a single result bit.
+    pub fn column_index(self, freq_hz: f64) -> Option<usize> {
+        self.frequencies()
+            .iter()
+            .position(|f| f.to_bits() == freq_hz.to_bits())
+    }
+
     /// The maximum hardware frequency (the A15's 2 GHz point exists but
     /// throttles; see [`crate::thermal`]).
     pub fn max_frequency(self) -> f64 {
@@ -130,6 +140,23 @@ mod tests {
         );
         // 2 GHz exists on the part but is not in the experiment list.
         assert!(Cluster::BigA15.max_frequency() > 1800.0e6);
+    }
+
+    #[test]
+    fn column_index_matches_bit_equal_points_only() {
+        assert_eq!(Cluster::BigA15.column_index(600.0e6), Some(0));
+        assert_eq!(Cluster::BigA15.column_index(1.4e9), Some(2));
+        assert_eq!(Cluster::LittleA7.column_index(200.0e6), Some(0));
+        assert_eq!(Cluster::LittleA7.column_index(1.0e9), Some(2));
+        assert_eq!(Cluster::BigA15.column_index(200.0e6), None);
+        assert_eq!(Cluster::BigA15.column_index(1.6e9), None);
+        assert_eq!(Cluster::BigA15.column_index(1.0e9 + 0.5), None);
+        assert_eq!(Cluster::BigA15.column_index(f64::NAN), None);
+        for cluster in [Cluster::LittleA7, Cluster::BigA15] {
+            for (i, &f) in cluster.frequencies().iter().enumerate() {
+                assert_eq!(cluster.column_index(f), Some(i));
+            }
+        }
     }
 
     #[test]

@@ -97,16 +97,24 @@ impl Gem5Run {
 pub struct Gem5Sim;
 
 impl Gem5Sim {
-    /// Runs a workload on a gem5 model at `freq_hz`.
+    /// Runs a workload on a gem5 model at `freq_hz` (the default tier; see
+    /// [`Gem5Sim::run_tier`]).
     ///
     /// # Panics
     ///
     /// Panics if `freq_hz` is not positive.
     pub fn run(spec: &WorkloadSpec, model: Gem5Model, freq_hz: f64) -> Gem5Run {
-        Self::run_config(spec, model, model.config(), freq_hz)
+        Self::run_tier(spec, model, freq_hz, TierConfig::default())
     }
 
     /// [`Gem5Sim::run`] at an explicit fidelity tier.
+    ///
+    /// A frequency bit-equal to one of the model's DVFS points
+    /// ([`Cluster::column_index`]) is served from the whole column
+    /// ([`SimCache::run_lane`]): one fused replay memoises every lane, so
+    /// later runs at the column's other points are memo hits. Lanes are
+    /// bit-identical to one-lane replays, so the result is the same
+    /// either way. Any other frequency replays one lane.
     ///
     /// # Panics
     ///
@@ -117,14 +125,13 @@ impl Gem5Sim {
         freq_hz: f64,
         tier: TierConfig,
     ) -> Gem5Run {
-        Self::run_config_with_cache_tier(
-            &SimCache::global(),
-            spec,
-            model,
-            model.config(),
-            freq_hz,
-            tier,
-        )
+        let cache = SimCache::global();
+        let cluster = model.cluster();
+        let sim = match cluster.column_index(freq_hz) {
+            Some(lane) => cache.run_lane(&model.config(), spec, cluster.frequencies(), lane, tier),
+            None => cache.run_tier(&model.config(), spec, freq_hz, tier),
+        };
+        Self::build_run(spec, model, freq_hz, sim)
     }
 
     /// Consults `faults` for the simulation-job site a run at this

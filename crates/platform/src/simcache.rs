@@ -18,10 +18,11 @@
 //!
 //! The map is sharded: each shard is an independent
 //! [`std::sync::RwLock`]-protected hash map, so concurrent sweeps mostly
-//! touch different locks. Within one shard, a per-entry [`OnceLock`]
-//! guarantees that every tuple is simulated **exactly once** even when
-//! several worker threads request it simultaneously — the losers of the
-//! race block on the winner's result instead of re-running the engine.
+//! touch different locks. An entry is created already claimed by the
+//! caller that will fill it, so every tuple is simulated **exactly once**
+//! even when several worker threads request it simultaneously — the
+//! losers of the race block on the winner's result instead of re-running
+//! the engine, also when the winner is filling a whole frequency column.
 //!
 //! Cold runs consult the process-wide
 //! [`TraceCache`](gemstone_workloads::trace::TraceCache): a workload's
@@ -61,7 +62,7 @@ use gemstone_workloads::trace::TraceCache;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Number of independent shards (power of two).
@@ -100,11 +101,64 @@ pub struct SimOutcome {
     pub stats: SimStats,
 }
 
-/// One cache entry; the [`OnceLock`] serialises concurrent fills so every
-/// key is computed exactly once.
-#[derive(Default)]
+/// Where one cache entry is in its life. An entry is created already
+/// [`SlotState::Filling`], claimed by its creator, so a concurrent caller
+/// that finds it waits instead of replaying.
+enum SlotState {
+    /// Unclaimed: a fill panicked, so the next caller may claim it.
+    Empty,
+    /// Claimed by a caller whose replay is still running.
+    Filling,
+    /// Filled; every later lookup is a hit.
+    Ready(Arc<SimOutcome>),
+}
+
+/// One cache entry; its state moves from claimed to filled exactly once,
+/// and callers that find it claimed block on `filled` until it is.
 struct Slot {
-    cell: OnceLock<SimOutcome>,
+    state: Mutex<SlotState>,
+    filled: Condvar,
+}
+
+impl Slot {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Installs the outcome of a claimed lane and wakes its waiters.
+    fn install(&self, outcome: Arc<SimOutcome>) {
+        *self.lock() = SlotState::Ready(outcome);
+        self.filled.notify_all();
+    }
+}
+
+/// What one lookup found in a lane.
+enum Lane {
+    /// This caller created or claimed the lane and must fill it.
+    Claimed(Arc<Slot>),
+    /// Another caller is filling the lane.
+    Pending(Arc<Slot>),
+    /// The lane was already filled (a hit).
+    Ready(Arc<SimOutcome>),
+    /// This caller filled the lane (a miss).
+    Filled(Arc<SimOutcome>),
+}
+
+/// The lanes one caller claimed. Dropped before they are filled — the
+/// replay panicked — it hands them back as [`SlotState::Empty`] and wakes
+/// their waiters, one of which then fills the lane itself.
+struct Claims(Vec<Arc<Slot>>);
+
+impl Drop for Claims {
+    fn drop(&mut self) {
+        for slot in &self.0 {
+            let mut state = slot.lock();
+            if matches!(*state, SlotState::Filling) {
+                *state = SlotState::Empty;
+                slot.filled.notify_all();
+            }
+        }
+    }
 }
 
 /// A shared, concurrent, sharded memo of engine results.
@@ -264,13 +318,17 @@ impl SimCache {
     /// `simcache.grid_fills`; a one-frequency request never does.
     /// Lookup latency covers fingerprinting plus the shard probes — not
     /// the engine run a miss goes on to pay (that lands in
-    /// `sim.run.seconds`). Exactly-once semantics are
-    /// preserved per entry: each lane's [`OnceLock`] either installs the
-    /// fused result or yields to a concurrent winner's bit-identical
-    /// value, and concurrent per-frequency callers block on the fill
-    /// instead of re-running the engine. The tier is part of each lane's
-    /// identity, so a grid fill never serves another tier's request. A
-    /// disabled cache still fuses the replay — it just skips the memo.
+    /// `sim.run.seconds`).
+    ///
+    /// Exactly-once semantics hold for every lane: the caller claims
+    /// every missing lane before it replays, so a concurrent caller that
+    /// asks for any lane of an in-flight column — as a column or alone —
+    /// blocks on the fill and counts a hit instead of re-running the
+    /// engine. Claiming never blocks (a lane claimed elsewhere is waited
+    /// for only after this caller's own replay), so overlapping requests
+    /// cannot deadlock. The tier is part of each lane's identity, so a
+    /// grid fill never serves another tier's request. A disabled cache
+    /// still fuses the replay — it just skips the memo.
     pub fn run_grid(
         &self,
         cfg: &CoreConfig,
@@ -278,82 +336,204 @@ impl SimCache {
         freqs_hz: &[f64],
         tier: TierConfig,
     ) -> Vec<SimOutcome> {
+        let all: Vec<usize> = (0..freqs_hz.len()).collect();
+        self.run_lanes(cfg, spec, freqs_hz, &all, tier)
+    }
+
+    /// Lane `lane` of the column `freqs_hz`: a memo hit when that lane is
+    /// warm (one hit, whatever the rest of the column holds), otherwise
+    /// one fused replay that fills every missing lane of the column, as
+    /// [`SimCache::run_grid`] would, so the column's other frequencies
+    /// become hits later. A disabled cache replays only the one lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range of `freqs_hz`.
+    pub fn run_lane(
+        &self,
+        cfg: &CoreConfig,
+        spec: &WorkloadSpec,
+        freqs_hz: &[f64],
+        lane: usize,
+        tier: TierConfig,
+    ) -> SimOutcome {
+        self.run_lanes(cfg, spec, freqs_hz, &[lane], tier).remove(0)
+    }
+
+    /// The `wanted` lanes of the column `freqs_hz`, in `wanted` order.
+    /// When any wanted lane is missing, every missing lane of the column
+    /// is claimed and filled by one replay.
+    fn run_lanes(
+        &self,
+        cfg: &CoreConfig,
+        spec: &WorkloadSpec,
+        freqs_hz: &[f64],
+        wanted: &[usize],
+        tier: TierConfig,
+    ) -> Vec<SimOutcome> {
         let tier = tier.canonical();
-        if freqs_hz.is_empty() {
+        if wanted.is_empty() {
             return Vec::new();
         }
         if !self.enabled.load(Ordering::Relaxed) {
+            let freqs: Vec<f64> = wanted.iter().map(|&i| freqs_hz[i]).collect();
             let sim_start = Instant::now();
-            let out = Self::execute_grid_with(&self.traces, cfg, spec, freqs_hz, tier);
+            let out = Self::execute_grid_with(&self.traces, cfg, spec, &freqs, tier);
             self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
             return out;
         }
-        // One lookup observation per column scan: fingerprint + shard
-        // probe for every lane, before any engine work.
+        // One lookup observation per call: fingerprint + shard probe for
+        // the wanted lanes, and for the rest of the column when a wanted
+        // lane has to be filled, before any engine work.
         let lookup_start = Instant::now();
-        let slots: Vec<Arc<Slot>> = freqs_hz
+        let mut lanes: Vec<Option<Lane>> = (0..freqs_hz.len()).map(|_| None).collect();
+        for &i in wanted {
+            lanes[i] = Some(self.claim(spec, cfg, freqs_hz[i], tier));
+        }
+        if lanes
             .iter()
-            .map(|&f| {
-                let key = Self::fingerprint_tier(spec, cfg, f, tier);
-                let shard = &self.shards[(key.hi as usize) & (SHARD_COUNT - 1)];
-                let slot = {
-                    let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-                    map.get(&key).cloned()
-                };
-                match slot {
-                    Some(slot) => slot,
-                    None => shard
-                        .write()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .entry(key)
-                        .or_default()
-                        .clone(),
+            .flatten()
+            .any(|l| matches!(l, Lane::Claimed(_)))
+        {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                if lane.is_none() {
+                    *lane = Some(self.claim(spec, cfg, freqs_hz[i], tier));
                 }
-            })
-            .collect();
+            }
+        }
         self.lookup_seconds
             .observe(lookup_start.elapsed().as_secs_f64());
-        // The frequencies still unfilled at scan time; one fused replay
-        // covers exactly these lanes, computed lazily so an all-warm
-        // column never replays and a concurrent winner can still beat us
-        // to individual entries (their value is bit-identical).
-        let missing: Vec<usize> = (0..slots.len())
-            .filter(|&i| slots[i].cell.get().is_none())
-            .collect();
-        let missing_freqs: Vec<f64> = missing.iter().map(|&i| freqs_hz[i]).collect();
-        let mut fused: Option<Vec<SimOutcome>> = None;
-        let mut out = Vec::with_capacity(freqs_hz.len());
-        for (i, slot) in slots.iter().enumerate() {
-            let mut computed = false;
-            let o = slot
-                .cell
-                .get_or_init(|| {
-                    computed = true;
-                    let pos = missing
-                        .iter()
-                        .position(|&m| m == i)
-                        .expect("a filled-at-scan lane cannot re-enter its OnceLock");
-                    fused.get_or_insert_with(|| {
-                        let sim_start = Instant::now();
-                        let out =
-                            Self::execute_grid_with(&self.traces, cfg, spec, &missing_freqs, tier);
-                        self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
-                        out
-                    })[pos]
-                        .clone()
+
+        let claims = Claims(
+            lanes
+                .iter()
+                .flatten()
+                .filter_map(|lane| match lane {
+                    Lane::Claimed(slot) => Some(Arc::clone(slot)),
+                    _ => None,
                 })
-                .clone();
-            if computed {
-                self.misses.inc();
-                if freqs_hz.len() > 1 {
-                    self.grid_fills.inc();
-                }
-            } else {
-                self.hits.inc();
+                .collect(),
+        );
+        if !claims.0.is_empty() {
+            let claimed: Vec<usize> = (0..lanes.len())
+                .filter(|&i| matches!(lanes[i], Some(Lane::Claimed(_))))
+                .collect();
+            let freqs: Vec<f64> = claimed.iter().map(|&i| freqs_hz[i]).collect();
+            let sim_start = Instant::now();
+            let outcomes = Self::execute_grid_with(&self.traces, cfg, spec, &freqs, tier);
+            self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
+            for ((&i, slot), outcome) in claimed.iter().zip(&claims.0).zip(outcomes) {
+                let outcome = Arc::new(outcome);
+                slot.install(Arc::clone(&outcome));
+                lanes[i] = Some(Lane::Filled(outcome));
             }
-            out.push(o);
+            self.misses.add(claimed.len() as u64);
+            if freqs_hz.len() > 1 {
+                self.grid_fills.add(claimed.len() as u64);
+            }
         }
-        out
+        drop(claims);
+
+        wanted
+            .iter()
+            .map(|&i| {
+                let outcome = match lanes[i].take().expect("wanted lanes are looked up") {
+                    Lane::Filled(outcome) => outcome,
+                    Lane::Ready(outcome) => {
+                        self.hits.inc();
+                        outcome
+                    }
+                    Lane::Pending(slot) => self.wait(&slot, cfg, spec, freqs_hz[i], tier),
+                    Lane::Claimed(_) => unreachable!("claimed lanes are filled above"),
+                };
+                Arc::unwrap_or_clone(outcome)
+            })
+            .collect()
+    }
+
+    /// Looks up one lane, creating and claiming its entry when absent and
+    /// claiming an entry a panicked fill handed back.
+    fn claim(&self, spec: &WorkloadSpec, cfg: &CoreConfig, freq_hz: f64, tier: TierConfig) -> Lane {
+        let key = Self::fingerprint_tier(spec, cfg, freq_hz, tier);
+        let shard = &self.shards[(key.hi as usize) & (SHARD_COUNT - 1)];
+        let found = shard
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .cloned();
+        let slot = match found {
+            Some(slot) => slot,
+            None => {
+                let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
+                match map.get(&key) {
+                    Some(slot) => Arc::clone(slot),
+                    None => {
+                        let slot = Arc::new(Slot {
+                            state: Mutex::new(SlotState::Filling),
+                            filled: Condvar::new(),
+                        });
+                        map.insert(key, Arc::clone(&slot));
+                        return Lane::Claimed(slot);
+                    }
+                }
+            }
+        };
+        let mut state = slot.lock();
+        match &*state {
+            SlotState::Ready(outcome) => Lane::Ready(Arc::clone(outcome)),
+            SlotState::Filling => {
+                drop(state);
+                Lane::Pending(slot)
+            }
+            SlotState::Empty => {
+                *state = SlotState::Filling;
+                drop(state);
+                Lane::Claimed(slot)
+            }
+        }
+    }
+
+    /// Blocks until another caller fills `slot` (a hit). If that fill
+    /// panicked, this caller claims the lane and replays it alone (a
+    /// miss).
+    fn wait(
+        &self,
+        slot: &Arc<Slot>,
+        cfg: &CoreConfig,
+        spec: &WorkloadSpec,
+        freq_hz: f64,
+        tier: TierConfig,
+    ) -> Arc<SimOutcome> {
+        let mut state = slot.lock();
+        loop {
+            match &*state {
+                SlotState::Ready(outcome) => {
+                    self.hits.inc();
+                    return Arc::clone(outcome);
+                }
+                SlotState::Filling => {
+                    state = slot
+                        .filled
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                SlotState::Empty => {
+                    *state = SlotState::Filling;
+                    drop(state);
+                    let claims = Claims(vec![Arc::clone(slot)]);
+                    let sim_start = Instant::now();
+                    let outcome = Arc::new(
+                        Self::execute_grid_with(&self.traces, cfg, spec, &[freq_hz], tier)
+                            .remove(0),
+                    );
+                    self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
+                    slot.install(Arc::clone(&outcome));
+                    drop(claims);
+                    self.misses.inc();
+                    return outcome;
+                }
+            }
+        }
     }
 
     /// Executes the engine directly at the default fidelity tier,
@@ -917,6 +1097,98 @@ mod tests {
         );
         let scalar = SimCache::new().run_tier(&cfg, &s, 1.0e9, TierConfig::approx());
         assert_eq!(one[0].stats.gem5_stats_map(), scalar.stats.gem5_stats_map());
+    }
+
+    #[test]
+    fn run_lane_fills_the_column_once_then_hits_one_lane() {
+        let cache = SimCache::new();
+        let s = spec("mi-sha");
+        let cfg = cortex_a15_hw();
+        let tier = TierConfig::approx();
+        let first = cache.run_lane(&cfg, &s, &FREQS, 1, tier);
+        assert_eq!(
+            (cache.misses(), cache.grid_fills(), cache.hits()),
+            (4, 4, 0),
+            "a cold lane fills its whole column"
+        );
+        assert_eq!(cache.sim_seconds.count(), 1, "from one replay");
+        for (lane, &f) in FREQS.iter().enumerate() {
+            let out = cache.run_lane(&cfg, &s, &FREQS, lane, tier);
+            let single = SimCache::new().run_tier(&cfg, &s, f, tier);
+            assert_eq!(out.seconds.to_bits(), single.seconds.to_bits());
+            assert_eq!(out.stats.gem5_stats_map(), single.stats.gem5_stats_map());
+        }
+        assert_eq!(
+            (cache.misses(), cache.hits()),
+            (4, 4),
+            "one hit per lane asked"
+        );
+        assert_eq!(
+            first.seconds.to_bits(),
+            cache.run_tier(&cfg, &s, FREQS[1], tier).seconds.to_bits()
+        );
+        // A partly warm column: only the missing lanes replay.
+        let partial = SimCache::new();
+        partial.run_tier(&cfg, &s, FREQS[0], tier);
+        partial.run_lane(&cfg, &s, &FREQS, 3, tier);
+        assert_eq!(
+            (partial.misses(), partial.grid_fills(), partial.hits()),
+            (4, 3, 0)
+        );
+        // A disabled cache replays the one lane only.
+        let off = SimCache::disabled();
+        let lane = off.run_lane(&cfg, &s, &FREQS, 2, tier);
+        assert_eq!(lane.stats.freq_hz, FREQS[2]);
+        assert_eq!((off.len(), off.misses()), (0, 0));
+    }
+
+    #[test]
+    fn a_lane_of_an_in_flight_column_blocks_on_the_fill() {
+        // Long enough that the column's replay is still running when the
+        // second thread asks for its last lane.
+        let s = suites::by_name("mi-fft").unwrap().scaled(0.5);
+        let cfg = cortex_a15_hw();
+        let tier = TierConfig::approx();
+        let cache = SimCache::new();
+        let (column, lone) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| cache.run_grid(&cfg, &s, &FREQS, tier));
+            let b = scope.spawn(|| {
+                while cache.len() < FREQS.len() {
+                    std::thread::yield_now();
+                }
+                cache.run_tier(&cfg, &s, FREQS[3], tier)
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(cache.sim_seconds.count(), 1, "one replay for both callers");
+        assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(lone.seconds.to_bits(), column[3].seconds.to_bits());
+        assert_eq!(
+            lone.stats.gem5_stats_map(),
+            column[3].stats.gem5_stats_map()
+        );
+    }
+
+    #[test]
+    fn a_panicked_fill_hands_its_lanes_back() {
+        let cache = SimCache::new();
+        let s = spec("mi-sha");
+        let cfg = cortex_a7_hw();
+        let tier = TierConfig::approx();
+        let Lane::Claimed(slot) = cache.claim(&s, &cfg, 1.0e9, tier) else {
+            panic!("a new entry is claimed by its creator");
+        };
+        assert!(matches!(
+            cache.claim(&s, &cfg, 1.0e9, tier),
+            Lane::Pending(_)
+        ));
+        drop(Claims(vec![slot]));
+        // The next caller claims the abandoned entry and fills it.
+        let out = cache.run_tier(&cfg, &s, 1.0e9, tier);
+        let reference = SimCache::new().run_tier(&cfg, &s, 1.0e9, tier);
+        assert_eq!(out.seconds.to_bits(), reference.seconds.to_bits());
+        assert_eq!((cache.len(), cache.misses()), (1, 1));
     }
 
     #[test]

@@ -335,6 +335,18 @@ impl WorkloadSpec {
         fnv1a_from(OFFSET ^ self.seed, self.name.as_bytes())
     }
 
+    /// The largest factor an entry point passes to
+    /// [`WorkloadSpec::scaled`]: the CLI's `--scale` and every serve job's
+    /// `scale` must lie in (0, `MAX_SCALE`]. Far larger factors ask for
+    /// traces that cannot be allocated.
+    pub const MAX_SCALE: f64 = 10.0;
+
+    /// Whether `factor` lies in (0, [`WorkloadSpec::MAX_SCALE`]], which
+    /// also rules out NaN and infinities.
+    pub fn scale_in_range(factor: f64) -> bool {
+        factor > 0.0 && factor <= Self::MAX_SCALE
+    }
+
     /// Returns a copy with the instruction count scaled by `factor`
     /// (minimum 1000 instructions).
     pub fn scaled(&self, factor: f64) -> WorkloadSpec {

@@ -104,7 +104,7 @@ impl Args {
     /// `--scale`, the workload-budget factor: in (0, 10], default 1.
     fn scale(&self) -> Result<f64, String> {
         self.number("scale", 1.0, "a number in (0, 10]", |&s| {
-            s > 0.0 && s <= 10.0
+            WorkloadSpec::scale_in_range(s)
         })
     }
 
@@ -589,16 +589,14 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
     let tier = parse_fidelity(args)?;
     let scale = args.scale()?;
     let t0 = std::time::Instant::now();
-    // One fused grid replay covers the model's whole DVFS column; the
-    // stats dump below is the 1 GHz lane (bit-identical to a scalar run
-    // at 1 GHz), and the grid counters record what the fusion did.
-    let freqs = model.cluster().frequencies();
-    let runs = Gem5Sim::run_grid_tier(&spec.scaled(scale), model, freqs, tier);
+    // 1 GHz is a DVFS point of both clusters, so this run fills the
+    // model's whole column from one fused replay; the stats dump is the
+    // 1 GHz lane, and the grid counters record what the fusion did.
+    let run = Gem5Sim::run_tier(&spec.scaled(scale), model, 1.0e9, tier);
     let sim_micros = t0.elapsed().as_micros() as u64;
-    let run = runs.iter().find(|r| r.freq_hz == 1.0e9).unwrap_or(&runs[0]);
     print!("{}", run.stats.to_stats_txt());
     // Execution-layer counters, in the same aligned `name value` style.
-    // `Gem5Sim::run_grid_tier` consults the process-wide caches, so these
+    // `Gem5Sim::run_tier` consults the process-wide caches, so these
     // reflect whether this invocation hit the memo / replayed a packed
     // trace / fused the frequency column.
     let cache = SimCache::global();

@@ -20,6 +20,14 @@ fn metrics_spans_and_exporters_flow_end_to_end() {
     let spec = suites::by_name("mi-sha").unwrap().scaled(0.02);
     let run = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
     assert!(run.stats.committed_instructions > 0);
+    // 1 GHz is a DVFS point, so that run filled the model's column under
+    // a fused grid span; 1.6 GHz is off the column and replays one lane
+    // under the tier's `engine.run` span.
+    let lone = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.6e9);
+    assert_eq!(
+        lone.stats.committed_instructions,
+        run.stats.committed_instructions
+    );
 
     // Canonical counters exist and counted the run. The registry handles
     // are the *same* atomics the caches bump, so these equalities prove
@@ -45,6 +53,7 @@ fn metrics_spans_and_exporters_flow_end_to_end() {
     }
     let events = SpanLog::global().snapshot();
     assert!(events.iter().any(|e| e.name.as_ref() == "engine.run"));
+    assert!(events.iter().any(|e| e.name.as_ref() == "engine.run.grid"));
     let outer = events
         .iter()
         .find(|e| e.name.as_ref() == "test.outer")

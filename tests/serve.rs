@@ -13,6 +13,7 @@ use gemstone::obs::json::Value;
 use gemstone::platform::fault::{FaultInjector, RetryPolicy};
 use gemstone::platform::simcache::SimCache;
 use gemstone::prelude::*;
+use gemstone::uarch::backend::TierConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -316,5 +317,93 @@ fn killed_daemon_resumes_its_queue_bit_identically() {
 
     drop(b);
     drop(c);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A profile job at a DVFS point fills its model's whole column from one
+/// fused replay, so a job at another point of the same (model, workload,
+/// scale) is a memo hit; a frequency off the column replays one lane.
+/// Every artefact equals a one-lane run on a cold private cache.
+#[test]
+fn profile_jobs_at_dvfs_points_share_one_column_fill() {
+    let _guard = serialised();
+    gemstone::obs::set_enabled(true);
+    let dir = unique_dir("column");
+    let svc = Service::open(ServiceConfig {
+        queue_dir: dir.clone(),
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let registry = gemstone::obs::Registry::global();
+    let replays = registry.counter("engine.grid.replays");
+    let cache = SimCache::global();
+    // Not 0.03: the validation tests above sweep mi-sha at 0.03 on this
+    // model and count its fills, so this test keeps to its own column.
+    let scale = 0.032;
+    let run = |freq_hz: f64| -> f64 {
+        let body = format!(
+            r#"{{"kind":"profile","workload":"mi-sha","scale":{scale},"model":"Ex5BigOld","freq_hz":{freq_hz}}}"#
+        );
+        let sub = svc.submit_json(&body).unwrap();
+        assert!(!sub.coalesced, "a fresh job id at {freq_hz} Hz");
+        wait_done(&svc, Duration::from_secs(60));
+        let status = svc.status(&sub.id).unwrap();
+        let artefact = std::fs::read_to_string(status.artefact.unwrap()).unwrap();
+        Value::parse(&artefact)
+            .unwrap()
+            .get("sim_time_s")
+            .and_then(Value::as_f64)
+            .unwrap()
+    };
+    let counters = || {
+        (
+            replays.get(),
+            cache.misses(),
+            cache.hits(),
+            cache.grid_fills(),
+        )
+    };
+
+    let before = counters();
+    let at_1000 = run(1.0e9);
+    let filled = counters();
+    assert_eq!(filled.0 - before.0, 1, "one fused replay");
+    assert_eq!(filled.1 - before.1, 4, "it fills all four lanes");
+    assert_eq!(filled.3 - before.3, 4);
+
+    let at_1400 = run(1.4e9);
+    let after = counters();
+    assert_eq!(
+        after.0, filled.0,
+        "no replay for another point of the column"
+    );
+    assert_eq!(after.1, filled.1, "no miss");
+    assert_eq!(after.2 - filled.2, 1, "exactly one hit");
+
+    let at_1600 = run(1.6e9);
+    let off = counters();
+    assert_eq!(off.1 - after.1, 1, "an off-column point is one miss");
+    assert_eq!(off.3, after.3, "and no grid fill");
+    assert_eq!(off.0, after.0, "a one-lane run is not a grid replay");
+
+    let spec = suites::by_name("mi-sha").unwrap().scaled(scale);
+    for (freq_hz, sim_time_s) in [(1.0e9, at_1000), (1.4e9, at_1400), (1.6e9, at_1600)] {
+        let reference = Gem5Sim::run_config_with_cache_tier(
+            &SimCache::new(),
+            &spec,
+            Gem5Model::Ex5BigOld,
+            configs::ex5_big(configs::Ex5Variant::Old),
+            freq_hz,
+            TierConfig::default(),
+        );
+        assert_eq!(
+            sim_time_s.to_bits(),
+            reference.time_s.to_bits(),
+            "{freq_hz} Hz artefact == one-lane run"
+        );
+    }
+
+    svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
