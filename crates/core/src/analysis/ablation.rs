@@ -12,11 +12,9 @@
 //! measuring the execution-time MAPE/MPE each way. The paper's conclusion
 //! — the branch predictor dominates — falls out of the numbers.
 
+use crate::collate::time_errors;
+use crate::experiment::{run_variants, ExperimentConfig};
 use crate::{GemStoneError, Result};
-use gemstone_platform::board::OdroidXu3;
-use gemstone_platform::dvfs::Cluster;
-use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
-use gemstone_stats::metrics::{mape, mpe};
 use gemstone_uarch::configs::{ex5_big, ex5_big_spec_errors, Ex5Variant};
 use gemstone_workloads::spec::WorkloadSpec;
 
@@ -44,92 +42,56 @@ pub struct Ablation {
     pub keep_one: Vec<VariantQuality>,
 }
 
-fn quality_of(
-    board: &OdroidXu3,
-    workloads: &[WorkloadSpec],
-    cfg: &gemstone_uarch::core::CoreConfig,
-    freq_hz: f64,
-    label: String,
-) -> Result<VariantQuality> {
-    let mut hw_t = Vec::with_capacity(workloads.len());
-    let mut g5_t = Vec::with_capacity(workloads.len());
-    for spec in workloads {
-        let hw = board.run(spec, Cluster::BigA15, freq_hz);
-        let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, cfg.clone(), freq_hz);
-        hw_t.push(hw.time_s);
-        g5_t.push(g5.time_s);
-    }
-    Ok(VariantQuality {
-        label,
-        mape: mape(&hw_t, &g5_t)?,
-        mpe: mpe(&hw_t, &g5_t)?,
-    })
-}
-
-/// Runs the ablation at one frequency over a workload set.
+/// Runs the ablation at one frequency over a workload set: every variant
+/// is scored in one [`run_variants`] sweep on `cfg`'s board and workers.
 ///
 /// # Errors
 ///
 /// Returns [`GemStoneError::MissingData`] for an empty workload list, or
 /// propagates metric errors.
-pub fn analyse(board: &OdroidXu3, workloads: &[WorkloadSpec], freq_hz: f64) -> Result<Ablation> {
+pub fn analyse(
+    cfg: &ExperimentConfig,
+    workloads: &[WorkloadSpec],
+    freq_hz: f64,
+) -> Result<Ablation> {
     if workloads.is_empty() {
         return Err(GemStoneError::MissingData(
             "no workloads for ablation".into(),
         ));
     }
     let errors = ex5_big_spec_errors();
-
-    let baseline_cfg = ex5_big(Ex5Variant::Old);
-    let baseline = quality_of(
-        board,
-        workloads,
-        &baseline_cfg,
-        freq_hz,
-        "ex5_big(old)".into(),
-    )?;
-
-    let mut truth_cfg = ex5_big(Ex5Variant::Old);
-    for e in &errors {
-        (e.revert)(&mut truth_cfg);
-    }
-    let truth_config = quality_of(
-        board,
-        workloads,
-        &truth_cfg,
-        freq_hz,
-        "all errors fixed".into(),
-    )?;
-
-    let mut fix_one = Vec::with_capacity(errors.len());
-    let mut keep_one = Vec::with_capacity(errors.len());
-    for (i, e) in errors.iter().enumerate() {
-        // Fix only this error.
-        let mut cfg = ex5_big(Ex5Variant::Old);
-        (e.revert)(&mut cfg);
-        fix_one.push(quality_of(
-            board,
-            workloads,
-            &cfg,
-            freq_hz,
-            format!("fix {}", e.name),
-        )?);
-        // Keep only this error.
-        let mut cfg = ex5_big(Ex5Variant::Old);
-        for (j, other) in errors.iter().enumerate() {
-            if j != i {
-                (other.revert)(&mut cfg);
+    let n = errors.len();
+    // One config per variant: each listed error reverted in the old model.
+    let reverting = |which: &dyn Fn(usize) -> bool| {
+        let mut c = ex5_big(Ex5Variant::Old);
+        for (j, e) in errors.iter().enumerate() {
+            if which(j) {
+                (e.revert)(&mut c);
             }
         }
-        keep_one.push(quality_of(
-            board,
-            workloads,
-            &cfg,
-            freq_hz,
-            format!("only {}", e.name),
-        )?);
-    }
+        c
+    };
+    // Variants in order: baseline, all fixed, fix one per error, keep one
+    // per error.
+    let mut labels = vec!["ex5_big(old)".to_string(), "all errors fixed".into()];
+    let mut variants = vec![reverting(&|_| false), reverting(&|_| true)];
+    labels.extend(errors.iter().map(|e| format!("fix {}", e.name)));
+    variants.extend((0..n).map(|i| reverting(&|j| j == i)));
+    labels.extend(errors.iter().map(|e| format!("only {}", e.name)));
+    variants.extend((0..n).map(|i| reverting(&|j| j != i)));
 
+    let mut scores = labels
+        .into_iter()
+        .zip(run_variants(cfg, workloads, &variants, freq_hz))
+        .map(|(label, collated)| {
+            let (mape, mpe) = time_errors(&collated.records)?;
+            Ok(VariantQuality { label, mape, mpe })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let keep_one = scores.split_off(2 + n);
+    let fix_one = scores.split_off(2);
+    let [baseline, truth_config] =
+        <[VariantQuality; 2]>::try_from(scores).expect("two reference variants");
     Ok(Ablation {
         baseline,
         truth_config,
@@ -172,8 +134,7 @@ mod tests {
     #[test]
     fn branch_predictor_dominates() {
         // The paper's central diagnosis, quantified.
-        let board = OdroidXu3::new();
-        let ab = analyse(&board, &workloads(), 1.0e9).unwrap();
+        let ab = analyse(&ExperimentConfig::default(), &workloads(), 1.0e9).unwrap();
         let dominant = ab.dominant_error().expect("a dominant error");
         assert_eq!(dominant.label, "fix branch-predictor");
         // Fixing the BP alone recovers most of the error …
@@ -199,8 +160,7 @@ mod tests {
 
     #[test]
     fn fully_corrected_model_is_accurate() {
-        let board = OdroidXu3::new();
-        let ab = analyse(&board, &workloads(), 1.0e9).unwrap();
+        let ab = analyse(&ExperimentConfig::default(), &workloads(), 1.0e9).unwrap();
         assert!(
             ab.truth_config.mape < 15.0,
             "truth-config MAPE = {}",
@@ -211,8 +171,27 @@ mod tests {
     }
 
     #[test]
+    fn scores_do_not_depend_on_the_thread_count() {
+        let scores = |threads| {
+            let cfg = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::default()
+            };
+            let ab = analyse(&cfg, &workloads(), 1.0e9).unwrap();
+            [ab.baseline, ab.truth_config]
+                .into_iter()
+                .chain(ab.fix_one)
+                .chain(ab.keep_one)
+                .map(|v| (v.label, v.mape.to_bits(), v.mpe.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let serial = scores(1);
+        assert_eq!(serial.len(), 18);
+        assert_eq!(serial, scores(2));
+    }
+
+    #[test]
     fn empty_workloads_is_error() {
-        let board = OdroidXu3::new();
-        assert!(analyse(&board, &[], 1.0e9).is_err());
+        assert!(analyse(&ExperimentConfig::default(), &[], 1.0e9).is_err());
     }
 }

@@ -10,15 +10,13 @@
 
 use crate::analysis::diagnose::{diagnose, Diagnosis};
 use crate::analysis::{event_compare, hca_workloads, microbench};
-use crate::collate::{Collated, WorkloadRecord};
+use crate::collate::time_errors;
+use crate::experiment::{run_variants, ExperimentConfig};
 use crate::{GemStoneError, Result};
-use gemstone_platform::board::{HwRun, OdroidXu3};
 use gemstone_platform::dvfs::Cluster;
-use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
-use gemstone_stats::metrics::{mape, mpe, percentage_error};
+use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_uarch::configs::cortex_a15_hw;
 use gemstone_uarch::configs::{ex5_big, ex5_big_spec_errors, Ex5Variant};
-use gemstone_uarch::core::CoreConfig;
 use gemstone_workloads::spec::WorkloadSpec;
 
 /// One iteration of the improvement loop.
@@ -46,47 +44,19 @@ pub struct Improvement {
     pub final_mape: f64,
 }
 
-fn collate_custom(
-    hw_runs: &[HwRun],
-    cfg: &CoreConfig,
-    workloads: &[WorkloadSpec],
-    freq_hz: f64,
-) -> Collated {
-    let records = workloads
-        .iter()
-        .zip(hw_runs)
-        .map(|(spec, hw)| {
-            let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, cfg.clone(), freq_hz);
-            WorkloadRecord {
-                workload: spec.name.clone(),
-                cluster: Cluster::BigA15,
-                model: Gem5Model::Ex5BigOld,
-                freq_hz,
-                threads: spec.threads,
-                hw_time_s: hw.time_s,
-                gem5_time_s: g5.time_s,
-                time_pe: percentage_error(hw.time_s, g5.time_s),
-                hw_pmc: hw.pmc.clone(),
-                gem5_stats: g5.stats_map,
-                gem5_pmu: g5.pmu_equiv,
-                hw_power_w: hw.power_w,
-            }
-        })
-        .collect();
-    Collated::from_records(records)
-}
-
 /// Runs the guided improvement loop starting from the old `ex5_big` model.
 ///
 /// Stops when the MAPE drops below `target_mape`, when the diagnosis has no
 /// more evidence, when a fix stops helping, or after `max_iterations`.
+/// Each iteration validates the current config in one [`run_variants`]
+/// sweep on `cfg`'s board and workers.
 ///
 /// # Errors
 ///
 /// Returns [`GemStoneError::MissingData`] for an empty workload list, or
 /// propagates analysis errors.
 pub fn improve_model(
-    board: &OdroidXu3,
+    cfg: &ExperimentConfig,
     workloads: &[WorkloadSpec],
     freq_hz: f64,
     target_mape: f64,
@@ -97,23 +67,16 @@ pub fn improve_model(
             "improvement loop needs ≥3 workloads".into(),
         ));
     }
-    // Hardware reference: measured once, reused every iteration.
-    let hw_runs: Vec<HwRun> = workloads
-        .iter()
-        .map(|spec| board.run(spec, Cluster::BigA15, freq_hz))
-        .collect();
-
     let errors = ex5_big_spec_errors();
-    let mut cfg = ex5_big(Ex5Variant::Old);
+    let mut model = ex5_big(Ex5Variant::Old);
     let mut fixed_already: Vec<&'static str> = Vec::new();
     let mut iterations = Vec::new();
 
     for index in 0..max_iterations.max(1) {
-        let collated = collate_custom(&hw_runs, &cfg, workloads, freq_hz);
-        let hw_t: Vec<f64> = collated.records.iter().map(|r| r.hw_time_s).collect();
-        let g5_t: Vec<f64> = collated.records.iter().map(|r| r.gem5_time_s).collect();
-        let cur_mape = mape(&hw_t, &g5_t)?;
-        let cur_mpe = mpe(&hw_t, &g5_t)?;
+        let collated = run_variants(cfg, workloads, std::slice::from_ref(&model), freq_hz)
+            .pop()
+            .expect("one variant");
+        let (cur_mape, cur_mpe) = time_errors(&collated.records)?;
 
         let k = (workloads.len() / 3).clamp(2, 16);
         let clusters = hca_workloads::analyse(&collated, Gem5Model::Ex5BigOld, freq_hz, Some(k))?;
@@ -123,7 +86,7 @@ pub fn improve_model(
         // the memory-latency evidence.
         let latency = microbench::analyse_pair(
             cortex_a15_hw(),
-            cfg.clone(),
+            model.clone(),
             Cluster::BigA15,
             freq_hz,
             20_000,
@@ -154,7 +117,7 @@ pub fn improve_model(
             .iter()
             .find(|e| e.name == component)
             .expect("diagnosis names a catalogued error");
-        (err.revert)(&mut cfg);
+        (err.revert)(&mut model);
         fixed_already.push(component);
     }
 
@@ -170,10 +133,8 @@ mod tests {
     use super::*;
     use gemstone_workloads::suites;
 
-    #[test]
-    fn loop_fixes_the_bp_first_and_converges() {
-        let board = OdroidXu3::new();
-        let workloads: Vec<WorkloadSpec> = [
+    fn workloads() -> Vec<WorkloadSpec> {
+        [
             "mi-bitcount",
             "mi-stringsearch",
             "par-basicmath-rad2deg",
@@ -186,8 +147,13 @@ mod tests {
         ]
         .iter()
         .map(|n| suites::by_name(n).unwrap().scaled(0.05))
-        .collect();
-        let imp = improve_model(&board, &workloads, 1.0e9, 12.0, 6).unwrap();
+        .collect()
+    }
+
+    #[test]
+    fn loop_fixes_the_bp_first_and_converges() {
+        let imp =
+            improve_model(&ExperimentConfig::default(), &workloads(), 1.0e9, 12.0, 6).unwrap();
 
         // The first diagnosed-and-fixed component is the branch predictor —
         // the paper's conclusion, discovered automatically.
@@ -210,9 +176,26 @@ mod tests {
     }
 
     #[test]
+    fn trajectory_does_not_depend_on_the_thread_count() {
+        let trajectory = |threads| {
+            let cfg = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::default()
+            };
+            let imp = improve_model(&cfg, &workloads(), 1.0e9, 12.0, 6).unwrap();
+            imp.iterations
+                .iter()
+                .map(|i| (i.index, i.mape.to_bits(), i.mpe.to_bits(), i.fixed))
+                .collect::<Vec<_>>()
+        };
+        let serial = trajectory(1);
+        assert!(serial.len() > 1, "the loop fixes something");
+        assert_eq!(serial, trajectory(2));
+    }
+
+    #[test]
     fn needs_enough_workloads() {
-        let board = OdroidXu3::new();
         let wl: Vec<WorkloadSpec> = vec![suites::by_name("mi-sha").unwrap().scaled(0.02)];
-        assert!(improve_model(&board, &wl, 1.0e9, 10.0, 3).is_err());
+        assert!(improve_model(&ExperimentConfig::default(), &wl, 1.0e9, 10.0, 3).is_err());
     }
 }

@@ -8,11 +8,10 @@
 
 use crate::analysis::hca_workloads::WorkloadClusters;
 use crate::analysis::power_energy;
-use crate::collate::Collated;
+use crate::collate::{time_errors, Collated};
 use crate::{GemStoneError, Result};
 use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_powmon::model::PowerModel;
-use gemstone_stats::metrics::{mape, mpe};
 
 /// Before/after numbers for one model revision.
 #[derive(Debug, Clone, Copy)]
@@ -41,9 +40,7 @@ fn time_quality(collated: &Collated, model: Gem5Model, freq_hz: f64) -> Result<(
             "no records for {model:?}"
         )));
     }
-    let hw: Vec<f64> = records.iter().map(|r| r.hw_time_s).collect();
-    let g5: Vec<f64> = records.iter().map(|r| r.gem5_time_s).collect();
-    Ok((mape(&hw, &g5)?, mpe(&hw, &g5)?))
+    Ok(time_errors(records)?)
 }
 
 /// Runs the §VII analysis at one frequency. When `power` and `clusters`

@@ -6,10 +6,9 @@
 //! (overall and, optionally, for specific events); the assessment says
 //! pass/fail with the measured numbers.
 
-use crate::collate::Collated;
+use crate::collate::{time_errors, Collated};
 use crate::{GemStoneError, Result};
 use gemstone_platform::gem5sim::Gem5Model;
-use gemstone_stats::metrics::{mape, mpe};
 use gemstone_uarch::pmu::{event_name, EventCode};
 
 /// A declared use-case with its accuracy requirements.
@@ -99,6 +98,7 @@ pub fn assess(
     for uc in use_cases {
         let in_scope: Vec<_> = records
             .iter()
+            .copied()
             .filter(|r| {
                 uc.workload_prefixes.is_empty()
                     || uc
@@ -113,10 +113,7 @@ pub fn assess(
                 uc.name
             )));
         }
-        let hw: Vec<f64> = in_scope.iter().map(|r| r.hw_time_s).collect();
-        let g5: Vec<f64> = in_scope.iter().map(|r| r.gem5_time_s).collect();
-        let time_mape = mape(&hw, &g5)?;
-        let time_mpe = mpe(&hw, &g5)?;
+        let (time_mape, time_mpe) = time_errors(in_scope.iter().copied())?;
 
         let mut events = Vec::new();
         for &(code, tolerance) in &uc.event_tolerances {

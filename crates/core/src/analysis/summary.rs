@@ -5,10 +5,9 @@
 //! per-frequency MPE trend ("the MPE on both the Cortex-A7 and Cortex-A15
 //! becomes gradually more positive with frequency").
 
-use crate::collate::Collated;
+use crate::collate::{time_errors, Collated};
 use crate::{GemStoneError, Result};
 use gemstone_platform::gem5sim::Gem5Model;
-use gemstone_stats::metrics::{mape, mpe};
 
 /// One row of the summary table.
 #[derive(Debug, Clone)]
@@ -45,14 +44,13 @@ fn row(
             "no records for {model:?} {subset}"
         )));
     }
-    let hw: Vec<f64> = records.iter().map(|r| r.hw_time_s).collect();
-    let g5: Vec<f64> = records.iter().map(|r| r.gem5_time_s).collect();
+    let (mape, mpe) = time_errors(records.iter().copied())?;
     Ok(SummaryRow {
         model,
         freq_hz,
         subset,
-        mape: mape(&hw, &g5)?,
-        mpe: mpe(&hw, &g5)?,
+        mape,
+        mpe,
         n: records.len(),
     })
 }

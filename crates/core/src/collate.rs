@@ -6,9 +6,10 @@
 //! analyses.
 
 use crate::experiment::ValidationData;
+use gemstone_platform::board::HwRun;
 use gemstone_platform::dvfs::{nearest_frequency, Cluster};
-use gemstone_platform::gem5sim::Gem5Model;
-use gemstone_stats::metrics::percentage_error;
+use gemstone_platform::gem5sim::{Gem5Model, Gem5Run};
+use gemstone_stats::metrics::{mape, mpe, percentage_error};
 use gemstone_uarch::pmu::EventCode;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
@@ -45,6 +46,25 @@ pub struct WorkloadRecord {
 }
 
 impl WorkloadRecord {
+    /// Joins a gem5 run with the hardware run of its model's cluster at
+    /// the same frequency.
+    pub fn join(hw: &HwRun, g5: &Gem5Run) -> WorkloadRecord {
+        WorkloadRecord {
+            workload: g5.workload.clone(),
+            cluster: g5.model.cluster(),
+            model: g5.model,
+            freq_hz: g5.freq_hz,
+            threads: hw.threads,
+            hw_time_s: hw.time_s,
+            gem5_time_s: g5.time_s,
+            time_pe: percentage_error(hw.time_s, g5.time_s),
+            hw_pmc: hw.pmc.clone(),
+            gem5_stats: g5.stats_map.clone(),
+            gem5_pmu: g5.pmu_equiv.clone(),
+            hw_power_w: hw.power_w,
+        }
+    }
+
     /// Hardware PMC rate (events / measured second).
     pub fn hw_rate(&self, code: EventCode) -> f64 {
         self.hw_pmc.get(&code).copied().unwrap_or(0.0) / self.hw_time_s
@@ -54,6 +74,21 @@ impl WorkloadRecord {
     pub fn gem5_rate(&self, code: EventCode) -> f64 {
         self.gem5_pmu.get(&code).copied().unwrap_or(0.0) / self.gem5_time_s
     }
+}
+
+/// Execution-time `(MAPE, MPE)` (%) of `records`, in iteration order.
+///
+/// # Errors
+///
+/// Propagates the metric errors (an empty set among them).
+pub fn time_errors<'a>(
+    records: impl IntoIterator<Item = &'a WorkloadRecord>,
+) -> gemstone_stats::Result<(f64, f64)> {
+    let (hw, g5): (Vec<f64>, Vec<f64>) = records
+        .into_iter()
+        .map(|r| (r.hw_time_s, r.gem5_time_s))
+        .unzip();
+    Ok((mape(&hw, &g5)?, mpe(&hw, &g5)?))
 }
 
 /// The full collated dataset.
@@ -126,27 +161,14 @@ impl Collated {
     /// hardware run of the model's target cluster at the same frequency;
     /// unmatched runs are skipped.
     pub fn build(data: &ValidationData) -> Collated {
-        let mut records = Vec::new();
-        for g5 in &data.gem5_runs {
-            let cluster = g5.model.cluster();
-            let Some(hw) = data.hw(&g5.workload, cluster, g5.freq_hz) else {
-                continue;
-            };
-            records.push(WorkloadRecord {
-                workload: g5.workload.clone(),
-                cluster,
-                model: g5.model,
-                freq_hz: g5.freq_hz,
-                threads: hw.threads,
-                hw_time_s: hw.time_s,
-                gem5_time_s: g5.time_s,
-                time_pe: percentage_error(hw.time_s, g5.time_s),
-                hw_pmc: hw.pmc.clone(),
-                gem5_stats: g5.stats_map.clone(),
-                gem5_pmu: g5.pmu_equiv.clone(),
-                hw_power_w: hw.power_w,
-            });
-        }
+        let records = data
+            .gem5_runs
+            .iter()
+            .filter_map(|g5| {
+                let hw = data.hw(&g5.workload, g5.model.cluster(), g5.freq_hz)?;
+                Some(WorkloadRecord::join(hw, g5))
+            })
+            .collect();
         Collated::from_records(records)
     }
 

@@ -13,12 +13,14 @@
 //! assert!(!data.hw_runs.is_empty());
 //! ```
 
+use crate::collate::{Collated, WorkloadRecord};
 use gemstone_platform::board::{HwRun, OdroidXu3};
 use gemstone_platform::dvfs::{nearest_frequency, Cluster};
 use gemstone_platform::fault::{FaultError, FaultInjector, QuarantinedWorkload, RetryPolicy};
 use gemstone_platform::gem5sim::{Gem5Model, Gem5Run, Gem5Sim};
 use gemstone_stats::threads::parallel_map_with;
 use gemstone_uarch::backend::TierConfig;
+use gemstone_uarch::core::CoreConfig;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
 use std::cmp::Ordering;
@@ -160,7 +162,7 @@ pub fn run_validation(cfg: &ExperimentConfig) -> ValidationData {
 }
 
 /// Runs the same experiments over an arbitrary workload list (used by the
-/// examples and by ablation benches).
+/// examples and the tests).
 ///
 /// The sweep fans out over *workloads* on `cfg.threads` workers; each
 /// (cluster, workload) column is one fused grid replay on its worker's
@@ -193,14 +195,59 @@ pub fn run_over(cfg: &ExperimentConfig, workloads: Vec<WorkloadSpec>) -> Validat
     ValidationData::new(hw_runs, gem5_runs, workloads)
 }
 
+/// Scores model variants against the hardware, the what-if studies'
+/// evaluator (E13 ablation, X7 improve loop): one [`sweep`] over
+/// `workloads` takes each workload's A15 board run at `freq_hz` once and
+/// simulates every variant config against it, reported under
+/// [`Gem5Model::Ex5BigOld`]. Returns one [`Collated`] per variant, in
+/// `variants` order, with its records in workload order.
+///
+/// The studies compare variants with the reference tier, so every run
+/// here is at [`TierConfig::default`], whatever `cfg.fidelity` says.
+pub fn run_variants(
+    cfg: &ExperimentConfig,
+    workloads: &[WorkloadSpec],
+    variants: &[CoreConfig],
+    freq_hz: f64,
+) -> Vec<Collated> {
+    let cfg = ExperimentConfig {
+        fidelity: TierConfig::default(),
+        ..cfg.clone()
+    };
+    let specs: Vec<&WorkloadSpec> = workloads.iter().collect();
+    let mut rows: Vec<_> = sweep(&cfg, &specs, |spec| {
+        let hw = cfg.board.run(spec, Cluster::BigA15, freq_hz);
+        variants
+            .iter()
+            .map(|v| {
+                let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, v.clone(), freq_hz);
+                WorkloadRecord::join(&hw, &g5)
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+    });
+    // Each workload's row holds one record per variant, in variant order:
+    // a variant's records are the next record of every row.
+    variants
+        .iter()
+        .map(|_| {
+            let records = rows
+                .iter_mut()
+                .map(|row| row.next().expect("one per variant"));
+            Collated::from_records(records.collect())
+        })
+        .collect()
+}
+
 /// Runs `per_workload` over `workloads` on `cfg.threads` workers, inside
 /// one `experiment.sweep` span with an `experiment.workload` child per
-/// workload, keeping the `sweep.queue.depth` gauge current.
-pub(crate) fn sweep(
+/// workload, keeping the `sweep.queue.depth` gauge current. Returns the
+/// per-workload values in workload order.
+pub(crate) fn sweep<U: Send>(
     cfg: &ExperimentConfig,
     workloads: &[&WorkloadSpec],
-    per_workload: impl Fn(&WorkloadSpec) + Sync,
-) {
+    per_workload: impl Fn(&WorkloadSpec) -> U + Sync,
+) -> Vec<U> {
     let threads = cfg.threads.max(1);
     let tier = cfg.fidelity.fidelity.name();
     // The sweep span is this run's profile root; workers attach their
@@ -218,8 +265,8 @@ pub(crate) fn sweep(
         let _wl_span = gemstone_obs::span::span_with_parent("experiment.workload", sweep_id)
             .attr("workload", &spec.name)
             .attr("tier", tier);
-        per_workload(spec);
-    });
+        per_workload(spec)
+    })
 }
 
 /// Characterises one workload over the full cluster/model × frequency
@@ -354,6 +401,46 @@ mod tests {
             ser.gem5_runs.iter().map(g5_key).collect::<Vec<_>>(),
             par.gem5_runs.iter().map(g5_key).collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn run_variants_score_every_variant_at_the_default_tier_in_one_sweep() {
+        use gemstone_obs::span::{span, SpanLog};
+        use gemstone_uarch::configs::{ex5_big, Ex5Variant};
+
+        let cfg = ExperimentConfig {
+            threads: 2,
+            fidelity: TierConfig::atomic(),
+            ..tiny_config()
+        };
+        let workloads = tiny_workloads();
+        let variants = [ex5_big(Ex5Variant::Old), ex5_big(Ex5Variant::Fixed)];
+        gemstone_obs::set_enabled(true);
+        let marker = span("test.marker").id();
+        let scored = run_variants(&cfg, &workloads, &variants, 1.0e9);
+
+        assert_eq!(scored.len(), variants.len());
+        for (collated, variant) in scored.iter().zip(&variants) {
+            let names: Vec<&str> = collated.records.iter().map(|r| &*r.workload).collect();
+            assert_eq!(names, ["mi-sha", "mi-crc32", "mi-fft"], "workload order");
+            for (r, spec) in collated.records.iter().zip(&workloads) {
+                let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, variant.clone(), 1.0e9);
+                let hw = cfg.board.run(spec, Cluster::BigA15, 1.0e9);
+                assert_eq!(r.model, Gem5Model::Ex5BigOld);
+                assert_eq!(r.gem5_time_s.to_bits(), g5.time_s.to_bits());
+                assert_eq!(r.hw_time_s.to_bits(), hw.time_s.to_bits());
+            }
+        }
+        // Tests share the span log, so keep this thread's spans only.
+        let events = SpanLog::global().snapshot();
+        let tid = events.iter().find(|e| e.id == marker).unwrap().tid;
+        let sweeps: Vec<_> = events
+            .iter()
+            .filter(|e| e.id > marker && e.tid == tid && e.name == "experiment.sweep")
+            .collect();
+        assert_eq!(sweeps.len(), 1, "one sweep for every variant");
+        let tier = sweeps[0].attrs.iter().find(|(k, _)| k == "tier");
+        assert_eq!(tier.map(|(_, v)| v.as_str()), Some("approx"));
     }
 
     #[test]

@@ -22,12 +22,11 @@ use crate::analysis::pmc_corr::PmcCorrelations;
 use crate::analysis::power_energy::PowerEnergy;
 use crate::analysis::scaling::Scaling;
 use crate::analysis::summary::Summary;
-use crate::collate::Collated;
+use crate::collate::{time_errors, Collated};
 use crate::report::{bar_chart, curve_chart, Table};
 use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_powmon::fitting::FittedPowerModel;
 use gemstone_powmon::model::ModelQuality;
-use gemstone_stats::metrics::{mape, mpe};
 use gemstone_uarch::pmu;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -126,14 +125,12 @@ pub fn summary(s: &Summary, collated: &Collated, view: View) -> String {
     }
     // The paper's §IV claims pool both clusters: old big + LITTLE.
     let pooled = |parsec_only: bool| {
-        let (hw, g5): (Vec<f64>, Vec<f64>) = collated
+        let records = collated
             .records
             .iter()
             .filter(|r| matches!(r.model, Gem5Model::Ex5BigOld | Gem5Model::Ex5Little))
-            .filter(|r| !parsec_only || r.workload.starts_with("parsec-"))
-            .map(|r| (r.hw_time_s, r.gem5_time_s))
-            .unzip();
-        Some((mape(&hw, &g5).ok()?, mpe(&hw, &g5).ok()?))
+            .filter(|r| !parsec_only || r.workload.starts_with("parsec-"));
+        time_errors(records).ok()
     };
     if let Some((a, p)) = pooled(false) {
         vs(&mut out, "both clusters, all DVFS MAPE/MPE", &pair(a, p));

@@ -105,9 +105,8 @@ fn scaled(suite: &[WorkloadSpec], scale: f64) -> Vec<WorkloadSpec> {
 ///
 /// Propagates pipeline and analysis errors.
 pub fn run(experiment: ExperimentConfig) -> Result<Repro> {
-    let board = experiment.board.clone();
     let scale = experiment.workload_scale;
-    let opts = pipeline_options(experiment);
+    let opts = pipeline_options(experiment.clone());
     let freq = opts.analysis_freq_hz;
     let report = GemStone::new(opts).run()?;
 
@@ -116,7 +115,7 @@ pub fn run(experiment: ExperimentConfig) -> Result<Repro> {
         .into_iter()
         .map(|cluster| {
             let restricted = SelectionOptions::gem5_restricted();
-            let fitted = fit_cluster_model(&board, cluster, &power_specs, &restricted)?;
+            let fitted = fit_cluster_model(&experiment.board, cluster, &power_specs, &restricted)?;
             let ds = &fitted.dataset;
             let free = select_events(ds, &SelectionOptions::default())?;
             let unrestricted = PowerModel::fit(ds, &free.terms)?.quality(ds)?;
@@ -135,8 +134,8 @@ pub fn run(experiment: ExperimentConfig) -> Result<Repro> {
     )?;
 
     let workloads = scaled(&suites::validation_suite(), scale);
-    let ablation = ablation::analyse(&board, &workloads, freq)?;
-    let improve = improve::improve_model(&board, &workloads, freq, 10.0, 8)?;
+    let ablation = ablation::analyse(&experiment, &workloads, freq)?;
+    let improve = improve::improve_model(&experiment, &workloads, freq, 10.0, 8)?;
     Ok(Repro {
         report,
         power,

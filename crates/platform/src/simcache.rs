@@ -646,7 +646,7 @@ impl SimCache {
         self.len() == 0
     }
 
-    /// Drops every entry and resets the hit/miss counters.
+    /// Drops every entry and resets the hit, miss and grid-fill counters.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard
@@ -656,6 +656,7 @@ impl SimCache {
         }
         self.hits.reset();
         self.misses.reset();
+        self.grid_fills.reset();
     }
 }
 
@@ -719,6 +720,15 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         assert_eq!(cache.snapshot().hits, 0);
+        // A column fill counts grid fills too, and `clear` resets them
+        // with the misses they are part of.
+        cache.run_grid(&cortex_a15_hw(), &s, &FREQS, TierConfig::default());
+        assert_eq!((cache.misses(), cache.grid_fills()), (4, 4));
+        cache.clear();
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.grid_fills()),
+            (0, 0, 0)
+        );
     }
 
     #[test]

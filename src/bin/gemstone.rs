@@ -527,7 +527,7 @@ fn validation_workloads(args: &Args) -> Result<Vec<WorkloadSpec>, String> {
 
 fn run_ablate(args: &Args) -> Result<ExitCode, String> {
     let workloads = validation_workloads(args)?;
-    let ab = ablation::analyse(&OdroidXu3::new(), &workloads, 1.0e9);
+    let ab = ablation::analyse(&experiment::ExperimentConfig::default(), &workloads, 1.0e9);
     print_or_fail("ablation failed", ab.map(|ab| render::ablation(&ab)))
 }
 
@@ -569,7 +569,13 @@ fn run_suitability(args: &Args) -> Result<ExitCode, String> {
 fn run_improve(args: &Args) -> Result<ExitCode, String> {
     let target = args.percent("target-mape", 10.0)?;
     let workloads = validation_workloads(args)?;
-    let imp = improve::improve_model(&OdroidXu3::new(), &workloads, 1.0e9, target, 8);
+    let imp = improve::improve_model(
+        &experiment::ExperimentConfig::default(),
+        &workloads,
+        1.0e9,
+        target,
+        8,
+    );
     print_or_fail(
         "improvement loop failed",
         imp.map(|imp| render::improve_loop(&imp)),
