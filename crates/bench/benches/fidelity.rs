@@ -1,17 +1,18 @@
 //! Multi-fidelity execution tiers, written to `BENCH_fidelity.json`.
 //!
 //! Runs three representative workloads through each tier over the same
-//! pre-encoded [`PackedTrace`] so the comparison isolates the execution
-//! backend, not trace generation. The pass prints the sampled tier's IPC
+//! pre-encoded [`PackedTrace`] (and, for the atomic tier, its class
+//! histogram, as the simulation cache replays it) so the comparison
+//! isolates the execution backend, not trace generation. The pass prints the sampled tier's IPC
 //! error against the approx reference, so a bench run doubles as an
 //! accuracy spot-check, and records one timed run per (tier, workload)
 //! against the approx tier. A second group charts the sampled tier's cost
 //! against its sampling interval, relative to the default interval.
 
-use gemstone_bench::{timed, write_bench_json, BenchRecord};
+use gemstone_bench::{replay, timed, write_bench_json, BenchRecord};
 use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
 use gemstone_uarch::configs::{ex5_big, Ex5Variant};
-use gemstone_uarch::core::CoreConfig;
+use gemstone_uarch::core::{CoreConfig, SimResult};
 use gemstone_workloads::suites;
 use gemstone_workloads::trace::PackedTrace;
 
@@ -26,9 +27,20 @@ fn tier_configs() -> [(&'static str, TierConfig); 3] {
     ]
 }
 
+/// One single-frequency run of `trace` at `tier`.
+fn run(trace: &PackedTrace, cfg: &CoreConfig, tier: TierConfig) -> SimResult {
+    let hist = trace.class_histogram(0..trace.len());
+    replay(
+        trace,
+        &hist,
+        &mut Backend::new(tier, cfg, &[1.0e9], 1, SEED),
+    )
+    .remove(0)
+}
+
 /// One timed single-frequency run of `trace` at `tier`.
 fn time_tier(trace: &PackedTrace, cfg: &CoreConfig, tier: TierConfig) -> f64 {
-    timed(|| trace.run_backend(&mut Backend::new(tier, cfg, &[1.0e9], 1, SEED))).1
+    timed(|| run(trace, cfg, tier)).1
 }
 
 fn main() {
@@ -40,13 +52,8 @@ fn main() {
 
         // Accuracy spot-check, printed once per workload: the sampled
         // tier's IPC deviation from the approx reference on this trace.
-        let run = |tier| {
-            trace
-                .run_backend(&mut Backend::new(tier, &cfg, &[1.0e9], 1, SEED))
-                .remove(0)
-        };
-        let reference = run(TierConfig::approx());
-        let sampled = run(TierConfig::sampled(SampleParams::default()));
+        let reference = run(&trace, &cfg, TierConfig::approx());
+        let sampled = run(&trace, &cfg, TierConfig::sampled(SampleParams::default()));
         let err = (sampled.stats.ipc() - reference.stats.ipc()) / reference.stats.ipc() * 100.0;
         println!(
             "fidelity_tiers/{name}: sampled IPC error {err:+.2} % \

@@ -4,7 +4,8 @@
 //! one independent one-lane backend run per frequency, each re-decoding
 //! the packed trace and re-simulating every shared structure — against
 //! one multi-lane [`Backend`] pass that decodes once and carries all
-//! frequencies as lanes. Covered per cluster (A7 and A15 columns) and across the three
+//! frequencies as lanes. Each tier replays as the simulation cache replays
+//! it ([`replay`]). Covered per cluster (A7 and A15 columns) and across the three
 //! fidelity tiers. Each column is timed as the fastest of [`PASSES`]
 //! interleaved passes, which damps host noise. The bench prints the
 //! fused-vs-scalar speedup per (cluster, tier), so a run doubles as a
@@ -14,11 +15,12 @@
 //! Results are bit-identical by construction: every lane replays the
 //! `f64` operation sequence of a one-lane run, and every pass asserts it.
 
-use gemstone_bench::{timed, write_bench_json, BenchRecord};
+use gemstone_bench::{replay, timed, write_bench_json, BenchRecord};
 use gemstone_platform::dvfs::Cluster;
 use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw};
 use gemstone_uarch::core::CoreConfig;
+use gemstone_uarch::instr::InstrClass;
 use gemstone_workloads::suites;
 use gemstone_workloads::trace::PackedTrace;
 
@@ -42,8 +44,12 @@ fn tier_configs() -> [(&'static str, TierConfig); 3] {
     ]
 }
 
+/// A whole-stream class histogram.
+type Hist = [u64; InstrClass::COUNT];
+
 fn run_per_frequency(
     trace: &PackedTrace,
+    hist: &Hist,
     cfg: &CoreConfig,
     freqs: &[f64],
     tier: TierConfig,
@@ -51,15 +57,20 @@ fn run_per_frequency(
     let mut total = 0.0;
     for &f in freqs {
         let mut backend = Backend::new(tier, cfg, &[f], 1, SEED);
-        total += trace.run_backend(&mut backend)[0].cycles;
+        total += replay(trace, hist, &mut backend)[0].cycles;
     }
     total
 }
 
-fn run_fused(trace: &PackedTrace, cfg: &CoreConfig, freqs: &[f64], tier: TierConfig) -> f64 {
+fn run_fused(
+    trace: &PackedTrace,
+    hist: &Hist,
+    cfg: &CoreConfig,
+    freqs: &[f64],
+    tier: TierConfig,
+) -> f64 {
     let mut backend = Backend::new(tier, cfg, freqs, 1, SEED);
-    trace
-        .run_backend(&mut backend)
+    replay(trace, hist, &mut backend)
         .iter()
         .map(|r| r.cycles)
         .sum()
@@ -68,6 +79,7 @@ fn run_fused(trace: &PackedTrace, cfg: &CoreConfig, freqs: &[f64], tier: TierCon
 fn main() {
     let spec = suites::by_name(WORKLOAD).unwrap().scaled(0.5);
     let trace = PackedTrace::from_spec(&spec);
+    let hist = trace.class_histogram(0..trace.len());
     let mut records = Vec::new();
 
     for (cluster, cfg, freqs) in clusters() {
@@ -77,8 +89,9 @@ fn main() {
             // replay of the same column, each at its fastest pass.
             let (mut scalar, mut fused) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..PASSES {
-                let (scalar_cycles, s) = timed(|| run_per_frequency(&trace, &cfg, freqs, tier));
-                let (fused_cycles, f) = timed(|| run_fused(&trace, &cfg, freqs, tier));
+                let (scalar_cycles, s) =
+                    timed(|| run_per_frequency(&trace, &hist, &cfg, freqs, tier));
+                let (fused_cycles, f) = timed(|| run_fused(&trace, &hist, &cfg, freqs, tier));
                 assert_eq!(
                     scalar_cycles.to_bits(),
                     fused_cycles.to_bits(),

@@ -30,7 +30,9 @@ use std::sync::{Mutex, PoisonError};
 /// Configuration of a validation campaign.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
-    /// Board instance (measurement conditions).
+    /// Board instance (measurement conditions). Its
+    /// [`cache`](OdroidXu3::cache) is the campaign's simulation cache:
+    /// every hardware and gem5 run of the campaign memoises into it.
     pub board: OdroidXu3,
     /// Scale factor on every workload's instruction budget (1.0 = the
     /// suite defaults; lower is faster, coarser).
@@ -220,7 +222,14 @@ pub fn run_variants(
         variants
             .iter()
             .map(|v| {
-                let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, v.clone(), freq_hz);
+                let g5 = Gem5Sim::run_config(
+                    &cfg.board.cache,
+                    spec,
+                    Gem5Model::Ex5BigOld,
+                    v.clone(),
+                    freq_hz,
+                    cfg.fidelity,
+                );
                 WorkloadRecord::join(&hw, &g5)
             })
             .collect::<Vec<_>>()
@@ -321,7 +330,13 @@ pub(crate) fn characterise_workload(
         vet(model.name(), freqs, &|f, attempt| {
             Gem5Sim::check_faults(faults, spec, model, f, attempt)
         })?;
-        gem5_runs.extend(Gem5Sim::run_grid_tier(spec, model, freqs, cfg.fidelity));
+        gem5_runs.extend(Gem5Sim::run_grid(
+            &cfg.board.cache,
+            spec,
+            model,
+            freqs,
+            cfg.fidelity,
+        ));
     }
     hw_runs.sort_by(hw_order);
     gem5_runs.sort_by(gem5_order);
@@ -424,7 +439,14 @@ mod tests {
             let names: Vec<&str> = collated.records.iter().map(|r| &*r.workload).collect();
             assert_eq!(names, ["mi-sha", "mi-crc32", "mi-fft"], "workload order");
             for (r, spec) in collated.records.iter().zip(&workloads) {
-                let g5 = Gem5Sim::run_config(spec, Gem5Model::Ex5BigOld, variant.clone(), 1.0e9);
+                let g5 = Gem5Sim::run_config(
+                    &cfg.board.cache,
+                    spec,
+                    Gem5Model::Ex5BigOld,
+                    variant.clone(),
+                    1.0e9,
+                    TierConfig::default(),
+                );
                 let hw = cfg.board.run(spec, Cluster::BigA15, 1.0e9);
                 assert_eq!(r.model, Gem5Model::Ex5BigOld);
                 assert_eq!(r.gem5_time_s.to_bits(), g5.time_s.to_bits());

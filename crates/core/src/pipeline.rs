@@ -91,7 +91,7 @@ pub struct ExecutionStats {
     pub histogram_misses: u64,
     /// Bytes currently held by resident packed traces.
     pub trace_bytes: usize,
-    /// The trace cache's byte budget (0 = trace layer disabled).
+    /// The trace cache's byte budget (0 = no trace packing).
     pub trace_budget: usize,
 }
 
@@ -529,6 +529,11 @@ mod tests {
 
     #[test]
     fn pipeline_never_duplicates_engine_runs() {
+        use gemstone_uarch::configs::{
+            cortex_a15_hw, cortex_a7_hw, ex5_big, ex5_little, Ex5Variant,
+        };
+        use std::collections::HashSet;
+
         // Give the pipeline its own cache so the hit/miss counters see only
         // this run. The power-characterisation sweep revisits validation
         // (workload, cluster, freq) tuples, so the cache must serve hits —
@@ -542,13 +547,61 @@ mod tests {
         };
         opts.experiment.workload_scale = 0.02;
         opts.experiment.board.cache = Arc::clone(&cache);
+
+        // Every tuple the run simulates, hardware and gem5 alike.
+        let e = &opts.experiment;
+        let scaled = |suite: &[gemstone_workloads::spec::WorkloadSpec]| -> Vec<_> {
+            suite.iter().map(|w| w.scaled(e.workload_scale)).collect()
+        };
+        let (validation, power) = (
+            scaled(&suites::validation_suite()),
+            scaled(&suites::power_suite()),
+        );
+        let mut hw = HashSet::new();
+        for cluster in [Cluster::LittleA7, Cluster::BigA15] {
+            let cfg = match cluster {
+                Cluster::LittleA7 => cortex_a7_hw(),
+                Cluster::BigA15 => cortex_a15_hw(),
+            };
+            for &f in cluster.frequencies() {
+                for s in &validation {
+                    hw.insert(SimCache::fingerprint_tier(s, &cfg, f, e.fidelity));
+                }
+                for s in &power {
+                    hw.insert(SimCache::fingerprint_tier(
+                        s,
+                        &cfg,
+                        f,
+                        TierConfig::default(),
+                    ));
+                }
+            }
+        }
+        let mut gem5 = HashSet::new();
+        for &model in &e.models {
+            let cfg = match model {
+                Gem5Model::Ex5BigOld => ex5_big(Ex5Variant::Old),
+                Gem5Model::Ex5BigFixed => ex5_big(Ex5Variant::Fixed),
+                Gem5Model::Ex5Little => ex5_little(),
+            };
+            for &f in model.cluster().frequencies() {
+                for s in &validation {
+                    gem5.insert(SimCache::fingerprint_tier(s, &cfg, f, e.fidelity));
+                }
+            }
+        }
+
         let report = GemStone::new(opts).run().unwrap();
         assert_eq!(report.power_models.len(), 2);
         assert_eq!(cache.misses(), cache.len() as u64, "duplicate engine run");
         assert!(cache.hits() > 0, "power sweep should reuse validation runs");
+        // The campaign's cache holds every hardware and every gem5 tuple.
+        assert!(!gem5.is_empty());
+        assert_eq!(cache.len(), hw.len() + gem5.len());
         // The report captured the same counters it rendered.
         assert_eq!(report.execution.sim_hits, cache.hits());
         assert_eq!(report.execution.sim_misses, cache.misses());
+        assert_eq!(report.execution.sim_misses, (hw.len() + gem5.len()) as u64);
     }
 
     #[test]

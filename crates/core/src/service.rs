@@ -56,8 +56,10 @@ use gemstone_obs::Registry;
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::fault::{FaultInjector, RetryPolicy};
 use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
+use gemstone_platform::simcache::SimCache;
 use gemstone_powmon::fitting;
 use gemstone_powmon::selection::SelectionOptions;
+use gemstone_uarch::backend::TierConfig;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
 use std::collections::{BTreeMap, VecDeque};
@@ -883,7 +885,10 @@ fn execute(cfg: &ServiceConfig, id: &str, spec: &JobSpec) -> Result<()> {
                 .scaled(*scale);
             Gem5Sim::check_faults(&FaultInjector::global(), &spec, *model, *freq_hz, 0)
                 .map_err(|e| GemStoneError::MissingData(format!("simulation failed: {e}")))?;
-            let run = Gem5Sim::run(&spec, *model, *freq_hz);
+            // The process-wide cache, which the other job kinds' default
+            // board uses too.
+            let cache = SimCache::global();
+            let run = Gem5Sim::run(&cache, &spec, *model, *freq_hz, TierConfig::default());
             let mut out = String::new();
             out.push_str("{\"workload\":");
             push_str_lit(&mut out, workload);

@@ -20,7 +20,7 @@
 //!   machinery ([`note`]), recorded *regardless* of the tracing flag:
 //!   like counters, they fire a handful of times per simulation at most.
 //!
-//! Capacity comes from `GEMSTONE_FLIGHT_CAP` (default 4096 events).
+//! The process-wide ring holds [`DEFAULT_FLIGHT_CAP`] (4096) events.
 //!
 //! # Examples
 //!
@@ -36,10 +36,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable sizing the flight-recorder ring (events).
-pub const FLIGHT_CAP_ENV: &str = "GEMSTONE_FLIGHT_CAP";
-
-/// Default ring capacity, in events.
+/// Ring capacity of the process-wide recorder, in events.
 pub const DEFAULT_FLIGHT_CAP: usize = 4096;
 
 /// One flight-recorder entry.
@@ -78,19 +75,10 @@ impl FlightRecorder {
         }
     }
 
-    /// The process-wide recorder, sized by `GEMSTONE_FLIGHT_CAP`.
+    /// The process-wide recorder, [`DEFAULT_FLIGHT_CAP`] slots.
     pub fn global() -> &'static FlightRecorder {
         static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cap = crate::env::parse_checked::<usize>(
-                FLIGHT_CAP_ENV,
-                "a positive event count",
-                "the default of 4096",
-                |&n| n > 0,
-            )
-            .unwrap_or(DEFAULT_FLIGHT_CAP);
-            FlightRecorder::with_capacity(cap)
-        })
+        GLOBAL.get_or_init(|| FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAP))
     }
 
     /// Records one event: one `fetch_add` to claim a slot, then a write

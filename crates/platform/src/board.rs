@@ -92,11 +92,12 @@ pub struct OdroidXu3 {
     pub timing_jitter: f64,
     /// Extra board-level seed (lets tests model board-to-board variation).
     pub board_seed: u64,
-    /// Simulation-result memo consulted before every engine run. Defaults
-    /// to the process-wide [`SimCache::global`]; swap in an isolated
-    /// [`SimCache`] (or [`SimCache::disabled`]) for controlled tests and
-    /// benchmarks. The engine result is board-independent, so boards with
-    /// different measurement seeds safely share one cache.
+    /// Simulation-result memo consulted before every engine run — the
+    /// campaign's cache, which the gem5 runs of an experiment share.
+    /// Defaults to the process-wide [`SimCache::global`]; swap in an
+    /// isolated [`SimCache`] for controlled tests and benchmarks. The
+    /// engine result is board-independent, so boards with different
+    /// measurement seeds safely share one cache.
     pub cache: Arc<SimCache>,
 }
 
@@ -184,6 +185,10 @@ impl OdroidXu3 {
     /// events fixed-cost on the atomic tier, extrapolated on the sampled
     /// tier).
     ///
+    /// The simulation goes through [`SimCache::run_point`]: at one of the
+    /// cluster's DVFS points a cold run fills the whole column from one
+    /// fused replay; any other frequency replays one lane.
+    ///
     /// # Panics
     ///
     /// Panics if `freq_hz` is not positive.
@@ -198,7 +203,9 @@ impl OdroidXu3 {
         // The engine is deterministic, so the expensive simulation is
         // memoised; all measurement noise below is drawn per call from the
         // seeded RNG, keeping results identical on cache hit and miss.
-        let sim = self.cache.run_tier(&cfg, spec, freq_hz, tier);
+        let sim = self
+            .cache
+            .run_point(&cfg, spec, Some(cluster), freq_hz, tier);
         self.measure(spec, cluster, freq_hz, sim)
     }
 
@@ -335,25 +342,40 @@ mod tests {
     }
 
     #[test]
-    fn cache_cold_warm_disabled_bit_identical() {
-        // Isolated caches: no interference from concurrently running tests.
+    fn cache_cold_warm_direct_bit_identical() {
+        // Isolated cache: no interference from concurrently running tests.
         let mut board = OdroidXu3::new();
         board.cache = Arc::new(SimCache::new());
         let cold = board.run(&spec(), Cluster::BigA15, 1.0e9);
         let warm = board.run(&spec(), Cluster::BigA15, 1.0e9);
-        let mut bypass = OdroidXu3::new();
-        bypass.cache = Arc::new(SimCache::disabled());
-        let off = bypass.run(&spec(), Cluster::BigA15, 1.0e9);
+        // 1 GHz is a DVFS point: the cold run filled the 4-lane column.
+        assert_eq!((board.cache.misses(), board.cache.hits()), (4, 1));
+        let sim = SimCache::execute_grid_with(
+            board.cache.trace_cache(),
+            &cortex_a15_hw(),
+            &spec(),
+            &[1.0e9],
+            TierConfig::default(),
+        )
+        .remove(0);
+        let direct = board.measure(&spec(), Cluster::BigA15, 1.0e9, sim);
 
-        for other in [&warm, &off] {
+        for other in [&warm, &direct] {
             assert_eq!(cold.time_s, other.time_s);
             assert_eq!(cold.power_w, other.power_w);
             assert_eq!(cold.pmc, other.pmc);
             assert_eq!(cold.temperature_c, other.temperature_c);
             assert_eq!(cold.true_stats.cycles, other.true_stats.cycles);
         }
-        assert_eq!((board.cache.misses(), board.cache.hits()), (1, 1));
-        assert!(bypass.cache.is_empty());
+    }
+
+    #[test]
+    fn off_column_points_run_one_lane() {
+        let mut board = OdroidXu3::new();
+        board.cache = Arc::new(SimCache::new());
+        // 2 GHz is the A15's throttling point, outside its DVFS column.
+        board.run(&spec(), Cluster::BigA15, 2.0e9);
+        assert_eq!((board.cache.misses(), board.cache.grid_fills()), (1, 0));
     }
 
     #[test]
@@ -383,7 +405,8 @@ mod tests {
         let clone = board.clone();
         board.run(&spec(), Cluster::LittleA7, 600.0e6);
         clone.run(&spec(), Cluster::LittleA7, 600.0e6);
-        assert_eq!((board.cache.misses(), board.cache.hits()), (1, 1));
+        // 600 MHz is a DVFS point: one 4-lane column fill, then a hit.
+        assert_eq!((board.cache.misses(), board.cache.hits()), (4, 1));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! ```
 //! use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
+//! use gemstone_platform::simcache::SimCache;
+//! use gemstone_uarch::backend::TierConfig;
 //! use gemstone_workloads::suites;
 //!
 //! let spec = suites::by_name("mi-crc32").unwrap().scaled(0.05);
-//! let run = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+//! let cache = SimCache::new();
+//! let run = Gem5Sim::run(&cache, &spec, Gem5Model::Ex5BigOld, 1.0e9, TierConfig::default());
 //! assert!(run.stats_map.contains_key("system.cpu.numCycles"));
 //! ```
 
@@ -92,45 +95,29 @@ impl Gem5Run {
     }
 }
 
-/// The gem5 simulation harness.
+/// The gem5 simulation harness. Every run memoises into the [`SimCache`]
+/// its caller passes, as the board does with its own cache.
 #[derive(Debug, Clone, Copy)]
 pub struct Gem5Sim;
 
 impl Gem5Sim {
-    /// Runs a workload on a gem5 model at `freq_hz` (the default tier; see
-    /// [`Gem5Sim::run_tier`]).
+    /// Runs a workload on a gem5 model at `freq_hz` and `tier` through
+    /// [`SimCache::run_point`]: at one of the model's DVFS points the
+    /// cold run fills the whole column from one fused replay, so later
+    /// runs at the column's other points are memo hits; any other
+    /// frequency replays one lane. The result is the same either way.
     ///
     /// # Panics
     ///
     /// Panics if `freq_hz` is not positive.
-    pub fn run(spec: &WorkloadSpec, model: Gem5Model, freq_hz: f64) -> Gem5Run {
-        Self::run_tier(spec, model, freq_hz, TierConfig::default())
-    }
-
-    /// [`Gem5Sim::run`] at an explicit fidelity tier.
-    ///
-    /// A frequency bit-equal to one of the model's DVFS points
-    /// ([`Cluster::column_index`]) is served from the whole column
-    /// ([`SimCache::run_lane`]): one fused replay memoises every lane, so
-    /// later runs at the column's other points are memo hits. Lanes are
-    /// bit-identical to one-lane replays, so the result is the same
-    /// either way. Any other frequency replays one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not positive.
-    pub fn run_tier(
+    pub fn run(
+        cache: &SimCache,
         spec: &WorkloadSpec,
         model: Gem5Model,
         freq_hz: f64,
         tier: TierConfig,
     ) -> Gem5Run {
-        let cache = SimCache::global();
-        let cluster = model.cluster();
-        let sim = match cluster.column_index(freq_hz) {
-            Some(lane) => cache.run_lane(&model.config(), spec, cluster.frequencies(), lane, tier),
-            None => cache.run_tier(&model.config(), spec, freq_hz, tier),
-        };
+        let sim = cache.run_point(&model.config(), spec, Some(model.cluster()), freq_hz, tier);
         Self::build_run(spec, model, freq_hz, sim)
     }
 
@@ -164,37 +151,15 @@ impl Gem5Sim {
     /// ("adjustments can then be made to the problem component of the gem5
     /// model … and the effects of this change evaluated by re-running the
     /// gem5 simulation", §IV) and for ablation studies over individual
-    /// specification errors.
+    /// specification errors. A custom configuration replays one lane
+    /// ([`SimCache::run_point`] without a column). The cache key covers
+    /// every configuration field and the tier, so custom configurations
+    /// reported under the same model name never share an entry.
     ///
     /// # Panics
     ///
     /// Panics if `freq_hz` is not positive.
     pub fn run_config(
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        cfg: gemstone_uarch::core::CoreConfig,
-        freq_hz: f64,
-    ) -> Gem5Run {
-        Self::run_config_with_cache_tier(
-            &SimCache::global(),
-            spec,
-            model,
-            cfg,
-            freq_hz,
-            TierConfig::default(),
-        )
-    }
-
-    /// Like [`Gem5Sim::run_config`], but consulting an explicit
-    /// [`SimCache`] at an explicit fidelity tier. The cache key covers
-    /// every configuration field and the tier, so custom configurations
-    /// reported under the same model name never share an entry, and
-    /// fast-tier runs never pollute (or read) the reference-tier memo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not positive.
-    pub fn run_config_with_cache_tier(
         cache: &SimCache,
         spec: &WorkloadSpec,
         model: Gem5Model,
@@ -202,34 +167,19 @@ impl Gem5Sim {
         freq_hz: f64,
         tier: TierConfig,
     ) -> Gem5Run {
-        let sim = cache.run_tier(&cfg, spec, freq_hz, tier);
+        let sim = cache.run_point(&cfg, spec, None, freq_hz, tier);
         Self::build_run(spec, model, freq_hz, sim)
     }
 
     /// Runs a workload across a whole frequency column on a gem5 model
     /// from one fused grid replay (see [`SimCache::run_grid`]). Returns
     /// one [`Gem5Run`] per entry of `freqs_hz`, in order, each
-    /// bit-identical to [`Gem5Sim::run_tier`] at that frequency.
+    /// bit-identical to [`Gem5Sim::run`] at that frequency.
     ///
     /// # Panics
     ///
     /// Panics if any frequency is not positive.
-    pub fn run_grid_tier(
-        spec: &WorkloadSpec,
-        model: Gem5Model,
-        freqs_hz: &[f64],
-        tier: TierConfig,
-    ) -> Vec<Gem5Run> {
-        Self::run_grid_with_cache_tier(&SimCache::global(), spec, model, freqs_hz, tier)
-    }
-
-    /// Like [`Gem5Sim::run_grid_tier`], but consulting an explicit
-    /// [`SimCache`] — for isolated cache tests and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frequency is not positive.
-    pub fn run_grid_with_cache_tier(
+    pub fn run_grid(
         cache: &SimCache,
         spec: &WorkloadSpec,
         model: Gem5Model,
@@ -270,45 +220,67 @@ impl Gem5Sim {
 mod tests {
     use super::*;
     use gemstone_workloads::suites;
+    use gemstone_workloads::trace::TraceCache;
 
     fn spec(name: &str) -> WorkloadSpec {
         suites::by_name(name).unwrap().scaled(0.1)
     }
 
-    fn run_cached(cache: &SimCache, s: &WorkloadSpec, model: Gem5Model, f: f64) -> Gem5Run {
-        Gem5Sim::run_config_with_cache_tier(
-            cache,
-            s,
-            model,
-            model.config(),
-            f,
-            TierConfig::default(),
-        )
+    /// A cold default-tier run on a fresh cache.
+    fn run(s: &WorkloadSpec, model: Gem5Model, f: f64) -> Gem5Run {
+        Gem5Sim::run(&SimCache::new(), s, model, f, TierConfig::default())
     }
 
     #[test]
     fn deterministic() {
         let s = spec("mi-fft");
-        let a = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
-        let b = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
+        let a = run(&s, Gem5Model::Ex5BigOld, 1.0e9);
+        let b = run(&s, Gem5Model::Ex5BigOld, 1.0e9);
         assert_eq!(a.time_s, b.time_s);
         assert_eq!(a.stats_map, b.stats_map);
     }
 
     #[test]
-    fn cache_cold_warm_disabled_bit_identical() {
+    fn cache_cold_warm_direct_bit_identical() {
         let s = spec("mi-fft");
+        let model = Gem5Model::Ex5BigOld;
+        let tier = TierConfig::default();
         let cache = SimCache::new();
-        let cold = run_cached(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
-        let warm = run_cached(&cache, &s, Gem5Model::Ex5BigOld, 1.0e9);
-        let off = run_cached(&SimCache::disabled(), &s, Gem5Model::Ex5BigOld, 1.0e9);
-        let global = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
-        for other in [&warm, &off, &global] {
+        let cold = Gem5Sim::run(&cache, &s, model, 1.0e9, tier);
+        let warm = Gem5Sim::run(&cache, &s, model, 1.0e9, tier);
+        // 1 GHz is a DVFS point: the cold run filled the 4-lane column.
+        assert_eq!((cache.misses(), cache.hits()), (4, 1));
+        let direct =
+            SimCache::execute_grid_with(&TraceCache::global(), &model.config(), &s, &[1.0e9], tier)
+                .remove(0);
+        let direct = Gem5Sim::build_run(&s, model, 1.0e9, direct);
+        for other in [&warm, &direct] {
             assert_eq!(cold.time_s, other.time_s);
             assert_eq!(cold.stats_map, other.stats_map);
             assert_eq!(cold.pmu_equiv, other.pmu_equiv);
         }
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
+    fn custom_configs_and_off_column_points_run_one_lane() {
+        let s = spec("mi-sha");
+        let model = Gem5Model::Ex5BigOld;
+        let tier = TierConfig::default();
+        let cache = SimCache::new();
+        let custom =
+            Gem5Sim::run_config(&cache, &s, model, ex5_big(Ex5Variant::Fixed), 1.0e9, tier);
+        assert_eq!(custom.model, model);
+        Gem5Sim::run(&cache, &s, model, 1.6e9, tier);
+        assert_eq!((cache.misses(), cache.grid_fills()), (2, 0));
+        // The stock config under run_config is the same tuple as a lane of
+        // the model's column: a warm lane is a hit, not a column fill.
+        let stock = Gem5Sim::run_config(&cache, &s, model, model.config(), 1.0e9, tier);
+        let lane = Gem5Sim::run(&cache, &s, model, 1.0e9, tier);
+        assert_eq!(stock.time_s.to_bits(), lane.time_s.to_bits());
+        assert_eq!(
+            (cache.misses(), cache.grid_fills(), cache.hits()),
+            (3, 0, 1)
+        );
     }
 
     #[test]
@@ -316,16 +288,12 @@ mod tests {
         let s = spec("mi-fft");
         let cache = SimCache::new();
         let freqs = [600.0e6, 1.0e9, 1.4e9, 1.8e9];
-        let column = Gem5Sim::run_grid_with_cache_tier(
-            &cache,
-            &s,
-            Gem5Model::Ex5BigOld,
-            &freqs,
-            TierConfig::default(),
-        );
+        let model = Gem5Model::Ex5BigOld;
+        let tier = TierConfig::default();
+        let column = Gem5Sim::run_grid(&cache, &s, model, &freqs, tier);
         assert_eq!(cache.grid_fills(), freqs.len() as u64);
         for (&f, run) in freqs.iter().zip(&column) {
-            let single = run_cached(&SimCache::new(), &s, Gem5Model::Ex5BigOld, f);
+            let single = Gem5Sim::run_config(&SimCache::new(), &s, model, model.config(), f, tier);
             assert_eq!(run.freq_hz, f);
             assert_eq!(run.time_s, single.time_s);
             assert_eq!(run.stats_map, single.stats_map);
@@ -337,7 +305,7 @@ mod tests {
     fn try_run_faults_then_recovers_bit_identically() {
         use crate::fault::{FaultInjector, FaultPlan};
         let s = spec("mi-crc32");
-        let clean = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
+        let clean = run(&s, Gem5Model::Ex5BigOld, 1.0e9);
         let inj = FaultInjector::new(FaultPlan {
             seed: 9,
             transient_rate: 1.0,
@@ -347,14 +315,14 @@ mod tests {
         let e = Gem5Sim::check_faults(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 0).unwrap_err();
         assert!(e.is_transient());
         Gem5Sim::check_faults(&inj, &s, Gem5Model::Ex5BigOld, 1.0e9, 1).unwrap();
-        let recovered = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
+        let recovered = run(&s, Gem5Model::Ex5BigOld, 1.0e9);
         assert_eq!(clean.time_s, recovered.time_s);
         assert_eq!(clean.stats_map, recovered.stats_map);
     }
 
     #[test]
     fn old_model_has_walker_cache_stats() {
-        let r = Gem5Sim::run(&spec("mi-fft"), Gem5Model::Ex5BigOld, 1.0e9);
+        let r = run(&spec("mi-fft"), Gem5Model::Ex5BigOld, 1.0e9);
         assert!(r
             .stats_map
             .contains_key("system.cpu.itb_walker_cache.overall_accesses"));
@@ -363,8 +331,8 @@ mod tests {
     #[test]
     fn old_model_slower_than_fixed_on_patterned_branches() {
         let s = spec("par-basicmath-rad2deg");
-        let old = Gem5Sim::run(&s, Gem5Model::Ex5BigOld, 1.0e9);
-        let fixed = Gem5Sim::run(&s, Gem5Model::Ex5BigFixed, 1.0e9);
+        let old = run(&s, Gem5Model::Ex5BigOld, 1.0e9);
+        let fixed = run(&s, Gem5Model::Ex5BigFixed, 1.0e9);
         assert!(
             old.time_s > fixed.time_s * 1.5,
             "old {} vs fixed {}",
@@ -382,7 +350,7 @@ mod tests {
 
     #[test]
     fn pmu_rate_helper() {
-        let r = Gem5Sim::run(&spec("mi-sha"), Gem5Model::Ex5Little, 600.0e6);
+        let r = run(&spec("mi-sha"), Gem5Model::Ex5Little, 600.0e6);
         assert!(r.pmu_rate(gemstone_uarch::pmu::INST_RETIRED) > 1e5);
     }
 }

@@ -25,10 +25,12 @@
 //! configurations and returns a gem5-style statistics dump.
 //!
 //! Both drivers sit on top of a shared, concurrent simulation-result memo
-//! ([`simcache::SimCache`]): the deterministic engine result for each
-//! (workload, configuration, frequency, seed) tuple is computed once and
-//! reused, with the seeded measurement noise applied per call so every
-//! output stays bit-identical whether the cache is cold, warm or disabled.
+//! ([`simcache::SimCache`]), the one way into the engine: the
+//! deterministic engine result for each (workload, configuration,
+//! frequency, seed) tuple is computed once and reused, with the seeded
+//! measurement noise applied per call so every output stays bit-identical
+//! whether the cache is cold or warm. The board carries its cache; the gem5
+//! driver memoises into the cache its caller passes.
 //!
 //! Long characterisation sweeps on real boards fail partway — sensor
 //! reads time out, governors hiccup, gem5 jobs wedge. [`fault`] models

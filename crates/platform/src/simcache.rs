@@ -9,7 +9,8 @@
 //! model-improvement loop all revisit the same tuples — so the engine
 //! result is memoised here and the (seeded, per-call) measurement noise is
 //! applied *outside* the cache. All externally observable values stay
-//! bit-identical whether the cache is cold, warm, or disabled.
+//! bit-identical whether the cache is cold or warm, and equal the direct
+//! replay [`SimCache::execute_grid_with`].
 //!
 //! The cache key is a 128-bit fingerprint over the full workload
 //! specification, the full core configuration, the frequency bits and the
@@ -24,6 +25,14 @@
 //! losers of the race block on the winner's result instead of re-running
 //! the engine, also when the winner is filling a whole frequency column.
 //!
+//! Every engine request enters through one of two calls:
+//! [`SimCache::run_grid`] for a frequency column, or
+//! [`SimCache::run_point`] for one point. The point call holds the one
+//! one-point rule for the board and the gem5 driver alike: a stock
+//! configuration at one of its cluster's DVFS points fills the whole
+//! column from one fused replay, so the column's other points become hits;
+//! custom configurations and off-column frequencies replay one lane.
+//!
 //! Cold runs consult the process-wide
 //! [`TraceCache`](gemstone_workloads::trace::TraceCache): a workload's
 //! instruction stream depends only on its spec, so one packed trace is
@@ -37,51 +46,39 @@
 //! # Examples
 //!
 //! ```
+//! use gemstone_platform::dvfs::Cluster;
 //! use gemstone_platform::simcache::SimCache;
+//! use gemstone_uarch::backend::TierConfig;
 //! use gemstone_uarch::configs::cortex_a15_hw;
 //! use gemstone_workloads::suites;
 //!
 //! let cache = SimCache::new();
 //! let spec = suites::by_name("mi-sha").unwrap().scaled(0.05);
-//! let cold = cache.run(&cortex_a15_hw(), &spec, 1.0e9);
-//! let warm = cache.run(&cortex_a15_hw(), &spec, 1.0e9);
-//! assert_eq!(cold.seconds, warm.seconds);
-//! assert_eq!((cache.misses(), cache.hits()), (1, 1));
+//! let (cfg, big, tier) = (cortex_a15_hw(), Some(Cluster::BigA15), TierConfig::default());
+//! // 1 GHz is a DVFS point of the A15: the cold call fills its 4-lane column.
+//! let cold = cache.run_point(&cfg, &spec, big, 1.0e9, tier);
+//! let warm = cache.run_point(&cfg, &spec, big, 1.4e9, tier);
+//! assert!(cold.seconds > warm.seconds);
+//! assert_eq!((cache.misses(), cache.hits()), (4, 1));
 //! ```
 
+use crate::dvfs::Cluster;
 use gemstone_obs::fnv::fnv1a;
 use gemstone_obs::registry::log2_time_bounds;
 use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::backend::{Backend, Fidelity, TierConfig};
 use gemstone_uarch::core::CoreConfig;
-use gemstone_uarch::instr::InstrClass;
 use gemstone_uarch::stats::SimStats;
 use gemstone_workloads::gen::StreamGen;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::trace::TraceCache;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Number of independent shards (power of two).
 const SHARD_COUNT: usize = 16;
-
-/// The memoised class histogram of `spec` when `tier` is atomic (the only
-/// input that tier reads), so atomic runs never pack a trace; `None` for
-/// the detailed tiers or a disabled trace cache.
-fn atomic_histogram(
-    traces: &TraceCache,
-    spec: &WorkloadSpec,
-    tier: TierConfig,
-) -> Option<[u64; InstrClass::COUNT]> {
-    if tier.fidelity == Fidelity::Atomic {
-        traces.class_histogram(spec)
-    } else {
-        None
-    }
-}
 
 /// A 128-bit fingerprint of one (workload spec, core config, frequency,
 /// seed) simulation tuple.
@@ -172,7 +169,6 @@ pub struct SimCache {
     grid_fills: Arc<Counter>,
     lookup_seconds: Arc<Histogram>,
     sim_seconds: Arc<Histogram>,
-    enabled: AtomicBool,
     traces: Arc<TraceCache>,
 }
 
@@ -190,19 +186,16 @@ pub struct CacheSnapshot {
 static GLOBAL: OnceLock<Arc<SimCache>> = OnceLock::new();
 
 impl SimCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache drawing packed traces from the process-wide
+    /// [`TraceCache::global`].
     pub fn new() -> Self {
-        Self::with_enabled(true)
+        Self::with_trace_cache(TraceCache::global())
     }
 
-    /// Creates a cache that never stores or returns entries — every
-    /// [`SimCache::run`] executes the engine directly. Useful for
-    /// bypass/equivalence tests and cold benchmarks.
-    pub fn disabled() -> Self {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
+    /// Creates an empty cache drawing packed traces from `traces`. Pass a
+    /// `TraceCache::with_budget(0)` to force direct stream generation on
+    /// the detailed tiers.
+    pub fn with_trace_cache(traces: Arc<TraceCache>) -> Self {
         SimCache {
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::new(HashMap::new()))
@@ -215,19 +208,8 @@ impl SimCache {
             grid_fills: Arc::new(Counter::new()),
             lookup_seconds: Arc::new(Histogram::with_bounds(log2_time_bounds())),
             sim_seconds: Arc::new(Histogram::with_bounds(log2_time_bounds())),
-            enabled: AtomicBool::new(enabled),
-            traces: TraceCache::global(),
+            traces,
         }
-    }
-
-    /// Creates an enabled cache drawing packed traces from `traces`
-    /// instead of the process-wide [`TraceCache::global`]. Pass a
-    /// `TraceCache::with_budget(0)` to force direct stream generation
-    /// (cold benchmarks, bypass tests).
-    pub fn with_trace_cache(traces: Arc<TraceCache>) -> Self {
-        let mut cache = Self::with_enabled(true);
-        cache.traces = traces;
-        cache
     }
 
     /// The trace cache consulted by this simulation cache.
@@ -235,9 +217,9 @@ impl SimCache {
         &self.traces
     }
 
-    /// The process-wide shared cache. The board and the gem5 driver use
-    /// this instance unless given another one, so the validation sweep,
-    /// the power sweeps and ad-hoc runs all share one memo.
+    /// The process-wide shared cache: the default board's cache, so the
+    /// validation sweep, the power sweeps and ad-hoc runs all share one
+    /// memo.
     pub fn global() -> Arc<SimCache> {
         GLOBAL
             .get_or_init(|| {
@@ -281,35 +263,41 @@ impl SimCache {
         }
     }
 
-    /// Runs the engine for one tuple at the default (cycle-approximate)
-    /// fidelity tier — or returns the memoised result.
-    pub fn run(&self, cfg: &CoreConfig, spec: &WorkloadSpec, freq_hz: f64) -> SimOutcome {
-        self.run_tier(cfg, spec, freq_hz, TierConfig::default())
-    }
-
-    /// Runs the selected fidelity tier for one tuple — or returns the
-    /// memoised result: a one-lane [`SimCache::run_grid`].
+    /// Runs one (config, workload, frequency, tier) point — or returns
+    /// the memoised result. This is the one one-point rule: when `column`
+    /// names the cluster whose stock configuration `cfg` is and `freq_hz`
+    /// is bit-equal to one of its DVFS points ([`Cluster::column_index`]),
+    /// the point is a lane of that column, and a cold lane fills every
+    /// missing lane of the column from one fused replay, so later points
+    /// of the column are hits. Pass `None` for a custom configuration; it
+    /// and any off-column frequency replay one lane. Lanes are
+    /// bit-identical to one-lane replays, so the result is the same
+    /// either way.
     ///
-    /// The first caller for a key executes the backend; concurrent callers
-    /// for the same key block on that execution rather than duplicating
-    /// it. When the cache is disabled the backend always runs. The tier is
-    /// part of the cache identity, so a warm approximate entry is never
-    /// returned for an atomic or sampled request (and vice versa).
-    pub fn run_tier(
+    /// The first caller for a lane executes the backend; concurrent callers
+    /// for the same lane block on that execution rather than duplicating
+    /// it. The tier is part of the cache identity, so a warm approximate
+    /// entry is never returned for an atomic or sampled request (and vice
+    /// versa).
+    pub fn run_point(
         &self,
         cfg: &CoreConfig,
         spec: &WorkloadSpec,
+        column: Option<Cluster>,
         freq_hz: f64,
         tier: TierConfig,
     ) -> SimOutcome {
-        self.run_grid(cfg, spec, &[freq_hz], tier).remove(0)
+        let (freqs, lane) = match column.map(|c| (c.frequencies(), c.column_index(freq_hz))) {
+            Some((freqs, Some(lane))) => (freqs, lane),
+            _ => (std::slice::from_ref(&freq_hz), 0),
+        };
+        self.run_lanes(cfg, spec, freqs, &[lane], tier).remove(0)
     }
 
     /// Runs an entire frequency column for one (config, workload, tier)
     /// from a single fused grid replay — or from the memo where lanes are
     /// already warm. Returns one outcome per entry of `freqs_hz`, in
-    /// order, each bit-identical to [`SimCache::run_tier`] at that
-    /// frequency.
+    /// order, each bit-identical to a one-lane replay at that frequency.
     ///
     /// Lanes already memoised count as hits; the remaining lanes are
     /// filled by **one** multi-lane [`Backend`] replay and count as
@@ -322,13 +310,12 @@ impl SimCache {
     ///
     /// Exactly-once semantics hold for every lane: the caller claims
     /// every missing lane before it replays, so a concurrent caller that
-    /// asks for any lane of an in-flight column — as a column or alone —
-    /// blocks on the fill and counts a hit instead of re-running the
-    /// engine. Claiming never blocks (a lane claimed elsewhere is waited
-    /// for only after this caller's own replay), so overlapping requests
-    /// cannot deadlock. The tier is part of each lane's identity, so a
-    /// grid fill never serves another tier's request. A disabled cache
-    /// still fuses the replay — it just skips the memo.
+    /// asks for any lane of an in-flight column — as a column or as a
+    /// point — blocks on the fill and counts a hit instead of re-running
+    /// the engine. Claiming never blocks (a lane claimed elsewhere is
+    /// waited for only after this caller's own replay), so overlapping
+    /// requests cannot deadlock. The tier is part of each lane's
+    /// identity, so a grid fill never serves another tier's request.
     pub fn run_grid(
         &self,
         cfg: &CoreConfig,
@@ -338,26 +325,6 @@ impl SimCache {
     ) -> Vec<SimOutcome> {
         let all: Vec<usize> = (0..freqs_hz.len()).collect();
         self.run_lanes(cfg, spec, freqs_hz, &all, tier)
-    }
-
-    /// Lane `lane` of the column `freqs_hz`: a memo hit when that lane is
-    /// warm (one hit, whatever the rest of the column holds), otherwise
-    /// one fused replay that fills every missing lane of the column, as
-    /// [`SimCache::run_grid`] would, so the column's other frequencies
-    /// become hits later. A disabled cache replays only the one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range of `freqs_hz`.
-    pub fn run_lane(
-        &self,
-        cfg: &CoreConfig,
-        spec: &WorkloadSpec,
-        freqs_hz: &[f64],
-        lane: usize,
-        tier: TierConfig,
-    ) -> SimOutcome {
-        self.run_lanes(cfg, spec, freqs_hz, &[lane], tier).remove(0)
     }
 
     /// The `wanted` lanes of the column `freqs_hz`, in `wanted` order.
@@ -374,13 +341,6 @@ impl SimCache {
         let tier = tier.canonical();
         if wanted.is_empty() {
             return Vec::new();
-        }
-        if !self.enabled.load(Ordering::Relaxed) {
-            let freqs: Vec<f64> = wanted.iter().map(|&i| freqs_hz[i]).collect();
-            let sim_start = Instant::now();
-            let out = Self::execute_grid_with(&self.traces, cfg, spec, &freqs, tier);
-            self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
-            return out;
         }
         // One lookup observation per call: fingerprint + shard probe for
         // the wanted lanes, and for the rest of the column when a wanted
@@ -536,30 +496,18 @@ impl SimCache {
         }
     }
 
-    /// Executes the engine directly at the default fidelity tier,
-    /// replaying the packed trace from `traces` when available and
-    /// generating the stream otherwise (the two paths are bit-identical).
-    pub fn execute_with(
-        traces: &TraceCache,
-        cfg: &CoreConfig,
-        spec: &WorkloadSpec,
-        freq_hz: f64,
-    ) -> SimOutcome {
-        Self::execute_grid_with(traces, cfg, spec, &[freq_hz], TierConfig::default()).remove(0)
-    }
-
     /// Executes one replay over a frequency column directly, bypassing the
     /// result memo: the trace is decoded once and every frequency in
     /// `freqs_hz` is simulated as a lane of the same pass. Returns one
     /// outcome per frequency, in order, each bit-identical to a one-lane
     /// replay at that frequency.
     ///
-    /// The atomic tier replays the trace cache's memoised class
-    /// histogram ([`TraceCache::class_histogram`]) and never materialises
-    /// a trace; the detailed tiers replay packed traces (see
-    /// [`PackedTrace::run_backend`](gemstone_workloads::trace::PackedTrace::run_backend)).
-    /// With the trace cache disabled, direct generation streams every
-    /// instruction. All paths are bit-identical for every tier.
+    /// The atomic tier has one replay path, the trace cache's memoised
+    /// class histogram ([`TraceCache::class_histogram`], memoised at every
+    /// byte budget), and never materialises a trace. The detailed tiers
+    /// step every instruction of the packed trace, or of the generated
+    /// stream when the trace cache packs nothing (budget 0); both streams
+    /// are bit-identical.
     ///
     /// The timed replay is preceded by the *startup prologue*
     /// (`Backend::warm_prologue`): one front-end-only warming pass over
@@ -576,18 +524,19 @@ impl SimCache {
         tier: TierConfig,
     ) -> Vec<SimOutcome> {
         let mut backend = Backend::new(tier, cfg, freqs_hz, spec.threads, spec.derived_seed());
-        let results = match atomic_histogram(traces, spec, tier) {
-            Some(hist) => backend.run_histogram(&hist),
-            None => match traces.get(spec) {
+        let results = if tier.fidelity == Fidelity::Atomic {
+            backend.run_histogram(&traces.class_histogram(spec))
+        } else {
+            match traces.get(spec) {
                 Some(trace) => {
                     backend.warm_prologue(trace.iter());
-                    trace.run_backend(&mut backend)
+                    backend.run_stream(trace.iter())
                 }
                 None => {
                     backend.warm_prologue(StreamGen::new(spec));
                     backend.run_stream(StreamGen::new(spec))
                 }
-            },
+            }
         };
         results
             .into_iter()
@@ -672,7 +621,6 @@ impl fmt::Debug for SimCache {
             .field("entries", &self.len())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
-            .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -687,13 +635,18 @@ mod tests {
         suites::by_name(name).unwrap().scaled(0.05)
     }
 
+    /// The direct one-lane replay at the default tier, past the memo.
+    fn direct(traces: &TraceCache, cfg: &CoreConfig, s: &WorkloadSpec, f: f64) -> SimOutcome {
+        SimCache::execute_grid_with(traces, cfg, s, &[f], TierConfig::default()).remove(0)
+    }
+
     #[test]
-    fn warm_result_is_bit_identical_to_cold_and_bypassed() {
+    fn warm_result_is_bit_identical_to_cold_and_direct() {
         let cache = SimCache::new();
         let s = spec("mi-fft");
-        let cold = cache.run(&cortex_a15_hw(), &s, 1.0e9);
-        let warm = cache.run(&cortex_a15_hw(), &s, 1.0e9);
-        let direct = SimCache::execute_with(&TraceCache::global(), &cortex_a15_hw(), &s, 1.0e9);
+        let cold = cache.run_point(&cortex_a15_hw(), &s, None, 1.0e9, TierConfig::default());
+        let warm = cache.run_point(&cortex_a15_hw(), &s, None, 1.0e9, TierConfig::default());
+        let direct = direct(&TraceCache::global(), &cortex_a15_hw(), &s, 1.0e9);
         assert_eq!(cold.seconds, warm.seconds);
         assert_eq!(cold.seconds, direct.seconds);
         assert_eq!(cold.stats.cycles, warm.stats.cycles);
@@ -709,7 +662,7 @@ mod tests {
         let cache = SimCache::new();
         let s = spec("mi-sha");
         for _ in 0..3 {
-            cache.run(&cortex_a7_hw(), &s, 600.0e6);
+            cache.run_point(&cortex_a7_hw(), &s, None, 600.0e6, TierConfig::default());
         }
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
@@ -729,17 +682,6 @@ mod tests {
             (cache.hits(), cache.misses(), cache.grid_fills()),
             (0, 0, 0)
         );
-    }
-
-    #[test]
-    fn disabled_cache_never_stores() {
-        let cache = SimCache::disabled();
-        let s = spec("mi-sha");
-        let a = cache.run(&cortex_a15_hw(), &s, 1.0e9);
-        let b = cache.run(&cortex_a15_hw(), &s, 1.0e9);
-        assert_eq!(a.seconds, b.seconds);
-        assert_eq!(cache.len(), 0);
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -768,7 +710,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for &f in [600.0e6, 1.0e9].iter() {
-                        cache.run(&cortex_a15_hw(), &s, f);
+                        cache.run_point(&cortex_a15_hw(), &s, None, f, TierConfig::default());
                     }
                 });
             }
@@ -789,11 +731,14 @@ mod tests {
     fn trace_replay_is_bit_identical_to_direct_generation() {
         let s = spec("mi-fft");
         let cfg = cortex_a15_hw();
-        let traced = SimCache::execute_with(&TraceCache::new(), &cfg, &s, 1.0e9);
-        let direct = SimCache::execute_with(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
-        assert_eq!(traced.seconds, direct.seconds);
-        assert_eq!(traced.stats.cycles, direct.stats.cycles);
-        assert_eq!(traced.stats.gem5_stats_map(), direct.stats.gem5_stats_map());
+        let traced = direct(&TraceCache::new(), &cfg, &s, 1.0e9);
+        let generated = direct(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
+        assert_eq!(traced.seconds, generated.seconds);
+        assert_eq!(traced.stats.cycles, generated.stats.cycles);
+        assert_eq!(
+            traced.stats.gem5_stats_map(),
+            generated.stats.gem5_stats_map()
+        );
     }
 
     #[test]
@@ -808,13 +753,16 @@ mod tests {
             .instructions(2 * Engine::DRAIN_INSTRS + 1_234)
             .build();
         let cfg = cortex_a7_hw();
-        let traced = SimCache::execute_with(&TraceCache::new(), &cfg, &s, 1.0e9);
-        let direct = SimCache::execute_with(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
-        assert_eq!(traced.seconds.to_bits(), direct.seconds.to_bits());
-        assert_eq!(traced.stats.gem5_stats_map(), direct.stats.gem5_stats_map());
+        let traced = direct(&TraceCache::new(), &cfg, &s, 1.0e9);
+        let generated = direct(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
+        assert_eq!(traced.seconds.to_bits(), generated.seconds.to_bits());
+        assert_eq!(
+            traced.stats.gem5_stats_map(),
+            generated.stats.gem5_stats_map()
+        );
         let cache = SimCache::new();
-        let cold = cache.run(&cfg, &s, 1.0e9);
-        let warm = cache.run(&cfg, &s, 1.0e9);
+        let cold = cache.run_point(&cfg, &s, None, 1.0e9, TierConfig::default());
+        let warm = cache.run_point(&cfg, &s, None, 1.0e9, TierConfig::default());
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
         assert_eq!(cold.seconds.to_bits(), warm.seconds.to_bits());
         assert_eq!(cold.seconds.to_bits(), traced.seconds.to_bits());
@@ -834,7 +782,7 @@ mod tests {
         ];
         let mut results = Vec::new();
         for &tier in &tiers {
-            results.push(cache.run_tier(&cfg, &s, 1.0e9, tier));
+            results.push(cache.run_point(&cfg, &s, None, 1.0e9, tier));
         }
         // Three distinct entries: a warm run at one tier never serves
         // another tier's request.
@@ -846,15 +794,15 @@ mod tests {
                 out.stats.fidelity, tier.fidelity,
                 "result tagged with its tier"
             );
-            let warm = cache.run_tier(&cfg, &s, 1.0e9, *tier);
+            let warm = cache.run_point(&cfg, &s, None, 1.0e9, *tier);
             assert_eq!(warm.stats.cycles, out.stats.cycles);
         }
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 3, "warm re-runs never re-execute");
-        // The legacy entry points are the approximate tier.
-        let legacy = cache.run(&cfg, &s, 1.0e9);
-        assert_eq!(cache.misses(), 3, "run() shares the approx entry");
-        assert_eq!(legacy.stats.fidelity, Fidelity::Approx);
+        // The default tier is the approximate tier.
+        let default = cache.run_point(&cfg, &s, None, 1.0e9, TierConfig::default());
+        assert_eq!(cache.misses(), 3, "the default shares the approx entry");
+        assert_eq!(default.stats.fidelity, Fidelity::Approx);
     }
 
     #[test]
@@ -897,13 +845,13 @@ mod tests {
     }
 
     #[test]
-    fn run_fills_the_trace_cache_once_per_spec() {
+    fn points_fill_the_trace_cache_once_per_spec() {
         let traces = Arc::new(TraceCache::new());
         let cache = SimCache::with_trace_cache(traces.clone());
         let s = spec("mi-sha");
         for &f in &[600.0e6, 1.0e9] {
-            cache.run(&cortex_a15_hw(), &s, f);
-            cache.run(&cortex_a7_hw(), &s, f);
+            cache.run_point(&cortex_a15_hw(), &s, None, f, TierConfig::default());
+            cache.run_point(&cortex_a7_hw(), &s, None, f, TierConfig::default());
         }
         // Four (config, freq) tuples, one generation; the rest replayed.
         assert_eq!(traces.misses(), 1);
@@ -924,8 +872,24 @@ mod tests {
                 SimCache::execute_grid_with(traces, &cfg, &s, &FREQS, tier),
             )
         };
-        // Budget 0 streams every instruction through the atomic engine.
-        let reference = exec(&TraceCache::with_budget(0));
+        // The reference steps every generated instruction through the
+        // atomic engine.
+        let step = |freqs: &[f64]| {
+            Backend::new(tier, &cfg, freqs, s.threads, s.derived_seed())
+                .run_stream(StreamGen::new(&s))
+                .into_iter()
+                .map(|r| r.stats)
+                .collect::<Vec<_>>()
+        };
+        let reference = (step(&[1.0e9]).remove(0), step(&FREQS));
+        // A zero byte budget packs no trace but still memoises histograms.
+        let budget0 = TraceCache::with_budget(0);
+        let unpacked = exec(&budget0);
+        assert_eq!(
+            (budget0.histogram_misses(), budget0.histogram_hits()),
+            (1, 1)
+        );
+        assert_eq!(budget0.misses() + budget0.hits(), 0);
         let memo = TraceCache::new();
         let cold = exec(&memo);
         assert_eq!((memo.histogram_misses(), memo.histogram_hits()), (1, 1));
@@ -944,19 +908,20 @@ mod tests {
             assert_eq!(a.gem5_stats_map(), b.gem5_stats_map(), "{what}");
         };
         for (what, (single, column)) in [
+            ("budget 0", &unpacked),
             ("cold", &cold),
             ("warm", &warm),
             ("resident", &beside_trace),
         ] {
-            same(&single.stats, &reference.0.stats, what);
+            same(&single.stats, &reference.0, what);
             assert_eq!(column.len(), FREQS.len());
             for (lane, want) in column.iter().zip(&reference.1) {
-                same(&lane.stats, &want.stats, what);
+                same(&lane.stats, want, what);
             }
         }
         assert_eq!(
-            reference.0.stats.seconds.to_bits(),
-            reference.1[1].stats.seconds.to_bits(),
+            reference.0.seconds.to_bits(),
+            reference.1[1].seconds.to_bits(),
             "the 1 GHz lane equals the single-lane run"
         );
     }
@@ -982,7 +947,7 @@ mod tests {
             // Each lane is bit-identical to the per-frequency entry and a
             // warm per-frequency lookup hits the grid-installed slot.
             for (&f, out) in FREQS.iter().zip(&column) {
-                let warm = cache.run_tier(&cfg, &s, f, tier);
+                let warm = cache.run_point(&cfg, &s, None, f, tier);
                 assert_eq!(warm.seconds, out.seconds);
                 assert_eq!(warm.stats.gem5_stats_map(), out.stats.gem5_stats_map());
             }
@@ -998,7 +963,7 @@ mod tests {
             let fused = SimCache::new().run_grid(&cfg, &s, &FREQS, TierConfig::approx());
             let reference = SimCache::new();
             for (&f, out) in FREQS.iter().zip(&fused) {
-                let single = reference.run_tier(&cfg, &s, f, TierConfig::approx());
+                let single = reference.run_point(&cfg, &s, None, f, TierConfig::approx());
                 assert_eq!(single.seconds, out.seconds);
                 assert_eq!(single.stats.gem5_stats_map(), out.stats.gem5_stats_map());
             }
@@ -1011,8 +976,8 @@ mod tests {
         let s = spec("mi-crc32");
         let cfg = cortex_a7_hw();
         // Pre-warm two of the four lanes through the scalar path.
-        let warm_a = cache.run_tier(&cfg, &s, FREQS[1], TierConfig::approx());
-        let warm_b = cache.run_tier(&cfg, &s, FREQS[3], TierConfig::approx());
+        let warm_a = cache.run_point(&cfg, &s, None, FREQS[1], TierConfig::approx());
+        let warm_b = cache.run_point(&cfg, &s, None, FREQS[3], TierConfig::approx());
         assert_eq!((cache.misses(), cache.grid_fills()), (2, 0));
         let column = cache.run_grid(&cfg, &s, &FREQS, TierConfig::approx());
         assert_eq!(cache.misses(), 4, "only the two cold lanes executed");
@@ -1067,30 +1032,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_on_disabled_cache_stays_fused_but_unmemoised() {
-        let cache = SimCache::disabled();
-        let s = spec("mi-fft");
-        let cfg = cortex_a15_hw();
-        let column = cache.run_grid(&cfg, &s, &FREQS, TierConfig::approx());
-        assert_eq!(column.len(), FREQS.len());
-        assert_eq!(cache.len(), 0);
-        assert_eq!(
-            (cache.hits(), cache.misses(), cache.grid_fills()),
-            (0, 0, 0)
-        );
-        let direct = SimCache::execute_grid_with(
-            &TraceCache::global(),
-            &cfg,
-            &s,
-            &FREQS,
-            TierConfig::approx(),
-        );
-        for (a, b) in column.iter().zip(&direct) {
-            assert_eq!(a.stats.gem5_stats_map(), b.stats.gem5_stats_map());
-        }
-    }
-
-    #[test]
     fn grid_handles_empty_and_single_lane_columns() {
         let cache = SimCache::new();
         let s = spec("mi-sha");
@@ -1105,51 +1046,58 @@ mod tests {
             (1, 0),
             "a one-frequency fill is not a grid fill"
         );
-        let scalar = SimCache::new().run_tier(&cfg, &s, 1.0e9, TierConfig::approx());
+        let scalar = SimCache::new().run_point(&cfg, &s, None, 1.0e9, TierConfig::approx());
         assert_eq!(one[0].stats.gem5_stats_map(), scalar.stats.gem5_stats_map());
     }
 
     #[test]
-    fn run_lane_fills_the_column_once_then_hits_one_lane() {
+    fn a_stock_point_fills_its_column_once_then_hits_one_lane() {
         let cache = SimCache::new();
         let s = spec("mi-sha");
         let cfg = cortex_a15_hw();
+        let big = Some(Cluster::BigA15);
         let tier = TierConfig::approx();
-        let first = cache.run_lane(&cfg, &s, &FREQS, 1, tier);
+        assert_eq!(Cluster::BigA15.frequencies(), FREQS);
+        let first = cache.run_point(&cfg, &s, big, FREQS[1], tier);
         assert_eq!(
             (cache.misses(), cache.grid_fills(), cache.hits()),
             (4, 4, 0),
-            "a cold lane fills its whole column"
+            "a cold DVFS point fills its whole column"
         );
         assert_eq!(cache.sim_seconds.count(), 1, "from one replay");
-        for (lane, &f) in FREQS.iter().enumerate() {
-            let out = cache.run_lane(&cfg, &s, &FREQS, lane, tier);
-            let single = SimCache::new().run_tier(&cfg, &s, f, tier);
+        for &f in &FREQS {
+            let out = cache.run_point(&cfg, &s, big, f, tier);
+            let single = SimCache::new().run_point(&cfg, &s, None, f, tier);
             assert_eq!(out.seconds.to_bits(), single.seconds.to_bits());
             assert_eq!(out.stats.gem5_stats_map(), single.stats.gem5_stats_map());
         }
         assert_eq!(
             (cache.misses(), cache.hits()),
             (4, 4),
-            "one hit per lane asked"
+            "one hit per point asked"
         );
         assert_eq!(
             first.seconds.to_bits(),
-            cache.run_tier(&cfg, &s, FREQS[1], tier).seconds.to_bits()
+            cache
+                .run_point(&cfg, &s, None, FREQS[1], tier)
+                .seconds
+                .to_bits(),
+            "a custom-config lookup of the same tuple hits the column's lane"
         );
         // A partly warm column: only the missing lanes replay.
         let partial = SimCache::new();
-        partial.run_tier(&cfg, &s, FREQS[0], tier);
-        partial.run_lane(&cfg, &s, &FREQS, 3, tier);
+        partial.run_point(&cfg, &s, None, FREQS[0], tier);
+        partial.run_point(&cfg, &s, big, FREQS[3], tier);
         assert_eq!(
             (partial.misses(), partial.grid_fills(), partial.hits()),
             (4, 3, 0)
         );
-        // A disabled cache replays the one lane only.
-        let off = SimCache::disabled();
-        let lane = off.run_lane(&cfg, &s, &FREQS, 2, tier);
-        assert_eq!(lane.stats.freq_hz, FREQS[2]);
-        assert_eq!((off.len(), off.misses()), (0, 0));
+        // Custom configs and off-column frequencies replay one lane.
+        let lone = SimCache::new();
+        let custom = lone.run_point(&cfg, &s, None, FREQS[2], tier);
+        assert_eq!(custom.stats.freq_hz, FREQS[2]);
+        lone.run_point(&cfg, &s, big, 1.6e9, tier);
+        assert_eq!((lone.len(), lone.misses(), lone.grid_fills()), (2, 2, 0));
     }
 
     #[test]
@@ -1166,7 +1114,7 @@ mod tests {
                 while cache.len() < FREQS.len() {
                     std::thread::yield_now();
                 }
-                cache.run_tier(&cfg, &s, FREQS[3], tier)
+                cache.run_point(&cfg, &s, None, FREQS[3], tier)
             });
             (a.join().unwrap(), b.join().unwrap())
         });
@@ -1195,8 +1143,8 @@ mod tests {
         ));
         drop(Claims(vec![slot]));
         // The next caller claims the abandoned entry and fills it.
-        let out = cache.run_tier(&cfg, &s, 1.0e9, tier);
-        let reference = SimCache::new().run_tier(&cfg, &s, 1.0e9, tier);
+        let out = cache.run_point(&cfg, &s, None, 1.0e9, tier);
+        let reference = SimCache::new().run_point(&cfg, &s, None, 1.0e9, tier);
         assert_eq!(out.seconds.to_bits(), reference.seconds.to_bits());
         assert_eq!((cache.len(), cache.misses()), (1, 1));
     }
@@ -1214,7 +1162,7 @@ mod tests {
                         cache.run_grid(cfg, s, &FREQS, TierConfig::approx());
                     } else {
                         for &f in &FREQS {
-                            cache.run_tier(cfg, s, f, TierConfig::approx());
+                            cache.run_point(cfg, s, None, f, TierConfig::approx());
                         }
                     }
                 });

@@ -1,14 +1,21 @@
 //! Grid-level determinism contract of the trace layer: for every
 //! (spec, configuration, frequency) tuple, replaying a shared packed trace
 //! must produce results bit-identical to direct stream generation — and to
-//! cold, warm and cache-disabled `SimCache` paths.
+//! cold and warm `SimCache` lookups.
 
-use gemstone_platform::simcache::SimCache;
+use gemstone_platform::simcache::{SimCache, SimOutcome};
+use gemstone_uarch::backend::TierConfig;
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw, ex5_big, ex5_little, Ex5Variant};
 use gemstone_uarch::core::CoreConfig;
+use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
 use gemstone_workloads::trace::TraceCache;
 use std::sync::Arc;
+
+/// The direct one-lane replay at the default tier, past the memo.
+fn direct(traces: &TraceCache, cfg: &CoreConfig, spec: &WorkloadSpec, f: f64) -> SimOutcome {
+    SimCache::execute_grid_with(traces, cfg, spec, &[f], TierConfig::default()).remove(0)
+}
 
 fn grid_configs() -> Vec<CoreConfig> {
     vec![
@@ -36,8 +43,8 @@ fn trace_path_equals_iterator_path_over_grid() {
     for spec in &specs {
         for cfg in grid_configs() {
             for &freq in &[600.0e6, 1.0e9, 1.8e9] {
-                let replayed = SimCache::execute_with(&traces, &cfg, spec, freq);
-                let generated = SimCache::execute_with(&no_traces, &cfg, spec, freq);
+                let replayed = direct(&traces, &cfg, spec, freq);
+                let generated = direct(&no_traces, &cfg, spec, freq);
                 assert_eq!(
                     replayed.seconds, generated.seconds,
                     "{} / {} / {freq}",
@@ -59,16 +66,17 @@ fn trace_path_equals_iterator_path_over_grid() {
 }
 
 #[test]
-fn cold_warm_and_disabled_simcache_agree_with_traces_on() {
+fn cold_warm_and_direct_simcache_agree_with_traces_on() {
     let spec = suites::by_name("mi-bitcount").unwrap().scaled(0.05);
     let cfg = cortex_a15_hw();
+    let tier = TierConfig::default();
     let shared = Arc::new(TraceCache::new());
     let warm_cache = SimCache::with_trace_cache(shared.clone());
-    let cold = warm_cache.run(&cfg, &spec, 1.0e9);
-    let warm = warm_cache.run(&cfg, &spec, 1.0e9);
-    let disabled = SimCache::disabled().run(&cfg, &spec, 1.0e9);
-    let untraced = SimCache::execute_with(&TraceCache::with_budget(0), &cfg, &spec, 1.0e9);
-    for other in [&warm, &disabled, &untraced] {
+    let cold = warm_cache.run_point(&cfg, &spec, None, 1.0e9, tier);
+    let warm = warm_cache.run_point(&cfg, &spec, None, 1.0e9, tier);
+    let traced = direct(&shared, &cfg, &spec, 1.0e9);
+    let untraced = direct(&TraceCache::with_budget(0), &cfg, &spec, 1.0e9);
+    for other in [&warm, &traced, &untraced] {
         assert_eq!(cold.seconds, other.seconds);
         assert_eq!(cold.stats.gem5_stats_map(), other.stats.gem5_stats_map());
     }

@@ -9,13 +9,16 @@
 //! # Examples
 //!
 //! ```no_run
-//! use gemstone_platform::{board::OdroidXu3, dvfs::Cluster, gem5sim::{Gem5Model, Gem5Sim}};
+//! use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
+//! use gemstone_platform::simcache::SimCache;
 //! use gemstone_powmon::apply;
+//! use gemstone_uarch::backend::TierConfig;
 //! use gemstone_workloads::suites;
 //! # fn model() -> gemstone_powmon::model::PowerModel { unimplemented!() }
 //!
 //! let spec = suites::by_name("mi-crc32").unwrap();
-//! let run = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+//! let cache = SimCache::global();
+//! let run = Gem5Sim::run(&cache, &spec, Gem5Model::Ex5BigOld, 1.0e9, TierConfig::default());
 //! let estimate = apply::apply_to_gem5(&model(), &run).unwrap();
 //! println!("estimated power: {} W", estimate.power.total_w);
 //! ```
@@ -91,6 +94,7 @@ mod tests {
     use gemstone_platform::board::OdroidXu3;
     use gemstone_platform::dvfs::Cluster;
     use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
+    use gemstone_uarch::backend::TierConfig;
     use gemstone_uarch::pmu;
     use gemstone_workloads::suites;
 
@@ -125,7 +129,13 @@ mod tests {
         let (model, board) = model_and_board();
         let spec = suites::by_name("mi-sha").unwrap().scaled(0.08);
         let hw = board.run(&spec, Cluster::BigA15, 1000.0e6);
-        let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigFixed, 1000.0e6);
+        let g5 = Gem5Sim::run(
+            &board.cache,
+            &spec,
+            Gem5Model::Ex5BigFixed,
+            1000.0e6,
+            TierConfig::default(),
+        );
         let e_hw = apply_to_hw(&model, &hw).unwrap();
         let e_g5 = apply_to_gem5(&model, &g5).unwrap();
         assert!(e_hw.power.total_w > 0.3);
@@ -150,9 +160,15 @@ mod tests {
 
     #[test]
     fn wrong_frequency_errors() {
-        let (model, _board) = model_and_board();
+        let (model, board) = model_and_board();
         let spec = suites::by_name("mi-crc32").unwrap().scaled(0.05);
-        let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.4e9);
+        let g5 = Gem5Sim::run(
+            &board.cache,
+            &spec,
+            Gem5Model::Ex5BigOld,
+            1.4e9,
+            TierConfig::default(),
+        );
         assert!(apply_to_gem5(&model, &g5).is_err());
     }
 }

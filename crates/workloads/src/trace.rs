@@ -15,13 +15,13 @@
 //! bytes are bounded by a budget with least-recently-used eviction. The
 //! budget of the process-wide instance comes from the
 //! `GEMSTONE_TRACE_BYTES` environment variable (default 512 MiB; `0`
-//! disables the cache so callers fall back to direct generation).
+//! disables trace packing so callers fall back to direct generation).
 //!
 //! The atomic tier reads nothing but a per-class instruction count, so the
 //! cache also memoises one whole-stream class histogram per spec
-//! ([`TraceCache::class_histogram`]). Filling it folds the generated stream
-//! straight into counts; it never encodes a trace, so atomic campaigns
-//! neither pack nor evict traces.
+//! ([`TraceCache::class_histogram`]), whatever the byte budget. Filling it
+//! folds the generated stream straight into counts; it never encodes a
+//! trace, so atomic campaigns neither pack nor evict traces.
 //!
 //! **Determinism contract:** decoding a packed trace yields a stream that
 //! is bit-identical to the [`StreamGen`] output it was encoded from —
@@ -51,8 +51,6 @@ use crate::spec::WorkloadSpec;
 use gemstone_obs::fnv::fnv1a;
 use gemstone_obs::registry::log2_time_bounds;
 use gemstone_obs::{Counter, Histogram, Registry};
-use gemstone_uarch::backend::Backend;
-use gemstone_uarch::core::SimResult;
 use gemstone_uarch::instr::{BranchRef, Instr, InstrClass, MemRef};
 use std::collections::HashMap;
 use std::fmt;
@@ -64,7 +62,8 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 const SHARD_COUNT: usize = 16;
 
 /// Environment variable overriding the process-wide trace-cache byte
-/// budget. `0` disables trace caching entirely.
+/// budget. `0` disables trace packing; class histograms are still
+/// memoised.
 pub const TRACE_BYTES_ENV: &str = "GEMSTONE_TRACE_BYTES";
 
 /// Default byte budget of the process-wide trace cache (512 MiB).
@@ -243,23 +242,6 @@ impl PackedTrace {
         }
         hist
     }
-
-    /// Replays the whole trace through a tier [`Backend`] over all of its
-    /// frequency lanes — one decode pass serving every lane — taking the
-    /// fastest path each tier admits: the atomic tier absorbs one class
-    /// histogram and never decodes an instruction, while the approximate
-    /// and sampled tiers replay every decoded instruction — the sampled
-    /// tier needs real addresses even in fast-forward phases to
-    /// functionally warm caches, TLBs and the branch predictor. Results
-    /// are bit-identical to [`Backend::run_stream`] over
-    /// [`PackedTrace::iter`], one per lane, and the same per-tier span and
-    /// run counters are recorded.
-    pub fn run_backend(&self, backend: &mut Backend) -> Vec<SimResult> {
-        match backend {
-            Backend::Atomic(_) => backend.run_histogram(&self.class_histogram(0..self.len())),
-            _ => backend.run_stream(self.iter()),
-        }
-    }
 }
 
 impl fmt::Debug for PackedTrace {
@@ -393,8 +375,9 @@ impl TraceCache {
     }
 
     /// Creates an empty cache bounded to `budget` resident bytes. A budget
-    /// of `0` disables the cache: [`TraceCache::get`] always returns `None`
-    /// and callers generate streams directly.
+    /// of `0` disables trace packing: [`TraceCache::get`] always returns
+    /// `None` and callers generate streams directly.
+    /// [`TraceCache::class_histogram`] memoises at every budget.
     ///
     /// The budget bounds the *steady state*: a single trace larger than the
     /// whole budget is still returned to its requester (and evicted as soon
@@ -422,7 +405,7 @@ impl TraceCache {
 
     /// The process-wide shared cache, budgeted from the
     /// `GEMSTONE_TRACE_BYTES` environment variable (bytes; default 512 MiB,
-    /// `0` disables). A malformed value produces a one-time stderr warning
+    /// `0` disables trace packing). A malformed value produces a one-time stderr warning
     /// and falls back to the default instead of being silently ignored.
     pub fn global() -> Arc<TraceCache> {
         GLOBAL
@@ -462,9 +445,8 @@ impl TraceCache {
 
     /// Returns the packed trace for `spec`, generating it exactly once per
     /// fingerprint; concurrent requesters for the same spec block on the
-    /// winning generation instead of duplicating it. Returns `None` when
-    /// the cache is disabled (budget 0) — callers then fall back to
-    /// [`StreamGen`].
+    /// winning generation instead of duplicating it. Returns `None` at a
+    /// budget of 0 — callers then fall back to [`StreamGen`].
     pub fn get(&self, spec: &WorkloadSpec) -> Option<Arc<PackedTrace>> {
         if self.budget == 0 {
             return None;
@@ -514,14 +496,10 @@ impl TraceCache {
     /// Returns the whole-stream class histogram of `spec` — all the atomic
     /// tier reads — computing it exactly once per fingerprint by folding
     /// [`StreamGen`] straight into counts: no trace is encoded, charged or
-    /// evicted. Concurrent requesters block on the winning fill. Returns
-    /// `None` when the cache is disabled (budget 0), like
-    /// [`TraceCache::get`]; the histogram equals
-    /// [`PackedTrace::class_histogram`] over the whole trace.
-    pub fn class_histogram(&self, spec: &WorkloadSpec) -> Option<[u64; InstrClass::COUNT]> {
-        if self.budget == 0 {
-            return None;
-        }
+    /// evicted, so the memo works at every byte budget, 0 included.
+    /// Concurrent requesters block on the winning fill. The histogram
+    /// equals [`PackedTrace::class_histogram`] over the whole trace.
+    pub fn class_histogram(&self, spec: &WorkloadSpec) -> [u64; InstrClass::COUNT] {
         let key = Self::fingerprint(spec);
         let cell = self
             .histograms
@@ -552,7 +530,7 @@ impl TraceCache {
         } else {
             self.histogram_hits.inc();
         }
-        Some(hist)
+        hist
     }
 
     /// Evicts least-recently-used filled entries (never `protect`, which
@@ -651,7 +629,7 @@ impl TraceCache {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// The byte budget this cache was created with (0 = disabled).
+    /// The byte budget this cache was created with (0 = no trace packing).
     pub fn budget(&self) -> usize {
         self.budget
     }
@@ -810,21 +788,27 @@ mod tests {
     #[test]
     fn zero_budget_disables() {
         let cache = TraceCache::with_budget(0);
-        assert!(cache.get(&spec(1_000)).is_none());
-        assert!(cache.class_histogram(&spec(1_000)).is_none());
+        let s = spec(1_000);
+        assert!(cache.get(&s).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!((cache.histogram_hits(), cache.histogram_misses()), (0, 0));
-        assert!(cache.is_empty());
+        assert!(cache.is_empty(), "no trace is packed");
+        // The class-histogram memo does not depend on the budget.
+        let hist = cache.class_histogram(&s);
+        assert_eq!(cache.class_histogram(&s), hist);
+        assert_eq!((cache.histogram_misses(), cache.histogram_hits()), (1, 1));
+        let trace = PackedTrace::from_spec(&s);
+        assert_eq!(hist, trace.class_histogram(0..trace.len()));
+        assert_eq!((cache.len(), cache.bytes()), (0, 0));
     }
 
     #[test]
     fn class_histogram_memo_counts_without_packing_and_clears() {
         let cache = TraceCache::new();
         let s = spec(7_000);
-        let hist = cache.class_histogram(&s).expect("enabled cache counts");
+        let hist = cache.class_histogram(&s);
         let trace = PackedTrace::from_spec(&s);
         assert_eq!(hist, trace.class_histogram(0..trace.len()));
-        assert_eq!(cache.class_histogram(&s), Some(hist));
+        assert_eq!(cache.class_histogram(&s), hist);
         let snap = cache.snapshot();
         assert_eq!((snap.histogram_misses, snap.histogram_hits), (1, 1));
         // No trace was encoded, charged or counted.
@@ -834,7 +818,7 @@ mod tests {
         );
         cache.clear();
         assert_eq!((cache.histogram_hits(), cache.histogram_misses()), (0, 0));
-        assert_eq!(cache.class_histogram(&s), Some(hist));
+        assert_eq!(cache.class_histogram(&s), hist);
         assert_eq!(cache.histogram_misses(), 1, "clear empties the memo");
     }
 
@@ -866,7 +850,7 @@ mod tests {
         assert_eq!(cache.histogram_hits(), 14);
         assert!(seen.windows(2).all(|w| w[0] == w[1]));
         let ta = PackedTrace::from_spec(&sa);
-        assert_eq!(seen[0].0, Some(ta.class_histogram(0..ta.len())));
+        assert_eq!(seen[0].0, ta.class_histogram(0..ta.len()));
         assert!(cache.is_empty(), "no trace was packed");
     }
 
@@ -936,70 +920,32 @@ mod tests {
         assert_eq!(empty, 0);
     }
 
+    /// Over at least two drain boundaries, one lane or three, the atomic
+    /// tier's one replay path — the whole-trace class histogram — equals
+    /// stepping every decoded instruction, its reference.
     #[test]
-    fn run_backend_is_bit_identical_to_streamed_execution() {
-        use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
-        use gemstone_uarch::configs::cortex_a7_hw;
-
-        let s = spec(30_000);
-        let trace = PackedTrace::from_spec(&s);
-        let cfg = cortex_a7_hw();
-        for tier in [
-            TierConfig::atomic(),
-            TierConfig::approx(),
-            TierConfig::sampled(SampleParams::default()),
-        ] {
-            let mut via_trace = Backend::new(tier, &cfg, &[1.0e9], s.threads, 7);
-            let mut via_stream = Backend::new(tier, &cfg, &[1.0e9], s.threads, 7);
-            let a = trace.run_backend(&mut via_trace).remove(0);
-            let b = via_stream.run_stream(trace.iter()).remove(0);
-            assert_eq!(a.cycles, b.cycles, "tier {}", tier.fidelity);
-            assert_eq!(
-                format!("{:?}", a.stats),
-                format!("{:?}", b.stats),
-                "tier {}",
-                tier.fidelity
-            );
-        }
-    }
-
-    /// Over at least two drain boundaries, one lane or three, every tier's
-    /// packed replay (the atomic tier's histogram path included) equals
-    /// streaming the decoded trace.
-    #[test]
-    fn replay_across_drain_boundaries_is_bit_identical() {
-        use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
+    fn atomic_histogram_replay_equals_stepping_the_trace() {
+        use gemstone_uarch::backend::{Backend, TierConfig};
         use gemstone_uarch::configs::cortex_a7_hw;
         use gemstone_uarch::core::Engine;
 
         let s = spec(2 * Engine::DRAIN_INSTRS + 777);
         let trace = PackedTrace::from_spec(&s);
+        let hist = trace.class_histogram(0..trace.len());
         let cfg = cortex_a7_hw();
         for freqs in [&[1.0e9][..], &[0.6e9, 1.0e9, 1.4e9]] {
-            for tier in [
-                TierConfig::atomic(),
-                TierConfig::approx(),
-                TierConfig::sampled(SampleParams::default()),
-            ] {
-                let mut via_trace = Backend::new(tier, &cfg, freqs, s.threads, 7);
-                let mut via_stream = Backend::new(tier, &cfg, freqs, s.threads, 7);
-                let a = trace.run_backend(&mut via_trace);
-                let b = via_stream.run_stream(trace.iter());
-                assert_eq!(a.len(), freqs.len());
-                for (lane, (ra, rb)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(
-                        ra.cycles.to_bits(),
-                        rb.cycles.to_bits(),
-                        "{tier} lane {lane} of {}",
-                        freqs.len()
-                    );
-                    assert_eq!(
-                        format!("{:?}", ra.stats),
-                        format!("{:?}", rb.stats),
-                        "{tier} lane {lane} of {}",
-                        freqs.len()
-                    );
-                }
+            let tier = TierConfig::atomic();
+            let a = Backend::new(tier, &cfg, freqs, s.threads, 7).run_histogram(&hist);
+            let b = Backend::new(tier, &cfg, freqs, s.threads, 7).run_stream(trace.iter());
+            assert_eq!(a.len(), freqs.len());
+            for (lane, (ra, rb)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(ra.cycles.to_bits(), rb.cycles.to_bits(), "lane {lane}");
+                assert_eq!(
+                    format!("{:?}", ra.stats),
+                    format!("{:?}", rb.stats),
+                    "lane {lane} of {}",
+                    freqs.len()
+                );
             }
         }
     }

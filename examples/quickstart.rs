@@ -6,6 +6,7 @@
 //! ```
 
 use gemstone::prelude::*;
+use gemstone::uarch::backend::TierConfig;
 use gemstone::uarch::pmu;
 
 fn main() {
@@ -27,8 +28,10 @@ fn main() {
         hw.power_w
     );
 
-    // 2. The gem5 ex5_big model (old revision, with the BP bug).
-    let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+    // 2. The gem5 ex5_big model (old revision, with the BP bug), memoised
+    //    in the board's simulation cache like the hardware run.
+    let tier = TierConfig::default();
+    let g5 = Gem5Sim::run(&board.cache, &spec, Gem5Model::Ex5BigOld, 1.0e9, tier);
     println!("gem5 old:  time {:.4} ms (deterministic)", g5.time_s * 1e3);
 
     // 3. Execution-time error with the paper's sign convention.
@@ -52,7 +55,7 @@ fn main() {
     }
 
     // 5. The fixed model tells a different story (§VII).
-    let fixed = Gem5Sim::run(&spec, Gem5Model::Ex5BigFixed, 1.0e9);
+    let fixed = Gem5Sim::run(&board.cache, &spec, Gem5Model::Ex5BigFixed, 1.0e9, tier);
     let mpe_fixed = (hw.time_s - fixed.time_s) / hw.time_s * 100.0;
     println!(
         "\ngem5 fixed: time {:.4} ms → MPE {mpe_fixed:+.1} %",

@@ -594,18 +594,18 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
     let model = parse_model(args);
     let tier = parse_fidelity(args)?;
     let scale = args.scale()?;
+    // The process-wide caches, so the counters below reflect whether this
+    // invocation hit the memo / replayed a packed trace / fused the
+    // frequency column.
+    let cache = SimCache::global();
     let t0 = std::time::Instant::now();
     // 1 GHz is a DVFS point of both clusters, so this run fills the
     // model's whole column from one fused replay; the stats dump is the
     // 1 GHz lane, and the grid counters record what the fusion did.
-    let run = Gem5Sim::run_tier(&spec.scaled(scale), model, 1.0e9, tier);
+    let run = Gem5Sim::run(&cache, &spec.scaled(scale), model, 1.0e9, tier);
     let sim_micros = t0.elapsed().as_micros() as u64;
     print!("{}", run.stats.to_stats_txt());
     // Execution-layer counters, in the same aligned `name value` style.
-    // `Gem5Sim::run_tier` consults the process-wide caches, so these
-    // reflect whether this invocation hit the memo / replayed a packed
-    // trace / fused the frequency column.
-    let cache = SimCache::global();
     let traces = cache.trace_cache();
     let registry = gemstone_obs::Registry::global();
     for (name, value) in [
@@ -690,8 +690,9 @@ fn run_profile(args: &Args) -> Result<ExitCode, String> {
     // counters are live even when no export file was requested.
     gemstone_obs::set_enabled(true);
 
+    let cache = SimCache::global();
     let t0 = std::time::Instant::now();
-    let run = Gem5Sim::run_tier(&spec.scaled(scale), model, freq, tier);
+    let run = Gem5Sim::run(&cache, &spec.scaled(scale), model, freq, tier);
     let wall = t0.elapsed().as_secs_f64();
 
     let s = &run.stats;
@@ -791,7 +792,6 @@ fn run_profile(args: &Args) -> Result<ExitCode, String> {
     println!("{}", mix.render());
 
     // Cache-layer effectiveness for this invocation.
-    let cache = SimCache::global();
     let sim = cache.snapshot();
     let traces = cache.trace_cache().snapshot();
     println!(

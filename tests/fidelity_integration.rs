@@ -5,6 +5,7 @@
 //! validation sweep must land on (nearly) the same MAPE as the reference.
 
 use gemstone::core::analysis::summary;
+use gemstone::platform::simcache::SimCache;
 use gemstone::prelude::*;
 use gemstone::uarch::backend::{Fidelity, SampleParams, TierConfig};
 
@@ -44,13 +45,14 @@ fn rel_pct(a: f64, b: f64) -> f64 {
 
 #[test]
 fn sampled_ipc_within_bound_across_validation_suite() {
+    let cache = SimCache::global();
     let model = Gem5Model::Ex5BigOld;
     // Scale 0.5 keeps the suite fast while leaving every workload enough
     // sampling periods for the CPI estimate to settle; tiny streams with a
     // handful of windows carry no statistical weight.
     for spec in suites::validation_suite().iter().map(|w| w.scaled(0.5)) {
-        let approx = Gem5Sim::run(&spec, model, 1.0e9);
-        let sampled = Gem5Sim::run_tier(&spec, model, 1.0e9, sampled_tier());
+        let approx = Gem5Sim::run(&cache, &spec, model, 1.0e9, TierConfig::default());
+        let sampled = Gem5Sim::run(&cache, &spec, model, 1.0e9, sampled_tier());
 
         // Committed architectural counts are exact regardless of tier.
         assert_eq!(
@@ -82,13 +84,14 @@ fn sampled_ipc_within_bound_across_validation_suite() {
 
 #[test]
 fn sampled_error_bound_holds_across_frequency_grid() {
+    let cache = SimCache::global();
     let model = Gem5Model::Ex5BigOld;
     let workloads = ["mi-fft", "dhry-dhrystone", "parsec-canneal-4"];
     for name in workloads {
         let spec = suites::by_name(name).expect("suite workload").scaled(0.3);
         for freq in [0.8e9, 1.0e9, 1.4e9, 1.8e9] {
-            let approx = Gem5Sim::run(&spec, model, freq);
-            let sampled = Gem5Sim::run_tier(&spec, model, freq, sampled_tier());
+            let approx = Gem5Sim::run(&cache, &spec, model, freq, TierConfig::default());
+            let sampled = Gem5Sim::run(&cache, &spec, model, freq, sampled_tier());
 
             let ipc_err = rel_pct(approx.stats.ipc(), sampled.stats.ipc());
             assert!(
@@ -113,11 +116,12 @@ fn sampled_error_bound_holds_across_frequency_grid() {
 
 #[test]
 fn atomic_tier_reproduces_approx_architectural_counts() {
+    let cache = SimCache::global();
     let model = Gem5Model::Ex5BigOld;
     for name in ["mi-sha", "mi-bitcount", "par-dijkstra"] {
         let spec = suites::by_name(name).expect("suite workload").scaled(0.2);
-        let approx = Gem5Sim::run(&spec, model, 1.0e9);
-        let atomic = Gem5Sim::run_tier(&spec, model, 1.0e9, atomic_tier());
+        let approx = Gem5Sim::run(&cache, &spec, model, 1.0e9, TierConfig::default());
+        let atomic = Gem5Sim::run(&cache, &spec, model, 1.0e9, atomic_tier());
 
         assert_eq!(atomic.stats.fidelity, Fidelity::Atomic);
         assert_eq!(

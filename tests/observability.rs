@@ -8,6 +8,7 @@ use gemstone::core::resilience::{collect_resilient, ResilienceOptions};
 use gemstone::platform::fault::FaultInjector;
 use gemstone::platform::simcache::SimCache;
 use gemstone::prelude::*;
+use gemstone::uarch::backend::TierConfig;
 use gemstone::workloads::spec::WorkloadSpec;
 use gemstone_obs::profile::{Journal, SpanTree};
 use gemstone_obs::{export, Registry, SpanEvent, SpanLog};
@@ -17,13 +18,26 @@ use std::sync::Arc;
 fn metrics_spans_and_exporters_flow_end_to_end() {
     gemstone_obs::set_enabled(true);
 
+    let cache = SimCache::global();
     let spec = suites::by_name("mi-sha").unwrap().scaled(0.02);
-    let run = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+    let run = Gem5Sim::run(
+        &cache,
+        &spec,
+        Gem5Model::Ex5BigOld,
+        1.0e9,
+        TierConfig::default(),
+    );
     assert!(run.stats.committed_instructions > 0);
     // 1 GHz is a DVFS point, so that run filled the model's column under
     // a fused grid span; 1.6 GHz is off the column and replays one lane
     // under the tier's `engine.run` span.
-    let lone = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.6e9);
+    let lone = Gem5Sim::run(
+        &cache,
+        &spec,
+        Gem5Model::Ex5BigOld,
+        1.6e9,
+        TierConfig::default(),
+    );
     assert_eq!(
         lone.stats.committed_instructions,
         run.stats.committed_instructions
@@ -35,7 +49,6 @@ fn metrics_spans_and_exporters_flow_end_to_end() {
     let registry = Registry::global();
     assert!(registry.counter("engine.runs").get() >= 1);
     assert!(registry.counter("engine.instructions").get() >= run.stats.committed_instructions);
-    let cache = SimCache::global();
     assert_eq!(registry.counter("simcache.hits").get(), cache.hits());
     assert_eq!(registry.counter("simcache.misses").get(), cache.misses());
     assert!(cache.misses() >= 1, "a cold run must miss the memo");
@@ -153,19 +166,19 @@ fn resumed_resilient_sweep_journals_one_workload_span_per_pending_workload() {
     let outcome = collect_resilient(&cfg, workloads, &opts).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(outcome.coverage.resumed, 1);
-    let events: Vec<SpanEvent> = SpanLog::global()
-        .snapshot()
-        .into_iter()
-        .filter(|e| e.id > marker)
-        .collect();
+    let snapshot = SpanLog::global().snapshot();
+    let marker_tid = snapshot.iter().find(|e| e.id == marker).unwrap().tid;
+    let events: Vec<SpanEvent> = snapshot.into_iter().filter(|e| e.id > marker).collect();
     let journal = Journal::parse(&export::jsonl(Registry::global(), &events)).unwrap();
     let tree = SpanTree::build(&journal.events);
 
+    // Tests share the span log: the sweep root is the one opened on this
+    // thread; its workers' spans join it by parent id.
     let sweeps: Vec<_> = tree
         .roots
         .iter()
         .map(|&i| &tree.nodes[i])
-        .filter(|n| n.event.name.as_ref() == "experiment.sweep")
+        .filter(|n| n.event.name.as_ref() == "experiment.sweep" && n.event.tid == marker_tid)
         .collect();
     assert_eq!(sweeps.len(), 1, "one sweep root");
     let sweep = &sweeps[0].event;

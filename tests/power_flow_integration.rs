@@ -4,6 +4,7 @@
 
 use gemstone::powmon::{apply, dataset, model::PowerModel, selection};
 use gemstone::prelude::*;
+use gemstone::uarch::backend::TierConfig;
 
 fn workload_names() -> Vec<&'static str> {
     vec![
@@ -57,7 +58,13 @@ fn power_model_flow_end_to_end() {
         .expect("workload")
         .scaled(0.06);
     let hw = board.run(&spec, Cluster::BigA15, 1.0e9);
-    let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+    let g5 = Gem5Sim::run(
+        &board.cache,
+        &spec,
+        Gem5Model::Ex5BigOld,
+        1.0e9,
+        TierConfig::default(),
+    );
     let e_hw = apply::apply_to_hw(&model, &hw).expect("hw estimate");
     let e_g5 = apply::apply_to_gem5(&model, &g5).expect("gem5 estimate");
 

@@ -389,7 +389,7 @@ fn profile_jobs_at_dvfs_points_share_one_column_fill() {
 
     let spec = suites::by_name("mi-sha").unwrap().scaled(scale);
     for (freq_hz, sim_time_s) in [(1.0e9, at_1000), (1.4e9, at_1400), (1.6e9, at_1600)] {
-        let reference = Gem5Sim::run_config_with_cache_tier(
+        let reference = Gem5Sim::run_config(
             &SimCache::new(),
             &spec,
             Gem5Model::Ex5BigOld,

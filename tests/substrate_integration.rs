@@ -3,6 +3,7 @@
 //! observable through public interfaces only.
 
 use gemstone::prelude::*;
+use gemstone::uarch::backend::TierConfig;
 use gemstone::uarch::pmu;
 
 #[test]
@@ -12,7 +13,13 @@ fn hardware_and_model_agree_on_architecture_disagree_on_microarchitecture() {
         .expect("workload")
         .scaled(0.2);
     let hw = board.run(&spec, Cluster::BigA15, 1.0e9);
-    let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+    let g5 = Gem5Sim::run(
+        &board.cache,
+        &spec,
+        Gem5Model::Ex5BigOld,
+        1.0e9,
+        TierConfig::default(),
+    );
 
     // Architectural counts match (same instruction stream).
     let inst_hw = hw.pmc[&pmu::INST_RETIRED];
@@ -41,7 +48,13 @@ fn hardware_and_model_agree_on_architecture_disagree_on_microarchitecture() {
         .expect("workload")
         .scaled(0.2);
     let hw = board.run(&spec, Cluster::BigA15, 1.0e9);
-    let g5 = Gem5Sim::run(&spec, Gem5Model::Ex5BigOld, 1.0e9);
+    let g5 = Gem5Sim::run(
+        &board.cache,
+        &spec,
+        Gem5Model::Ex5BigOld,
+        1.0e9,
+        TierConfig::default(),
+    );
     let wb = g5.pmu_equiv[&pmu::L1D_CACHE_WB] / hw.pmc[&pmu::L1D_CACHE_WB].max(1.0);
     assert!(wb > 5.0, "writebacks over-reported, got {wb:.2}x");
 }
@@ -89,8 +102,20 @@ fn four_thread_workloads_cost_more_on_hardware_than_the_model_thinks() {
         .scaled(0.1);
     let hw_1 = board.run(&one, Cluster::BigA15, 1.0e9);
     let hw_4 = board.run(&four, Cluster::BigA15, 1.0e9);
-    let g5_1 = Gem5Sim::run(&one, Gem5Model::Ex5BigFixed, 1.0e9);
-    let g5_4 = Gem5Sim::run(&four, Gem5Model::Ex5BigFixed, 1.0e9);
+    let g5_1 = Gem5Sim::run(
+        &board.cache,
+        &one,
+        Gem5Model::Ex5BigFixed,
+        1.0e9,
+        TierConfig::default(),
+    );
+    let g5_4 = Gem5Sim::run(
+        &board.cache,
+        &four,
+        Gem5Model::Ex5BigFixed,
+        1.0e9,
+        TierConfig::default(),
+    );
     let hw_over = hw_4.time_s / hw_1.time_s;
     let g5_over = g5_4.time_s / g5_1.time_s;
     assert!(
@@ -110,7 +135,19 @@ fn engine_determinism_across_platform_layers() {
     assert_eq!(a.time_s, b.time_s);
     assert_eq!(a.pmc, b.pmc);
     assert_eq!(a.power_w, b.power_w);
-    let g1 = Gem5Sim::run(&spec, Gem5Model::Ex5Little, 600.0e6);
-    let g2 = Gem5Sim::run(&spec, Gem5Model::Ex5Little, 600.0e6);
+    let g1 = Gem5Sim::run(
+        &board.cache,
+        &spec,
+        Gem5Model::Ex5Little,
+        600.0e6,
+        TierConfig::default(),
+    );
+    let g2 = Gem5Sim::run(
+        &board.cache,
+        &spec,
+        Gem5Model::Ex5Little,
+        600.0e6,
+        TierConfig::default(),
+    );
     assert_eq!(g1.stats_map, g2.stats_map);
 }
