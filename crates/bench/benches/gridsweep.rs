@@ -15,11 +15,11 @@
 //! Results are bit-identical by construction: every lane replays the
 //! `f64` operation sequence of a one-lane run, and every pass asserts it.
 
-use gemstone_bench::{replay, timed, write_bench_json, BenchRecord};
+use gemstone_bench::{timed, write_bench_json, BenchRecord};
 use gemstone_platform::dvfs::Cluster;
 use gemstone_uarch::backend::{Backend, SampleParams, TierConfig};
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw};
-use gemstone_uarch::core::CoreConfig;
+use gemstone_uarch::core::{CoreConfig, SimResult};
 use gemstone_uarch::instr::InstrClass;
 use gemstone_workloads::suites;
 use gemstone_workloads::trace::PackedTrace;
@@ -46,6 +46,18 @@ fn tier_configs() -> [(&'static str, TierConfig); 3] {
 
 /// A whole-stream class histogram.
 type Hist = [u64; InstrClass::COUNT];
+
+/// One replay of `trace` over every lane of `backend`, the way the
+/// simulation cache replays each tier: the atomic tier absorbs `hist`, the
+/// trace's whole-stream class histogram (memoised once per workload, as
+/// the trace cache does); the detailed tiers step every decoded
+/// instruction.
+fn replay(trace: &PackedTrace, hist: &Hist, backend: &mut Backend) -> Vec<SimResult> {
+    match backend {
+        Backend::Atomic(_) => backend.run_histogram(hist),
+        _ => backend.run_stream(trace.iter()),
+    }
+}
 
 fn run_per_frequency(
     trace: &PackedTrace,

@@ -2,12 +2,8 @@
 //! (`cargo bench -p gemstone-bench --bench <name>`). Each times its passes
 //! with [`timed`] and writes `BENCH_<name>.json` with
 //! [`write_bench_json`]. The paper's tables and figures are regenerated by
-//! `gemstone repro --out DIR` (see `gemstone_core::repro`).
-
-use gemstone_uarch::backend::Backend;
-use gemstone_uarch::core::SimResult;
-use gemstone_uarch::instr::InstrClass;
-use gemstone_workloads::trace::PackedTrace;
+//! `gemstone repro --out DIR` (see `gemstone_core::repro`); per-layer host
+//! times are measured by `crates/benchmark`.
 
 /// Runs `f` once, returning its result and its wall-clock seconds. Every
 /// bench under `benches/` times its passes through this.
@@ -15,22 +11,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = std::time::Instant::now();
     let out = std::hint::black_box(f());
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// One replay of `trace` over every lane of `backend`, the way the
-/// simulation cache replays each tier: the atomic tier absorbs `hist`, the
-/// trace's whole-stream class histogram (memoised once per workload, as
-/// the trace cache does); the detailed tiers step every decoded
-/// instruction.
-pub fn replay(
-    trace: &PackedTrace,
-    hist: &[u64; InstrClass::COUNT],
-    backend: &mut Backend,
-) -> Vec<SimResult> {
-    match backend {
-        Backend::Atomic(_) => backend.run_histogram(hist),
-        _ => backend.run_stream(trace.iter()),
-    }
 }
 
 /// One machine-readable measurement from a benchmark's timed pass.

@@ -44,9 +44,8 @@ pub struct ExperimentConfig {
     /// Worker threads for the parallel sweep. Defaults to the shared
     /// [`gemstone_stats::threads::worker_threads`] knob (`GEMSTONE_THREADS`).
     pub threads: usize,
-    /// Execution-fidelity tier every engine run in the campaign uses.
-    /// Defaults to the `GEMSTONE_FIDELITY` / `GEMSTONE_SAMPLE_*`
-    /// environment knobs (cycle-approximate when unset).
+    /// Execution-fidelity tier every engine run in the campaign uses
+    /// (cycle-approximate by default).
     pub fidelity: TierConfig,
 }
 
@@ -62,7 +61,7 @@ impl Default for ExperimentConfig {
                 Gem5Model::Ex5BigFixed,
             ],
             threads: gemstone_stats::threads::worker_threads(),
-            fidelity: TierConfig::from_env(),
+            fidelity: TierConfig::default(),
         }
     }
 }

@@ -209,7 +209,7 @@ fn lance_williams(
 /// the slot with the smaller index, a slot index is exactly the minimum
 /// original observation index of its cluster; merges are recorded as slot
 /// pairs, sorted by height and relabelled so the output follows the same
-/// convention as the greedy reference: `a` is the cluster containing the
+/// convention as greedy agglomeration: `a` is the cluster containing the
 /// smaller minimum original index, and step `t` creates node `n + t`.
 fn nn_chain(n: usize, d: &mut [f64], linkage: Linkage, ward: bool) -> Vec<Merge> {
     let mut size = vec![1usize; n];
@@ -286,7 +286,7 @@ fn nn_chain(n: usize, d: &mut [f64], linkage: Linkage, ward: bool) -> Vec<Merge>
         x
     }
     // Union-by-min keeps each root equal to the cluster's minimum original
-    // index, which is how the reference orders (a, b) within a merge.
+    // index, which is how greedy agglomeration orders (a, b) within a merge.
     let mut parent: Vec<usize> = (0..n).collect();
     let mut node_of: Vec<usize> = (0..n).collect();
     let mut merges = Vec::with_capacity(n - 1);
@@ -311,13 +311,13 @@ impl Hca {
     /// algorithm.
     ///
     /// All four linkages are *reducible*, so the chain algorithm produces
-    /// exactly the dendrogram of the greedy closest-pair reference
-    /// ([`Hca::new_reference`]); merges are reported in ascending height
-    /// order with the same node-labelling convention. When two distinct
-    /// merges happen at exactly equal heights their relative order may
-    /// differ from the reference (heights themselves can also differ in the
-    /// last few ulps because the Lance–Williams recurrence is evaluated in a
-    /// different order).
+    /// exactly the dendrogram of greedy closest-pair agglomeration (the
+    /// O(n³) textbook loop, kept in the unit tests as the reference);
+    /// merges are reported in ascending height order with the same
+    /// node-labelling convention. When two distinct merges happen at exactly
+    /// equal heights their relative order may differ from the greedy loop
+    /// (heights themselves can also differ in the last few ulps because the
+    /// Lance–Williams recurrence is evaluated in a different order).
     ///
     /// # Errors
     ///
@@ -342,82 +342,6 @@ impl Hca {
         }
         let merges = nn_chain(n, &mut d, linkage, ward);
         merges_counter().add(merges.len() as u64);
-        Ok(Hca { n, merges })
-    }
-
-    /// Greedy closest-pair agglomeration — the original O(n³) implementation,
-    /// retained as the reference for the chain algorithm (property tests and
-    /// benchmarks compare against it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Hca::new`].
-    pub fn new_reference(rows: &[Vec<f64>], metric: Metric, linkage: Linkage) -> Result<Hca> {
-        let n = validate_rows(rows)?;
-        // Full pairwise distance matrix. Ward operates on squared distances
-        // internally and reports sqrt at merge time.
-        let ward = linkage == Linkage::Ward;
-        let mut d = vec![vec![0.0_f64; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let mut dist = distance(&rows[i], &rows[j], metric)?;
-                if ward {
-                    dist *= dist;
-                }
-                d[i][j] = dist;
-                d[j][i] = dist;
-            }
-        }
-
-        // active[i] = Some(node_id); sizes indexed like `d`.
-        let mut node_id: Vec<usize> = (0..n).collect();
-        let mut size = vec![1usize; n];
-        let mut active = vec![true; n];
-        let mut merges = Vec::with_capacity(n - 1);
-
-        for step in 0..(n - 1) {
-            // Find the closest active pair.
-            let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-            for i in 0..n {
-                if !active[i] {
-                    continue;
-                }
-                for j in (i + 1)..n {
-                    if !active[j] {
-                        continue;
-                    }
-                    if d[i][j] < best.2 {
-                        best = (i, j, d[i][j]);
-                    }
-                }
-            }
-            let (i, j, dij) = best;
-            debug_assert!(i != usize::MAX, "no active pair found");
-
-            let height = if ward { dij.max(0.0).sqrt() } else { dij };
-            let new_size = size[i] + size[j];
-            merges.push(Merge {
-                a: node_id[i],
-                b: node_id[j],
-                height,
-                size: new_size,
-            });
-
-            // Lance–Williams update into slot i; deactivate j.
-            for k in 0..n {
-                if !active[k] || k == i || k == j {
-                    continue;
-                }
-                let new_d =
-                    lance_williams(linkage, d[i][k], d[j][k], dij, size[i], size[j], size[k]);
-                d[i][k] = new_d;
-                d[k][i] = new_d;
-            }
-            active[j] = false;
-            size[i] = new_size;
-            node_id[i] = n + step;
-        }
-
         Ok(Hca { n, merges })
     }
 
@@ -449,20 +373,6 @@ impl Hca {
         }
         // Apply the first (n - k) merges.
         self.labels_after(self.n - k)
-    }
-
-    /// Cuts the dendrogram at a distance threshold: merges with
-    /// `height <= h` are applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidArgument`] when `h` is NaN.
-    pub fn cut_height(&self, h: f64) -> Result<Vec<usize>> {
-        if h.is_nan() {
-            return Err(StatsError::InvalidArgument("cut_height: NaN threshold"));
-        }
-        let applied = self.merges.iter().take_while(|m| m.height <= h).count();
-        self.labels_after(applied)
     }
 
     /// Computes flat labels after applying the first `applied` merges.
@@ -531,6 +441,80 @@ impl Hca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::cases::{for_each_case, Cases};
+
+    impl Hca {
+        /// Greedy closest-pair agglomeration — the O(n³) textbook loop, the
+        /// reference the chain algorithm of [`Hca::new`] must reproduce.
+        fn new_reference(rows: &[Vec<f64>], metric: Metric, linkage: Linkage) -> Result<Hca> {
+            let n = validate_rows(rows)?;
+            // Full pairwise distance matrix. Ward operates on squared distances
+            // internally and reports sqrt at merge time.
+            let ward = linkage == Linkage::Ward;
+            let mut d = vec![vec![0.0_f64; n]; n];
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let mut dist = distance(&rows[i], &rows[j], metric)?;
+                    if ward {
+                        dist *= dist;
+                    }
+                    d[i][j] = dist;
+                    d[j][i] = dist;
+                }
+            }
+
+            // active[i] = Some(node_id); sizes indexed like `d`.
+            let mut node_id: Vec<usize> = (0..n).collect();
+            let mut size = vec![1usize; n];
+            let mut active = vec![true; n];
+            let mut merges = Vec::with_capacity(n - 1);
+
+            for step in 0..(n - 1) {
+                // Find the closest active pair.
+                let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
+                for i in 0..n {
+                    if !active[i] {
+                        continue;
+                    }
+                    for j in (i + 1)..n {
+                        if !active[j] {
+                            continue;
+                        }
+                        if d[i][j] < best.2 {
+                            best = (i, j, d[i][j]);
+                        }
+                    }
+                }
+                let (i, j, dij) = best;
+                debug_assert!(i != usize::MAX, "no active pair found");
+
+                let height = if ward { dij.max(0.0).sqrt() } else { dij };
+                let new_size = size[i] + size[j];
+                merges.push(Merge {
+                    a: node_id[i],
+                    b: node_id[j],
+                    height,
+                    size: new_size,
+                });
+
+                // Lance–Williams update into slot i; deactivate j.
+                for k in 0..n {
+                    if !active[k] || k == i || k == j {
+                        continue;
+                    }
+                    let new_d =
+                        lance_williams(linkage, d[i][k], d[j][k], dij, size[i], size[j], size[k]);
+                    d[i][k] = new_d;
+                    d[k][i] = new_d;
+                }
+                active[j] = false;
+                size[i] = new_size;
+                node_id[i] = n + step;
+            }
+
+            Ok(Hca { n, merges })
+        }
+    }
 
     fn three_groups() -> Vec<Vec<f64>> {
         vec![
@@ -576,23 +560,6 @@ mod tests {
         assert_eq!(sorted.len(), 7);
         assert!(hca.cut_k(0).is_err());
         assert!(hca.cut_k(8).is_err());
-    }
-
-    #[test]
-    fn cut_height_monotone() {
-        let hca = Hca::new(&three_groups(), Metric::Euclidean, Linkage::Complete).unwrap();
-        let low = hca.cut_height(0.01).unwrap();
-        let mid = hca.cut_height(1.0).unwrap();
-        let high = hca.cut_height(1e9).unwrap();
-        let count = |l: &[usize]| {
-            let mut s = l.to_vec();
-            s.sort_unstable();
-            s.dedup();
-            s.len()
-        };
-        assert!(count(&low) >= count(&mid));
-        assert_eq!(count(&high), 1);
-        assert!(hca.cut_height(f64::NAN).is_err());
     }
 
     #[test]
@@ -742,5 +709,57 @@ mod tests {
         assert_eq!(k, 3);
         assert!(hca.suggest_k(0, 3).is_err());
         assert!(hca.suggest_k(5, 3).is_err());
+    }
+
+    #[test]
+    fn hca_chain_matches_naive_reference() {
+        /// Hash noise in (−0.5, 0.5) per (row, column).
+        fn jitter(i: usize, j: usize) -> f64 {
+            let h = (i as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((j as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+            let h = (h ^ (h >> 31)).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            ((h >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
+        }
+        for_each_case(256, 0x57A7_5EED, |seed| {
+            let mut g = Cases::new(seed);
+            let rows: Vec<Vec<f64>> =
+                g.vec(4..20, |g| (0..4).map(|_| g.f64_in(-10.0, 10.0)).collect());
+            // Jitter breaks exact distance ties — the one case where the two
+            // (both correct) agglomeration orders may legitimately differ.
+            let jittered: Vec<Vec<f64>> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    r.iter()
+                        .enumerate()
+                        .map(|(j, v)| v + 1e-6 * jitter(i, j))
+                        .collect()
+                })
+                .collect();
+            for linkage in [
+                Linkage::Single,
+                Linkage::Complete,
+                Linkage::Average,
+                Linkage::Ward,
+            ] {
+                let fast = Hca::new(&jittered, Metric::Euclidean, linkage).unwrap();
+                let slow = Hca::new_reference(&jittered, Metric::Euclidean, linkage).unwrap();
+                assert_eq!(fast.merges().len(), slow.merges().len());
+                for (a, b) in fast.merges().iter().zip(slow.merges()) {
+                    assert_eq!((a.a, a.b, a.size), (b.a, b.b, b.size));
+                    assert!(
+                        (a.height - b.height).abs() <= 1e-9 * b.height.abs().max(1.0),
+                        "height {} vs {}",
+                        a.height,
+                        b.height
+                    );
+                }
+                // Every flat cut agrees too.
+                for k in 1..=jittered.len() {
+                    assert_eq!(fast.cut_k(k).unwrap(), slow.cut_k(k).unwrap());
+                }
+            }
+        });
     }
 }

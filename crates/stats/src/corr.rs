@@ -1,4 +1,5 @@
-//! Pearson and Spearman correlation, plus correlation matrices.
+//! Pearson correlation, pairwise and as a sweep of many columns against one
+//! target.
 //!
 //! GemStone correlates every hardware PMC event rate (and every gem5
 //! statistic) with the execution-time MPE to locate sources of error
@@ -89,25 +90,6 @@ fn pearson_against(x: &[f64], y: &[f64], my: f64, syy: f64) -> f64 {
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
-fn validate_sweep_column(
-    x: &[f64],
-    y: &[f64],
-    mismatch_context: &'static str,
-    nonfinite: &'static str,
-) -> Result<()> {
-    if x.len() != y.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: mismatch_context,
-            expected: x.len(),
-            actual: y.len(),
-        });
-    }
-    if x.iter().any(|v| !v.is_finite()) {
-        return Err(StatsError::InvalidArgument(nonfinite));
-    }
-    Ok(())
-}
-
 /// Pearson correlation of every column against one shared target, as in the
 /// Fig. 5 / §IV-C sweeps where thousands of event rates are correlated with
 /// the MPE.
@@ -134,107 +116,19 @@ pub fn pearson_sweep(columns: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>> {
     sweep_columns_counter().add(columns.len() as u64);
     let (my, syy) = target_stats(y);
     let per_col = parallel_map(columns, |_, x| -> Result<f64> {
-        validate_sweep_column(x, y, "pearson", "pearson: non-finite input")?;
+        if x.len() != y.len() {
+            return Err(StatsError::DimensionMismatch {
+                context: "pearson",
+                expected: x.len(),
+                actual: y.len(),
+            });
+        }
+        if x.iter().any(|v| !v.is_finite()) {
+            return Err(StatsError::InvalidArgument("pearson: non-finite input"));
+        }
         Ok(pearson_against(x, y, my, syy))
     });
     per_col.into_iter().collect()
-}
-
-/// Spearman rank correlation of every column against one shared target.
-///
-/// The target is ranked once (the pairwise [`spearman`] re-ranks it per
-/// call), and columns are processed in parallel as in [`pearson_sweep`].
-/// Result `j` is bit-identical to `spearman(&columns[j], y)`.
-///
-/// # Errors
-///
-/// Same conditions as [`spearman`], applied per column; the first failing
-/// column (in index order) determines the error.
-pub fn spearman_sweep(columns: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>> {
-    if y.iter().any(|v| !v.is_finite()) {
-        return Err(StatsError::InvalidArgument("spearman: non-finite input"));
-    }
-    if y.len() < 2 {
-        return Err(StatsError::NotEnoughData {
-            needed: 2,
-            available: y.len(),
-        });
-    }
-    sweep_columns_counter().add(columns.len() as u64);
-    let ry = ranks(y);
-    let (my, syy) = target_stats(&ry);
-    let per_col = parallel_map(columns, |_, x| -> Result<f64> {
-        validate_sweep_column(x, y, "spearman", "spearman: non-finite input")?;
-        Ok(pearson_against(&ranks(x), &ry, my, syy))
-    });
-    per_col.into_iter().collect()
-}
-
-/// Assigns fractional ranks (average rank for ties), 1-based.
-fn ranks(v: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..v.len()).collect();
-    idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut out = vec![0.0; v.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && v[idx[j + 1]] == v[idx[i]] {
-            j += 1;
-        }
-        // Average rank for the tie group [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation coefficient.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() != y.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "spearman",
-            expected: x.len(),
-            actual: y.len(),
-        });
-    }
-    if x.iter().chain(y).any(|v| !v.is_finite()) {
-        return Err(StatsError::InvalidArgument("spearman: non-finite input"));
-    }
-    pearson(&ranks(x), &ranks(y))
-}
-
-/// Pairwise Pearson correlation matrix of the given columns
-/// (`columns[j]` is variable *j* observed over the same n rows).
-///
-/// Rows of the upper triangle are computed on
-/// [`crate::threads::worker_threads`] scoped workers; each pair still goes
-/// through [`pearson`], so every entry is identical to a serial computation.
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`], applied pairwise.
-pub fn correlation_matrix(columns: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-    let k = columns.len();
-    let upper = parallel_map(columns, |i, ci| -> Result<Vec<f64>> {
-        ((i + 1)..k).map(|j| pearson(ci, &columns[j])).collect()
-    });
-    let mut m = vec![vec![0.0; k]; k];
-    for (i, row) in upper.into_iter().enumerate() {
-        m[i][i] = 1.0;
-        for (off, r) in row?.into_iter().enumerate() {
-            let j = i + 1 + off;
-            m[i][j] = r;
-            m[j][i] = r;
-        }
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -275,28 +169,6 @@ mod tests {
         assert!(pearson(&[1.0, f64::NAN], &[2.0, 3.0]).is_err());
     }
 
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        let x = [1.0_f64, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        assert!(approx(spearman(&x, &y).unwrap(), 1.0, 1e-12));
-        // Pearson is below 1 for this convex relation.
-        assert!(pearson(&x, &y).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [10.0, 20.0, 20.0, 30.0];
-        assert!(approx(spearman(&x, &y).unwrap(), 1.0, 1e-12));
-    }
-
-    #[test]
-    fn ranks_average_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 5.0]);
-        assert_eq!(r, vec![2.0, 3.5, 3.5, 1.0]);
-    }
-
     /// Deterministic pseudo-noise in [-0.5, 0.5).
     fn hash_noise(i: usize) -> f64 {
         let h = (i as u64)
@@ -307,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_are_bit_identical_to_pairwise() {
+    fn sweep_is_bit_identical_to_pairwise() {
         let n = 23;
         let y: Vec<f64> = (0..n).map(|i| hash_noise(i + 7_000) * 4.0).collect();
         let cols: Vec<Vec<f64>> = (0..37)
@@ -318,12 +190,10 @@ mod tests {
             })
             .collect();
         let ps = pearson_sweep(&cols, &y).unwrap();
-        let ss = spearman_sweep(&cols, &y).unwrap();
         for (j, col) in cols.iter().enumerate() {
-            // Exact equality on purpose: the sweeps promise bit-identical
-            // results to the pairwise functions.
+            // Exact equality on purpose: the sweep promises bit-identical
+            // results to the pairwise function.
             assert_eq!(ps[j], pearson(col, &y).unwrap(), "pearson col {j}");
-            assert_eq!(ss[j], spearman(col, &y).unwrap(), "spearman col {j}");
         }
     }
 
@@ -333,28 +203,7 @@ mod tests {
         assert!(pearson_sweep(&[vec![1.0, 2.0]], &y).is_err());
         assert!(pearson_sweep(&[vec![1.0, f64::NAN, 2.0]], &y).is_err());
         assert!(pearson_sweep(&[], &[1.0]).is_err());
-        assert!(spearman_sweep(&[vec![1.0, 2.0]], &y).is_err());
-        assert!(spearman_sweep(&[vec![1.0, 2.0, 3.0]], &[1.0, f64::NAN, 2.0]).is_err());
         // Empty column set over a valid target is fine.
         assert_eq!(pearson_sweep(&[], &y).unwrap(), Vec::<f64>::new());
-        assert_eq!(spearman_sweep(&[], &y).unwrap(), Vec::<f64>::new());
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // indexing mirrors the maths
-    fn correlation_matrix_is_symmetric_unit_diag() {
-        let cols = vec![
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![4.0, 3.0, 2.0, 1.0],
-            vec![1.0, -1.0, 1.0, -1.0],
-        ];
-        let m = correlation_matrix(&cols).unwrap();
-        for i in 0..3 {
-            assert_eq!(m[i][i], 1.0);
-            for j in 0..3 {
-                assert!(approx(m[i][j], m[j][i], 1e-15));
-            }
-        }
-        assert!(approx(m[0][1], -1.0, 1e-12));
     }
 }

@@ -1,6 +1,6 @@
 //! Special functions and probability distributions needed for OLS inference:
-//! log-gamma, the regularised incomplete beta function, and the Student-*t*,
-//! *F* and normal distributions.
+//! log-gamma, the regularised incomplete beta function, and the Student-*t*
+//! and *F* distributions.
 //!
 //! The *p*-values of §IV-D and §V of the paper ("terms with *p*-values above
 //! 0.05 are not statistically significant") are two-sided *t*-tests computed
@@ -189,25 +189,6 @@ pub fn f_cdf(f: f64, d1: f64, d2: f64) -> Result<f64> {
     inc_beta(d1 / 2.0, d2 / 2.0, x)
 }
 
-/// Standard normal CDF via the Abramowitz–Stegun `erf` approximation
-/// (|error| < 1.5e-7).
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-}
-
-/// Error function approximation (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,22 +279,6 @@ mod tests {
         }
         // F_{0.95}(2, 10) ≈ 4.103.
         assert!(approx(f_cdf(4.103, 2.0, 10.0).unwrap(), 0.95, 1e-3));
-    }
-
-    #[test]
-    fn normal_cdf_values() {
-        assert!(approx(normal_cdf(0.0), 0.5, 1e-7));
-        assert!(approx(normal_cdf(1.96), 0.975, 1e-4));
-        assert!(approx(normal_cdf(-1.96), 0.025, 1e-4));
-    }
-
-    #[test]
-    fn erf_odd_function() {
-        for &x in &[0.1, 0.5, 1.0, 2.0] {
-            assert!(approx(erf(x) + erf(-x), 0.0, 1e-12));
-        }
-        assert!(approx(erf(0.0), 0.0, 1e-7));
-        assert!(approx(erf(3.0), 0.999_977_9, 1e-5));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   factors.
 //! * **Stepwise forward selection** ([`stepwise`]) — the §IV-D automatic
 //!   event-selection procedure (maximise R², stop on *p* > 0.05).
-//! * **Correlation analysis** ([`corr`]) — Pearson/Spearman correlations of
-//!   PMC event rates against modelling error (Fig. 5).
+//! * **Correlation analysis** ([`corr`]) — Pearson correlations of PMC
+//!   event rates against modelling error (Fig. 5).
 //! * **Hierarchical cluster analysis** ([`cluster`]) — agglomerative HCA used
 //!   to group workloads (Fig. 3) and events (Fig. 5, §IV-C).
 //!

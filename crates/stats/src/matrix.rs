@@ -2,7 +2,7 @@
 //! OLS machinery.
 //!
 //! Only what the GemStone statistics need is implemented: construction,
-//! element access, transpose, multiplication, QR least squares and the
+//! element access, the matrix–vector product, QR least squares and the
 //! upper-triangular inverse required for coefficient covariance estimation.
 //!
 //! # Examples
@@ -11,8 +11,7 @@
 //! use gemstone_stats::matrix::Matrix;
 //!
 //! let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-//! let b = a.matmul(&Matrix::identity(2)).unwrap();
-//! assert_eq!(a, b);
+//! assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
 //! ```
 
 use crate::{Result, StatsError};
@@ -37,15 +36,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows.checked_mul(cols).expect("matrix size overflow")],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Builds a matrix from row slices.
@@ -81,18 +71,6 @@ impl Matrix {
             rows: nrows,
             cols: ncols,
             data,
-        })
-    }
-
-    /// Builds a single-column matrix from a vector.
-    pub fn column_vector(v: &[f64]) -> Result<Self> {
-        if v.is_empty() {
-            return Err(StatsError::InvalidArgument("empty column vector"));
-        }
-        Ok(Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
         })
     }
 
@@ -140,133 +118,14 @@ impl Matrix {
 
     /// Returns column `c` as an owned vector.
     ///
-    /// Prefer [`Matrix::col_iter`] in hot paths — it walks the column without
-    /// allocating.
-    ///
     /// # Panics
     ///
     /// Panics if `c >= cols`.
     pub fn col(&self, c: usize) -> Vec<f64> {
-        self.col_iter(c).collect()
-    }
-
-    /// Iterates over column `c` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col_iter(&self, c: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
         assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows).map(move |r| self.data[r * self.cols + c])
-    }
-
-    /// Cache-block edge for [`Matrix::transpose`] and [`Matrix::matmul`]:
-    /// 32×32 `f64` tiles (8 KiB) sit comfortably in L1.
-    const BLOCK: usize = 32;
-
-    /// Returns the transpose (cache-blocked).
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for rb in (0..self.rows).step_by(Self::BLOCK) {
-            for cb in (0..self.cols).step_by(Self::BLOCK) {
-                for r in rb..(rb + Self::BLOCK).min(self.rows) {
-                    for c in cb..(cb + Self::BLOCK).min(self.cols) {
-                        t.data[c * self.rows + r] = self.data[r * self.cols + c];
-                    }
-                }
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self · other` (cache-blocked i-k-j loop; for each
-    /// output element the k-accumulation order matches the naive loop, so
-    /// results are bit-identical to an unblocked multiply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when the inner dimensions
-    /// differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(StatsError::DimensionMismatch {
-                context: "Matrix::matmul",
-                expected: self.cols,
-                actual: other.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let (n, k_dim, m) = (self.rows, self.cols, other.cols);
-        for kb in (0..k_dim).step_by(Self::BLOCK) {
-            let kend = (kb + Self::BLOCK).min(k_dim);
-            for r in 0..n {
-                let arow = &self.data[r * k_dim..(r + 1) * k_dim];
-                let orow = &mut out.data[r * m..(r + 1) * m];
-                for (k, &a) in arow[kb..kend].iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = &other.data[(kb + k) * m..(kb + k + 1) * m];
-                    for (o, &b) in orow.iter_mut().zip(brow) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Computes `selfᵀ · self` directly, without materialising the transpose.
-    /// Exploits symmetry: only the upper triangle is accumulated.
-    pub fn xtx(&self) -> Matrix {
-        let (n, k) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(k, k);
-        for r in 0..n {
-            let row = &self.data[r * k..(r + 1) * k];
-            for i in 0..k {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let acc = &mut out.data[i * k + i..i * k + k];
-                for (o, &b) in acc.iter_mut().zip(&row[i..k]) {
-                    *o += a * b;
-                }
-            }
-        }
-        for i in 0..k {
-            for j in (i + 1)..k {
-                out.data[j * k + i] = out.data[i * k + j];
-            }
-        }
-        out
-    }
-
-    /// Computes `selfᵀ · y` directly, without materialising the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `y.len() != rows`.
-    pub fn xty(&self, y: &[f64]) -> Result<Vec<f64>> {
-        if y.len() != self.rows {
-            return Err(StatsError::DimensionMismatch {
-                context: "Matrix::xty",
-                expected: self.rows,
-                actual: y.len(),
-            });
-        }
-        let k = self.cols;
-        let mut out = vec![0.0; k];
-        for (r, &v) in y.iter().enumerate() {
-            if v == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * k..(r + 1) * k];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += v * a;
-            }
-        }
-        Ok(out)
+        (0..self.rows)
+            .map(|r| self.data[r * self.cols + c])
+            .collect()
     }
 
     /// Matrix–vector product `self · v`.
@@ -368,7 +227,7 @@ impl Qr {
     }
 
     /// Returns the diagonal of `R`.
-    pub fn r_diag(&self) -> Vec<f64> {
+    fn r_diag(&self) -> Vec<f64> {
         (0..self.packed.cols())
             .map(|j| self.packed.get(j, j))
             .collect()
@@ -390,36 +249,11 @@ impl Qr {
                 actual: b.len(),
             });
         }
-        let mut x = vec![0.0; k];
-        let mut work = Vec::new();
-        self.solve_into(b, &mut work, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`Qr::solve`] with caller-provided scratch (`work`) and output (`x`)
-    /// buffers, for repeated solves against one factorisation without
-    /// per-call allocation. Both buffers are resized as needed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Qr::solve`].
-    #[allow(clippy::needless_range_loop)] // indexing mirrors the maths
-    pub fn solve_into(&self, b: &[f64], work: &mut Vec<f64>, x: &mut Vec<f64>) -> Result<()> {
-        let (n, k) = (self.packed.rows(), self.packed.cols());
-        if b.len() != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "Qr::solve",
-                expected: n,
-                actual: b.len(),
-            });
-        }
-        work.clear();
-        work.extend_from_slice(b);
-        self.apply_qt(work);
+        let mut work = b.to_vec();
+        self.apply_qt(&mut work);
         // Back substitution on R x = work[..k].
         let tol = self.singularity_tolerance();
-        x.clear();
-        x.resize(k, 0.0);
+        let mut x = vec![0.0; k];
         for j in (0..k).rev() {
             let d = self.packed.get(j, j);
             if d.abs() <= tol {
@@ -431,7 +265,7 @@ impl Qr {
             }
             x[j] = s / d;
         }
-        Ok(())
+        Ok(x)
     }
 
     /// Computes `(XᵀX)⁻¹ = R⁻¹ R⁻ᵀ` — the unscaled covariance of OLS
@@ -535,14 +369,14 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_identity() {
-        let z = Matrix::zeros(2, 3);
+    fn zeros_and_accessors() {
+        let mut z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
         assert_eq!(z.get(1, 2), 0.0);
-        let i = Matrix::identity(3);
-        assert_eq!(i.get(0, 0), 1.0);
-        assert_eq!(i.get(0, 1), 0.0);
+        z.set(1, 2, 4.0);
+        assert_eq!(z.row(1), &[0.0, 0.0, 4.0]);
+        assert_eq!(z.col(2), vec![0.0, 4.0]);
     }
 
     #[test]
@@ -555,35 +389,6 @@ mod tests {
     fn from_rows_rejects_empty() {
         assert!(Matrix::from_rows(&[]).is_err());
         assert!(Matrix::from_rows(&[vec![]]).is_err());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a.matmul(&Matrix::identity(2)).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_known() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
     }
 
     #[test]
@@ -643,12 +448,12 @@ mod tests {
         .unwrap();
         let qr = Qr::new(&a).unwrap();
         let inv = qr.xtx_inverse().unwrap();
-        let xtx = a.transpose().matmul(&a).unwrap();
-        let prod = xtx.matmul(&inv).unwrap();
+        let xtx = |i: usize, j: usize| (0..4).map(|r| a.get(r, i) * a.get(r, j)).sum::<f64>();
         for i in 0..2 {
             for j in 0..2 {
+                let prod: f64 = (0..2).map(|l| xtx(i, l) * inv.get(l, j)).sum();
                 let want = if i == j { 1.0 } else { 0.0 };
-                assert!(approx(prod.get(i, j), want, 1e-9), "prod = {prod:?}");
+                assert!(approx(prod, want, 1e-9), "({i}, {j}): {prod}");
             }
         }
     }
@@ -662,86 +467,16 @@ mod tests {
         }
     }
 
-    fn counting_matrix(rows: usize, cols: usize) -> Matrix {
-        let mut m = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m.set(r, c, (r * cols + c) as f64 * 0.37 - 3.0);
-            }
-        }
-        m
-    }
-
     #[test]
-    fn col_iter_matches_col() {
-        let m = counting_matrix(5, 3);
-        for c in 0..3 {
-            assert_eq!(m.col_iter(c).collect::<Vec<_>>(), m.col(c));
-            assert_eq!(m.col_iter(c).len(), 5);
-        }
-    }
-
-    #[test]
-    fn blocked_transpose_and_matmul_beyond_block_size() {
-        // 70 > BLOCK exercises partial edge tiles.
-        let a = counting_matrix(70, 41);
-        let t = a.transpose();
-        for r in 0..70 {
-            for c in 0..41 {
-                assert_eq!(t.get(c, r), a.get(r, c));
-            }
-        }
-        let b = counting_matrix(41, 35);
-        let fast = a.matmul(&b).unwrap();
-        // Naive reference product.
-        for r in (0..70).step_by(13) {
-            for c in (0..35).step_by(7) {
-                let want: f64 = (0..41).map(|k| a.get(r, k) * b.get(k, c)).sum();
-                assert!(approx(fast.get(r, c), want, 1e-9 * want.abs().max(1.0)));
-            }
-        }
-    }
-
-    #[test]
-    fn xtx_xty_match_explicit_transpose_products() {
-        let a = counting_matrix(40, 7);
-        let xtx = a.xtx();
-        let want = a.transpose().matmul(&a).unwrap();
-        for i in 0..7 {
-            for j in 0..7 {
-                assert!(approx(xtx.get(i, j), want.get(i, j), 1e-9));
-            }
-        }
-        let y: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
-        let xty = a.xty(&y).unwrap();
-        let want = a.transpose().matvec(&y).unwrap();
-        for (got, want) in xty.iter().zip(&want) {
-            assert!(approx(*got, *want, 1e-9));
-        }
-        assert!(a.xty(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn solve_into_reuses_buffers() {
+    fn solve_reuses_one_factorisation_and_checks_length() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
         let qr = Qr::new(&a).unwrap();
-        let mut work = Vec::new();
-        let mut x = Vec::new();
-        qr.solve_into(&[1.0, 2.0, 3.0], &mut work, &mut x).unwrap();
+        let x = qr.solve(&[1.0, 2.0, 3.0]).unwrap();
         assert!(approx(x[0], 1.0, 1e-9));
         assert!(approx(x[1], 2.0, 1e-9));
-        qr.solve_into(&[2.0, 4.0, 6.0], &mut work, &mut x).unwrap();
+        let x = qr.solve(&[2.0, 4.0, 6.0]).unwrap();
         assert!(approx(x[0], 2.0, 1e-9));
         assert!(approx(x[1], 4.0, 1e-9));
-        assert!(qr.solve_into(&[1.0], &mut work, &mut x).is_err());
-    }
-
-    #[test]
-    fn column_vector_and_accessors() {
-        let c = Matrix::column_vector(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.cols(), 1);
-        assert_eq!(c.col(0), vec![1.0, 2.0, 3.0]);
-        assert!(Matrix::column_vector(&[]).is_err());
+        assert!(qr.solve(&[1.0]).is_err());
     }
 }

@@ -147,12 +147,6 @@ pub fn mean(v: &[f64]) -> Option<f64> {
     }
 }
 
-/// Population standard deviation (`None` when empty).
-pub fn std_dev(v: &[f64]) -> Option<f64> {
-    let m = mean(v)?;
-    Some((v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / v.len() as f64).sqrt())
-}
-
 /// Median (`None` when empty). Sorts a copy.
 pub fn median(v: &[f64]) -> Option<f64> {
     if v.is_empty() {
@@ -222,8 +216,6 @@ mod tests {
     fn summary_helpers() {
         assert_eq!(mean(&[]), None);
         assert!(approx(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0, 1e-12));
-        assert!(approx(std_dev(&[2.0, 2.0]).unwrap(), 0.0, 1e-12));
-        assert!(approx(std_dev(&[1.0, 3.0]).unwrap(), 1.0, 1e-12));
         assert_eq!(median(&[]), None);
         assert!(approx(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0, 1e-12));
         assert!(approx(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5, 1e-12));

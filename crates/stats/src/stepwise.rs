@@ -23,9 +23,8 @@
 //! across [`crate::threads::worker_threads`] workers with deterministic
 //! reduction order. Each step's *winner* is then refitted through the full
 //! QR path ([`Ols::fit`]), so the returned model, R² trajectory and
-//! stopping decisions are computed exactly as in the reference
-//! implementation; debug builds additionally assert each step's choice
-//! against [`forward_select_reference`].
+//! stopping decisions are exactly those of a from-scratch scan that refits
+//! every candidate by QR at every step; the unit tests hold the two equal.
 //!
 //! # Examples
 //!
@@ -109,7 +108,7 @@ impl Selection {
     }
 }
 
-/// Shared input validation for both selection paths.
+/// Input validation for [`forward_select`].
 fn validate_inputs(candidates: &[Candidate], y: &[f64]) -> Result<usize> {
     if candidates.is_empty() {
         return Err(StatsError::InvalidArgument(
@@ -133,49 +132,6 @@ fn validate_inputs(candidates: &[Candidate], y: &[f64]) -> Result<usize> {
         }
     }
     Ok(n)
-}
-
-/// One reference scan step: fit every unselected candidate on top of the
-/// current selection with a fresh QR and pick the best significant R².
-fn scan_step_qr(
-    candidates: &[Candidate],
-    y: &[f64],
-    selected: &[usize],
-    opts: &StepwiseOptions,
-) -> (Option<(usize, Ols)>, bool, Option<StatsError>) {
-    let n = y.len();
-    let mut best_step: Option<(usize, Ols)> = None;
-    let mut any_fit = false;
-    let mut last_err: Option<StatsError> = None;
-    for ci in 0..candidates.len() {
-        if selected.contains(&ci) {
-            continue;
-        }
-        let cols: Vec<usize> = selected.iter().copied().chain([ci]).collect();
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|row| cols.iter().map(|&c| candidates[c].values[row]).collect())
-            .collect();
-        let names: Vec<String> = cols.iter().map(|&c| candidates[c].name.clone()).collect();
-        match Ols::fit(&x, y, &names) {
-            Ok(fit) => {
-                any_fit = true;
-                if let Some(pmax) = fit.max_predictor_p_value() {
-                    if pmax > opts.p_threshold {
-                        continue;
-                    }
-                }
-                let better = match &best_step {
-                    None => true,
-                    Some((_, b)) => fit.r_squared > b.r_squared,
-                };
-                if better {
-                    best_step = Some((ci, fit));
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    (best_step, any_fit, last_err)
 }
 
 /// Refits the current selection plus candidate `ci` through the full QR
@@ -230,6 +186,31 @@ fn map_candidates<T: Sync, U: Send>(items: &[T], f: impl Fn(usize, &T) -> U + Sy
     } else {
         parallel_map(items, f)
     }
+}
+
+/// The returned [`Selection`]: the last accepted model, or the
+/// intercept-only model when nothing was selected.
+fn finish(
+    candidates: &[Candidate],
+    y: &[f64],
+    selected: Vec<usize>,
+    best_model: Option<Ols>,
+    r2_path: Vec<f64>,
+) -> Result<Selection> {
+    let model = match best_model {
+        Some(m) => m,
+        None => Ols::fit(&vec![vec![]; y.len()], y, &[])?,
+    };
+    let names = selected
+        .iter()
+        .map(|&i| candidates[i].name.clone())
+        .collect();
+    Ok(Selection {
+        selected,
+        names,
+        model,
+        r2_path,
+    })
 }
 
 /// Incrementally-maintained Gram state of the fast scan.
@@ -291,8 +272,8 @@ impl GramScan {
     ///
     /// Centring removes the intercept and unit-normalising every column
     /// makes the Gram a correlation matrix, whose conditioning matches the
-    /// QR reference closely; predictor *t*/*p*-values are scale-invariant,
-    /// so they equal the reference values up to rounding.
+    /// QR fit closely; predictor *t*/*p*-values are scale-invariant,
+    /// so they equal the QR values up to rounding.
     fn eval(&self, j: usize, n: usize) -> Result<StepEval> {
         let (ry_j, cross_j) = match &self.cand[j] {
             CandState::Usable { ry, .. } => (*ry, &self.crosses[j]),
@@ -431,9 +412,9 @@ impl GramScan {
 ///
 /// Candidates are scored through the shared Gram state (see the module
 /// docs); each accepted term is refitted through [`Ols::fit`], so the
-/// returned model and R² path match [`forward_select_reference`]
-/// bit-for-bit whenever both paths choose the same candidates (debug builds
-/// assert that they do).
+/// returned model and R² path are those of the QR fits of the chosen
+/// candidates, bit for bit. A constant response selects nothing and
+/// returns the intercept-only model.
 ///
 /// # Errors
 ///
@@ -450,10 +431,10 @@ pub fn forward_select(
 ) -> Result<Selection> {
     let n = validate_inputs(candidates, y)?;
     if y.iter().any(|v| !v.is_finite()) {
-        // The reference path surfaces the error of the last candidate it
-        // tried; with a non-finite response every fit fails, on the
-        // predictor check when that candidate is itself non-finite and on
-        // the response check otherwise.
+        // A QR scan surfaces the error of the last candidate it tried; with
+        // a non-finite response every fit fails, on the predictor check
+        // when that candidate is itself non-finite and on the response
+        // check otherwise.
         let last_nonfinite = candidates
             .last()
             .is_some_and(|c| c.values.iter().any(|v| !v.is_finite()));
@@ -466,10 +447,9 @@ pub fn forward_select(
 
     let mut gram = GramScan::new(candidates, y);
     if gram.syy == 0.0 {
-        // A constant response makes every fit's t statistics pure rounding
-        // noise in the QR path; the exact-zero Gram arithmetic cannot
-        // reproduce that noise, so defer the degenerate case wholesale.
-        return forward_select_reference(candidates, y, opts);
+        // A constant response leaves nothing to explain: every fit's t
+        // statistics would be rounding noise.
+        return finish(candidates, y, Vec::new(), None, Vec::new());
     }
     let mut excluded = vec![false; candidates.len()];
     let mut selected: Vec<usize> = Vec::new();
@@ -524,29 +504,6 @@ pub fn forward_select(
             }
         }
 
-        #[cfg(debug_assertions)]
-        {
-            // Exact ties (collinear candidates reaching the same R² to
-            // machine precision) may be broken differently by the Gram and
-            // QR paths; only a materially better or worse winner is a real
-            // disagreement.
-            let (ref_best, _, _) = scan_step_qr(candidates, y, &selected, opts);
-            let agree = match (&best_step, &ref_best) {
-                (Some((gi, gr2)), Some((qi, qfit))) => {
-                    gi == qi || (gr2 - qfit.r_squared).abs() <= 1e-9 * qfit.r_squared.abs().max(1.0)
-                }
-                (None, None) => true,
-                _ => false,
-            };
-            debug_assert!(
-                agree,
-                "Gram scan disagrees with the QR reference at step {}: gram {:?}, qr {:?}",
-                selected.len(),
-                best_step,
-                ref_best.as_ref().map(|(ci, f)| (*ci, f.r_squared))
-            );
-        }
-
         let Some((ci, _)) = best_step else {
             if best_model.is_none() && !any_fit {
                 return Err(last_err.unwrap_or(StatsError::Singular));
@@ -555,13 +512,13 @@ pub fn forward_select(
         };
 
         // Refit the winner through the full QR path: the recorded model and
-        // R² trajectory are exactly the reference implementation's values.
+        // R² trajectory are exactly the QR fits' values.
         let fit = match fit_subset(candidates, y, &selected, ci) {
             Ok(fit) => fit,
             Err(e) => {
                 // Numerical disagreement between the Gram score and the QR
-                // refit (borderline collinearity): drop the candidate, as
-                // the reference scan would have.
+                // refit (borderline collinearity): drop the candidate, as a
+                // QR scan would have.
                 last_err = Some(e);
                 excluded[ci] = true;
                 continue;
@@ -582,101 +539,103 @@ pub fn forward_select(
         }
     }
 
-    let model = match best_model {
-        Some(m) => m,
-        // Nothing selected: fall back to the intercept-only model.
-        None => Ols::fit(&vec![vec![]; n], y, &[])?,
-    };
-    let names = selected
-        .iter()
-        .map(|&i| candidates[i].name.clone())
-        .collect();
-    Ok(Selection {
-        selected,
-        names,
-        model,
-        r2_path,
-    })
-}
-
-/// The from-scratch reference implementation of forward selection: every
-/// candidate at every step is evaluated with a fresh full QR fit.
-///
-/// Retained for property tests, benchmarks and the per-step debug
-/// assertion inside [`forward_select`]; both functions implement the same
-/// selection rule and agree exactly on tie-free data.
-///
-/// # Errors
-///
-/// Same conditions as [`forward_select`].
-pub fn forward_select_reference(
-    candidates: &[Candidate],
-    y: &[f64],
-    opts: &StepwiseOptions,
-) -> Result<Selection> {
-    let n = validate_inputs(candidates, y)?;
-
-    let mut selected: Vec<usize> = Vec::new();
-    let mut best_model: Option<Ols> = None;
-    let mut r2_path = Vec::new();
-    let mut last_err: Option<StatsError> = None;
-    let mut any_fit = false;
-
-    loop {
-        if opts.max_terms > 0 && selected.len() >= opts.max_terms {
-            break;
-        }
-        // Out of residual degrees of freedom?
-        if n < selected.len() + 3 {
-            break;
-        }
-        let current_r2 = best_model.as_ref().map_or(0.0, |m| m.r_squared);
-
-        let (best_step, step_any_fit, step_err) = scan_step_qr(candidates, y, &selected, opts);
-        any_fit |= step_any_fit;
-        if let Some(e) = step_err {
-            last_err = Some(e);
-        }
-
-        let Some((ci, fit)) = best_step else {
-            if best_model.is_none() && !any_fit {
-                return Err(last_err.unwrap_or(StatsError::Singular));
-            }
-            break;
-        };
-
-        // Acceptance rule: meaningful R² gain.
-        if fit.r_squared - current_r2 < opts.min_r2_gain {
-            break;
-        }
-        selected.push(ci);
-        r2_path.push(fit.r_squared);
-        best_model = Some(fit);
-        if selected.len() == candidates.len() {
-            break;
-        }
-    }
-
-    let model = match best_model {
-        Some(m) => m,
-        // Nothing selected: fall back to the intercept-only model.
-        None => Ols::fit(&vec![vec![]; n], y, &[])?,
-    };
-    let names = selected
-        .iter()
-        .map(|&i| candidates[i].name.clone())
-        .collect();
-    Ok(Selection {
-        selected,
-        names,
-        model,
-        r2_path,
-    })
+    finish(candidates, y, selected, best_model, r2_path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::cases::{for_each_case, Cases};
+
+    /// The from-scratch reference: every candidate at every step is refitted
+    /// with a fresh QR. It applies the selection rule of [`forward_select`]
+    /// directly, so the two must agree on tie-free data.
+    fn forward_select_reference(
+        candidates: &[Candidate],
+        y: &[f64],
+        opts: &StepwiseOptions,
+    ) -> Result<Selection> {
+        let n = validate_inputs(candidates, y)?;
+        if GramScan::new(candidates, y).syy == 0.0 {
+            return finish(candidates, y, Vec::new(), None, Vec::new());
+        }
+
+        let mut selected: Vec<usize> = Vec::new();
+        let mut best_model: Option<Ols> = None;
+        let mut r2_path = Vec::new();
+        let mut last_err: Option<StatsError> = None;
+        let mut any_fit = false;
+
+        loop {
+            if opts.max_terms > 0 && selected.len() >= opts.max_terms {
+                break;
+            }
+            if n < selected.len() + 3 {
+                break;
+            }
+            let current_r2 = best_model.as_ref().map_or(0.0, |m| m.r_squared);
+
+            let (best_step, step_any_fit, step_err) = scan_step_qr(candidates, y, &selected, opts);
+            any_fit |= step_any_fit;
+            if let Some(e) = step_err {
+                last_err = Some(e);
+            }
+
+            let Some((ci, fit)) = best_step else {
+                if best_model.is_none() && !any_fit {
+                    return Err(last_err.unwrap_or(StatsError::Singular));
+                }
+                break;
+            };
+            if fit.r_squared - current_r2 < opts.min_r2_gain {
+                break;
+            }
+            selected.push(ci);
+            r2_path.push(fit.r_squared);
+            best_model = Some(fit);
+            if selected.len() == candidates.len() {
+                break;
+            }
+        }
+        finish(candidates, y, selected, best_model, r2_path)
+    }
+
+    /// One reference scan step: fit every unselected candidate on top of the
+    /// current selection and pick the best significant R².
+    fn scan_step_qr(
+        candidates: &[Candidate],
+        y: &[f64],
+        selected: &[usize],
+        opts: &StepwiseOptions,
+    ) -> (Option<(usize, Ols)>, bool, Option<StatsError>) {
+        let mut best_step: Option<(usize, Ols)> = None;
+        let mut any_fit = false;
+        let mut last_err: Option<StatsError> = None;
+        for ci in 0..candidates.len() {
+            if selected.contains(&ci) {
+                continue;
+            }
+            match fit_subset(candidates, y, selected, ci) {
+                Ok(fit) => {
+                    any_fit = true;
+                    if let Some(pmax) = fit.max_predictor_p_value() {
+                        if pmax > opts.p_threshold {
+                            continue;
+                        }
+                    }
+                    let better = match &best_step {
+                        None => true,
+                        Some((_, b)) => fit.r_squared > b.r_squared,
+                    };
+                    if better {
+                        best_step = Some((ci, fit));
+                    }
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
+        (best_step, any_fit, last_err)
+    }
 
     fn noise(i: usize) -> f64 {
         let h = (i as u64)
@@ -844,8 +803,8 @@ mod tests {
 
     #[test]
     fn fast_path_handles_constant_response() {
-        // Constant y: every candidate fits perfectly (r² = 1 by convention),
-        // both paths must agree.
+        // Constant y: nothing to explain, so nothing is selected and the
+        // model is the intercept alone, on both paths.
         let y = vec![5.0; 12];
         let cands: Vec<Candidate> = (0..3)
             .map(|c| {
@@ -856,8 +815,155 @@ mod tests {
             })
             .collect();
         let fast = forward_select(&cands, &y, &StepwiseOptions::default()).unwrap();
+        assert!(fast.selected.is_empty());
+        assert!(fast.selected_names().is_empty());
+        assert!(fast.r2_path.is_empty());
+        let intercept_only = Ols::fit(&vec![vec![]; 12], &y, &[]).unwrap();
+        assert_eq!(fast.model.k, 0);
+        assert_eq!(fast.model.coefficients, intercept_only.coefficients);
+        assert!((fast.model.coefficients[0] - 5.0).abs() < 1e-12);
         let slow = forward_select_reference(&cands, &y, &StepwiseOptions::default()).unwrap();
         assert_eq!(fast.selected, slow.selected);
         assert_eq!(fast.model.coefficients, slow.model.coefficients);
+    }
+
+    /// A fixture shaped like the §IV-D error regression: 45 workloads, and
+    /// as candidates the totals of 64 base event columns plus their rates
+    /// against seven per-row denominators (time, instructions, cycles, …),
+    /// with constant, non-finite and duplicate columns mixed in. Event counts scale
+    /// with each workload's size, so the totals are strongly correlated,
+    /// as they are on the board.
+    fn section_iv_d_fixture() -> (Vec<Candidate>, Vec<f64>) {
+        const ROWS: usize = 45;
+        const BASES: usize = 64;
+        const DENOMS: usize = 7;
+        let size: Vec<f64> = (0..ROWS)
+            .map(|i| 1e7 * (1.0 + 20.0 * (noise(i + 50_000) + 0.5)))
+            .collect();
+        let denoms: Vec<Vec<f64>> = (0..DENOMS)
+            .map(|d| {
+                (0..ROWS)
+                    .map(|i| size[i] * (0.5 + noise(i * 13 + d * 1_009 + 60_000) + 0.5))
+                    .collect()
+            })
+            .collect();
+        let bases: Vec<Vec<f64>> = (0..BASES)
+            .map(|b| {
+                let per_instr = 1e-3 * (1.0 + b as f64);
+                (0..ROWS)
+                    .map(|i| size[i] * per_instr * (1.0 + 0.8 * noise(i * 31 + b * 7_919 + 70_000)))
+                    .collect()
+            })
+            .collect();
+        let mut cands = Vec::new();
+        for (b, col) in bases.iter().enumerate() {
+            cands.push(Candidate::new(format!("e{b} (total)"), col.clone()));
+            for (d, den) in denoms.iter().enumerate() {
+                cands.push(Candidate::new(
+                    format!("e{b} (rate/{d})"),
+                    col.iter().zip(den).map(|(v, t)| v / t).collect(),
+                ));
+            }
+        }
+        for c in 0..3 {
+            cands.push(Candidate::new(
+                format!("const{c}"),
+                vec![1e6 * c as f64; ROWS],
+            ));
+        }
+        let mut nan = bases[3].clone();
+        nan[17] = f64::NAN;
+        cands.push(Candidate::new("e3 (nan)", nan));
+        let mut inf = bases[9].clone();
+        inf[0] = f64::INFINITY;
+        cands.push(Candidate::new("e9 (inf)", inf));
+        // Exact copies of the informative columns, as when two statistics
+        // count the same thing: ties the scan must break as the QR scan
+        // does, towards the lower index.
+        for name in ["e5 (rate/0)", "e40 (rate/3)", "e11 (total)"] {
+            let orig = cands.iter().find(|c| c.name == name).unwrap();
+            cands.push(Candidate::new(format!("{name} copy"), orig.values.clone()));
+        }
+        // The time difference: a few rates and a total, plus noise.
+        let y = (0..ROWS)
+            .map(|i| {
+                40.0 * bases[5][i] / denoms[0][i] - 25.0 * bases[40][i] / denoms[3][i]
+                    + 2e-7 * bases[11][i]
+                    + 0.3 * noise(i + 80_000)
+            })
+            .collect();
+        (cands, y)
+    }
+
+    #[test]
+    fn section_iv_d_shaped_selection_matches_reference_bitwise() {
+        let (cands, y) = section_iv_d_fixture();
+        assert!(cands.len() >= 500, "{} candidates", cands.len());
+        // The options the error regression runs with.
+        let opts = StepwiseOptions {
+            p_threshold: 0.05,
+            max_terms: 10,
+            ..StepwiseOptions::default()
+        };
+        let fast = forward_select(&cands, &y, &opts).unwrap();
+        let slow = forward_select_reference(&cands, &y, &opts).unwrap();
+        assert!(fast.selected.len() >= 3, "{:?}", fast.selected_names());
+        assert_eq!(fast.selected, slow.selected);
+        assert_eq!(fast.selected_names(), slow.selected_names());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast.r2_path), bits(&slow.r2_path));
+        assert_eq!(
+            bits(&fast.model.coefficients),
+            bits(&slow.model.coefficients)
+        );
+        for name in fast.selected_names() {
+            assert!(
+                !name.starts_with("const")
+                    && !name.ends_with("(nan)")
+                    && !name.ends_with("(inf)")
+                    && !name.ends_with("copy")
+            );
+        }
+    }
+
+    #[test]
+    fn stepwise_fast_matches_reference() {
+        for_each_case(256, 0x57A7_5EED, |seed| {
+            let mut g = Cases::new(seed);
+            let seed_rows: Vec<Vec<f64>> =
+                g.vec(12..32, |g| (0..6).map(|_| g.f64_in(-10.0, 10.0)).collect());
+            let c0 = g.f64_in(-5.0, 5.0);
+            let c1 = g.f64_in(-5.0, 5.0);
+            let cands: Vec<Candidate> = (0..6)
+                .map(|j| Candidate::new(format!("c{j}"), seed_rows.iter().map(|r| r[j]).collect()))
+                .collect();
+            let y: Vec<f64> = seed_rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| c0 * r[0] + c1 * r[1] + (i % 7) as f64 * 0.3)
+                .collect();
+            let opts = StepwiseOptions::default();
+            match (
+                forward_select(&cands, &y, &opts),
+                forward_select_reference(&cands, &y, &opts),
+            ) {
+                (Ok(fast), Ok(slow)) => {
+                    // Same candidates, in the same order, and the winner refit
+                    // makes the recorded model/path bit-identical.
+                    assert_eq!(&fast.selected, &slow.selected);
+                    assert_eq!(&fast.r2_path, &slow.r2_path);
+                    assert_eq!(fast.model.coefficients.len(), slow.model.coefficients.len());
+                    for (a, b) in fast.model.coefficients.iter().zip(&slow.model.coefficients) {
+                        assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!(
+                    "paths disagree on success: fast ok = {}, reference ok = {}",
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            }
+        });
     }
 }

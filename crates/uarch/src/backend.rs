@@ -23,10 +23,11 @@
 //!   instruction counts stay exact; micro-architectural event counts are
 //!   scaled from the detailed fraction.
 //!
-//! Tier selection is a [`TierConfig`], settable from the environment
-//! (`GEMSTONE_FIDELITY`, `GEMSTONE_SAMPLE_INTERVAL`, `GEMSTONE_SAMPLE_WINDOW`,
-//! `GEMSTONE_SAMPLE_WARMUP`) or the `--fidelity` CLI flag, and is part of
-//! the simulation-cache identity downstream.
+//! Tier selection is a [`TierConfig`], chosen by the `--fidelity` CLI flag
+//! (approx when absent), with the sampled tier's geometry settable from the
+//! environment (`GEMSTONE_SAMPLE_INTERVAL`, `GEMSTONE_SAMPLE_WINDOW`,
+//! `GEMSTONE_SAMPLE_WARMUP`); it is part of the simulation-cache identity
+//! downstream.
 //!
 //! # Examples
 //!
@@ -54,8 +55,6 @@ use crate::stats::{ClassCounts, SimStats};
 use std::fmt;
 use std::str::FromStr;
 
-/// Environment variable selecting the fidelity tier.
-pub const FIDELITY_ENV: &str = "GEMSTONE_FIDELITY";
 /// Environment variable: sampling period length in instructions.
 pub const SAMPLE_INTERVAL_ENV: &str = "GEMSTONE_SAMPLE_INTERVAL";
 /// Environment variable: detailed measurement window length in instructions.
@@ -207,22 +206,6 @@ impl TierConfig {
         TierConfig {
             fidelity: Fidelity::Sampled,
             sample,
-        }
-    }
-
-    /// Tier selection from `GEMSTONE_FIDELITY` / `GEMSTONE_SAMPLE_*`
-    /// (approx when unset).
-    pub fn from_env() -> Self {
-        let fidelity = gemstone_obs::env::parse_checked::<Fidelity>(
-            FIDELITY_ENV,
-            "one of atomic, approx or sampled",
-            "approx",
-            |_| true,
-        )
-        .unwrap_or_default();
-        TierConfig {
-            fidelity,
-            sample: SampleParams::from_env(),
         }
     }
 

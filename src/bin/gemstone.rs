@@ -31,13 +31,14 @@
 //! run.
 //!
 //! `validate`, `report`, `repro`, `collect`, `stats` and `profile` accept
-//! `--fidelity atomic|approx|sampled` to pick the execution tier; without
-//! the flag the tier comes from `GEMSTONE_FIDELITY` (default `approx`).
-//! The sampled tier's geometry is controlled by `GEMSTONE_SAMPLE_INTERVAL`,
-//! `GEMSTONE_SAMPLE_WINDOW` and `GEMSTONE_SAMPLE_WARMUP`.
+//! `--fidelity atomic|approx|sampled` to pick the execution tier (default
+//! `approx`). The sampled tier's geometry is controlled by
+//! `GEMSTONE_SAMPLE_INTERVAL`, `GEMSTONE_SAMPLE_WINDOW` and
+//! `GEMSTONE_SAMPLE_WARMUP`.
 //!
-//! Numeric flags are checked: `--scale` must lie in (0, 10], and a value
-//! that does not parse or is out of range is a usage error.
+//! Flag values are checked: `--scale` must lie in (0, 10], `--model` is one
+//! of `old`, `fixed` or `little`, `--cluster` one of `a7` or `a15`, and a
+//! value that does not parse or is out of range is a usage error.
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 unknown
 //! flag for the given subcommand.
@@ -98,6 +99,28 @@ impl Args {
         match v.parse() {
             Ok(n) if valid(&n) => Ok(n),
             _ => Err(format!("invalid --{key} value '{v}': expected {expected}")),
+        }
+    }
+
+    /// The one reader of enumerated flags: the value `choices` pairs with
+    /// `--key` (with `default` when the flag is absent), and a usage error
+    /// naming the flag for any other value.
+    fn choice<T: Copy>(
+        &self,
+        key: &str,
+        default: &str,
+        choices: &[(&str, T)],
+    ) -> Result<T, String> {
+        let v = self.get(key).unwrap_or(default);
+        match choices.iter().find(|(name, _)| *name == v) {
+            Some(&(_, t)) => Ok(t),
+            None => {
+                let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+                Err(format!(
+                    "invalid --{key} value '{v}': expected one of {}",
+                    names.join(", ")
+                ))
+            }
         }
     }
 
@@ -173,8 +196,8 @@ fn usage() -> ExitCode {
          \u{20}                                                      records (default 20%)\n\
          \n\
          validate, report, repro, collect, stats and profile also accept\n\
-         \u{20}  --fidelity atomic|approx|sampled   execution tier (default: GEMSTONE_FIDELITY\n\
-         \u{20}                                     or approx; sampled-tier geometry via\n\
+         \u{20}  --fidelity atomic|approx|sampled   execution tier (default: approx;\n\
+         \u{20}                                     sampled-tier geometry via\n\
          \u{20}                                     GEMSTONE_SAMPLE_{{INTERVAL,WINDOW,WARMUP}})\n\
          \n\
          validate, report, collect and profile also accept observability outputs:\n\
@@ -312,21 +335,35 @@ fn resolve_workload(name: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-fn parse_model(args: &Args) -> Gem5Model {
-    match args.get("model").unwrap_or("old") {
-        "fixed" => Gem5Model::Ex5BigFixed,
-        "little" => Gem5Model::Ex5Little,
-        _ => Gem5Model::Ex5BigOld,
-    }
+/// `--model old|fixed|little`, the gem5 model (default `old`).
+fn parse_model(args: &Args) -> Result<Gem5Model, String> {
+    args.choice(
+        "model",
+        "old",
+        &[
+            ("old", Gem5Model::Ex5BigOld),
+            ("fixed", Gem5Model::Ex5BigFixed),
+            ("little", Gem5Model::Ex5Little),
+        ],
+    )
 }
 
-/// Execution tier for the run. `--fidelity` wins over `GEMSTONE_FIDELITY`;
-/// the sampled tier's geometry always comes from the `GEMSTONE_SAMPLE_*`
-/// environment knobs. An unrecognised value is a usage error (exit 2),
-/// not a silent fall-back to the default tier.
+/// `--cluster a7|a15`, the cluster to model (default `a15`).
+fn parse_cluster(args: &Args) -> Result<Cluster, String> {
+    args.choice(
+        "cluster",
+        "a15",
+        &[("a7", Cluster::LittleA7), ("a15", Cluster::BigA15)],
+    )
+}
+
+/// Execution tier for the run: `--fidelity`, approx when absent. The
+/// sampled tier's geometry comes from the `GEMSTONE_SAMPLE_*` environment
+/// knobs. An unrecognised value is a usage error (exit 2), not a silent
+/// fall-back to the default tier.
 fn parse_fidelity(args: &Args) -> Result<TierConfig, String> {
     match args.get("fidelity") {
-        None => Ok(TierConfig::from_env()),
+        None => Ok(TierConfig::default()),
         Some(v) => {
             let fidelity: Fidelity = v
                 .parse()
@@ -455,10 +492,7 @@ fn run_collect(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn run_power(args: &Args) -> Result<ExitCode, String> {
-    let cluster = match args.get("cluster").unwrap_or("a15") {
-        "a7" => Cluster::LittleA7,
-        _ => Cluster::BigA15,
-    };
+    let cluster = parse_cluster(args)?;
     let scale = args.scale()?;
     let specs: Vec<_> = suites::power_suite()
         .iter()
@@ -591,7 +625,7 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
         Ok(s) => s,
         Err(e) => return fail("stats", e),
     };
-    let model = parse_model(args);
+    let model = parse_model(args)?;
     let tier = parse_fidelity(args)?;
     let scale = args.scale()?;
     // The process-wide caches, so the counters below reflect whether this
@@ -679,7 +713,7 @@ fn run_profile(args: &Args) -> Result<ExitCode, String> {
         Ok(s) => s,
         Err(e) => return fail("profile", e),
     };
-    let model = parse_model(args);
+    let model = parse_model(args)?;
     let freq = args.number("freq", 1.0e9, "a frequency in Hz > 0", |f: &f64| {
         f.is_finite() && *f > 0.0
     })?;
@@ -1122,10 +1156,37 @@ mod tests {
         assert_eq!(parse_fidelity(&a).unwrap().fidelity, Fidelity::Sampled);
         let a = Args::parse(&strs(&["--fidelity", "turbo"]), &[]).unwrap();
         assert!(parse_fidelity(&a).unwrap_err().contains("--fidelity"));
-        // No flag falls back to the environment-derived default. The suite
-        // runs without GEMSTONE_FIDELITY set, so that default is approx.
+        // No flag is the approx tier.
         let a = Args::parse(&strs(&[]), &[]).unwrap();
         assert_eq!(parse_fidelity(&a).unwrap(), TierConfig::default());
+    }
+
+    #[test]
+    fn model_flag_parses_and_rejects_garbage() {
+        let model = |raw: &[&str]| parse_model(&Args::parse(&strs(raw), &[]).unwrap());
+        assert_eq!(model(&[]).unwrap(), Gem5Model::Ex5BigOld);
+        assert_eq!(model(&["--model", "old"]).unwrap(), Gem5Model::Ex5BigOld);
+        assert_eq!(
+            model(&["--model", "fixed"]).unwrap(),
+            Gem5Model::Ex5BigFixed
+        );
+        assert_eq!(model(&["--model", "little"]).unwrap(), Gem5Model::Ex5Little);
+        assert_eq!(
+            model(&["--model", "bogus"]).unwrap_err(),
+            "invalid --model value 'bogus': expected one of old, fixed, little"
+        );
+    }
+
+    #[test]
+    fn cluster_flag_parses_and_rejects_garbage() {
+        let cluster = |raw: &[&str]| parse_cluster(&Args::parse(&strs(raw), &[]).unwrap());
+        assert_eq!(cluster(&[]).unwrap(), Cluster::BigA15);
+        assert_eq!(cluster(&["--cluster", "a7"]).unwrap(), Cluster::LittleA7);
+        assert_eq!(cluster(&["--cluster", "a15"]).unwrap(), Cluster::BigA15);
+        assert_eq!(
+            cluster(&["--cluster", "a8"]).unwrap_err(),
+            "invalid --cluster value 'a8': expected one of a7, a15"
+        );
     }
 
     #[test]
