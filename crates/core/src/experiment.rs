@@ -217,6 +217,8 @@ pub fn run_variants(
     };
     let specs: Vec<&WorkloadSpec> = workloads.iter().collect();
     let mut rows: Vec<_> = sweep(&cfg, &specs, |spec| {
+        // Every variant replays the workload: generate its trace once.
+        let _hold = cfg.board.cache.trace_cache().hold(spec);
         let hw = cfg.board.run(spec, Cluster::BigA15, freq_hz);
         variants
             .iter()
@@ -278,7 +280,9 @@ pub(crate) fn sweep<U: Send>(
 }
 
 /// Characterises one workload over the full cluster/model × frequency
-/// grid: one fused grid replay per cluster and per model column. Returns
+/// grid: one fused grid replay per cluster and per model column, under one
+/// hold on the workload's packed trace, so the columns that miss the
+/// simulation memo generate it once between them. Returns
 /// the workload's hardware and gem5 runs, each sorted by
 /// ([`hw_order`], [`gem5_order`]), or the quarantine verdict if a grid
 /// point exhausted its retry budget.
@@ -315,6 +319,7 @@ pub(crate) fn characterise_workload(
         Ok(())
     };
 
+    let _hold = cfg.board.cache.trace_cache().hold(spec);
     let mut hw_runs = Vec::new();
     for &cluster in &cfg.clusters {
         let freqs = cluster.frequencies();
@@ -462,6 +467,63 @@ mod tests {
         assert_eq!(sweeps.len(), 1, "one sweep for every variant");
         let tier = sweeps[0].attrs.iter().find(|(k, _)| k == "tier");
         assert_eq!(tier.map(|(_, v)| v.as_str()), Some("approx"));
+    }
+
+    /// The default five columns (two clusters, three models) on caches of
+    /// their own, so the counters see only this test.
+    fn isolated() -> ExperimentConfig {
+        use gemstone_platform::simcache::SimCache;
+        use gemstone_workloads::trace::TraceCache;
+        use std::sync::Arc;
+
+        let mut cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::default()
+        };
+        cfg.board.cache = Arc::new(SimCache::with_trace_cache(Arc::new(TraceCache::new())));
+        cfg
+    }
+
+    #[test]
+    fn a_workloads_columns_generate_its_trace_once_under_one_hold() {
+        let cfg = isolated();
+        let traces = cfg.board.cache.trace_cache();
+        let spec = suites::by_name("mi-sha").unwrap().scaled(0.02);
+        let (faults, retry) = (FaultInjector::disabled(), RetryPolicy::default());
+        let cold = characterise_workload(&cfg, &spec, &faults, &retry).unwrap();
+        assert_eq!(cold.0.len() + cold.1.len(), 5 * 4);
+        assert_eq!(
+            (traces.misses(), traces.hits()),
+            (1, 4),
+            "five column replays, one generation"
+        );
+        assert_eq!(
+            (traces.len(), traces.bytes()),
+            (0, 0),
+            "freed with the hold"
+        );
+        // Every column is now a memo hit: the hold generates nothing.
+        let warm = characterise_workload(&cfg, &spec, &faults, &retry).unwrap();
+        assert_eq!((traces.misses(), traces.hits()), (1, 4));
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
+        for (a, b) in cold.0.iter().zip(&warm.0) {
+            assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
+        }
+    }
+
+    #[test]
+    fn run_variants_generate_each_trace_once_per_workload() {
+        use gemstone_uarch::configs::{ex5_big, Ex5Variant};
+
+        let cfg = isolated();
+        let traces = cfg.board.cache.trace_cache();
+        let workloads = tiny_workloads();
+        let variants = [ex5_big(Ex5Variant::Old), ex5_big(Ex5Variant::Fixed)];
+        run_variants(&cfg, &workloads, &variants, 1.0e9);
+        // Per workload: the board column and one lane per variant.
+        let n = workloads.len() as u64;
+        assert_eq!((traces.misses(), traces.hits()), (n, 2 * n));
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
     }
 
     #[test]

@@ -29,7 +29,8 @@ use crate::experiment::{run_validation, ExperimentConfig};
 use crate::Result;
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::gem5sim::Gem5Model;
-use gemstone_powmon::fitting::fit_cluster_model_with_threads;
+use gemstone_powmon::dataset;
+use gemstone_powmon::fitting::fit_dataset;
 use gemstone_powmon::model::{ModelQuality, PowerModel};
 use gemstone_powmon::selection;
 use gemstone_stats::threads::worker_threads;
@@ -83,16 +84,10 @@ pub struct ExecutionStats {
     pub trace_hits: u64,
     /// Packed-trace cache misses (streams generated and packed).
     pub trace_misses: u64,
-    /// Packed traces evicted to stay under the byte budget.
-    pub trace_evictions: u64,
     /// Class-histogram memo hits (atomic-tier stream counts reused).
     pub histogram_hits: u64,
     /// Class-histogram memo misses (streams generated and counted).
     pub histogram_misses: u64,
-    /// Bytes currently held by resident packed traces.
-    pub trace_bytes: usize,
-    /// The trace cache's byte budget (0 = no trace packing).
-    pub trace_budget: usize,
 }
 
 /// Per-stage wall-clock timings of a pipeline run, in a fixed stage order
@@ -346,29 +341,27 @@ impl GemStone {
                 .iter()
                 .map(|w| w.scaled(o.experiment.workload_scale))
                 .collect();
-            // The two clusters' characterisation + fit are independent, so
-            // run them concurrently, splitting the worker budget between
-            // them (each characterisation sweep fans out internally).
-            let fit = |cluster: Cluster| -> Result<(PowerModel, ModelQuality)> {
-                let threads = (o.experiment.threads / 2).max(1);
-                let restricted = selection::SelectionOptions::gem5_restricted();
-                let board = &o.experiment.board;
-                let f =
-                    fit_cluster_model_with_threads(board, cluster, &specs, &restricted, threads)?;
-                Ok((f.model, f.quality))
-            };
-            let (little, big) = std::thread::scope(|scope| {
-                let little = scope.spawn(|| fit(Cluster::LittleA7));
-                let big = scope.spawn(|| fit(Cluster::BigA15));
-                (
-                    little.join().expect("power-fit worker panicked"),
-                    big.join().expect("power-fit worker panicked"),
-                )
+            // One sweep fills each workload's A7 and A15 columns under one
+            // hold on its packed trace, so a power-only workload is
+            // generated once for both clusters. The two clusters' event
+            // selection and fit are independent, so they run concurrently.
+            let cpus = [Cluster::LittleA7, Cluster::BigA15];
+            let datasets =
+                dataset::collect_clusters(&o.experiment.board, &cpus, &specs, o.experiment.threads);
+            let restricted = selection::SelectionOptions::gem5_restricted();
+            let fitted: Vec<_> = std::thread::scope(|scope| {
+                let fits: Vec<_> = datasets
+                    .into_iter()
+                    .map(|ds| scope.spawn(|| fit_dataset(ds, &restricted)))
+                    .collect();
+                fits.into_iter()
+                    .map(|f| f.join().expect("power-fit worker panicked"))
+                    .collect()
             });
-            for (cluster, fitted) in [(Cluster::LittleA7, little), (Cluster::BigA15, big)] {
-                let (pm, q) = fitted?;
-                power_quality.insert(cluster.name(), q);
-                power_models.insert(cluster.name(), pm);
+            for (cluster, fitted) in cpus.into_iter().zip(fitted) {
+                let f = fitted?;
+                power_quality.insert(cluster.name(), f.quality);
+                power_models.insert(cluster.name(), f.model);
             }
             drop(power_span);
             timings.push("power_models", power_t0.elapsed());
@@ -426,11 +419,8 @@ impl GemStone {
             sim_entries: cache.len(),
             trace_hits: traces.hits(),
             trace_misses: traces.misses(),
-            trace_evictions: traces.evictions(),
             histogram_hits: traces.histogram_hits(),
             histogram_misses: traces.histogram_misses(),
-            trace_bytes: traces.bytes(),
-            trace_budget: traces.budget(),
         };
 
         Ok(GemStoneReport {
@@ -491,16 +481,12 @@ impl GemStoneReport {
         let _ = writeln!(
             out,
             "\nexecution layer — simcache: {} hits / {} misses ({} entries); \
-             tracecache: {} hits / {} misses / {} evictions ({:.1} MiB of {:.0} MiB); \
-             class histograms: {} hits / {} misses",
+             tracecache: {} hits / {} misses; class histograms: {} hits / {} misses",
             ex.sim_hits,
             ex.sim_misses,
             ex.sim_entries,
             ex.trace_hits,
             ex.trace_misses,
-            ex.trace_evictions,
-            ex.trace_bytes as f64 / (1 << 20) as f64,
-            ex.trace_budget as f64 / (1 << 20) as f64,
             ex.histogram_hits,
             ex.histogram_misses,
         );
@@ -525,6 +511,7 @@ impl GemStoneReport {
 mod tests {
     use super::*;
     use gemstone_platform::simcache::SimCache;
+    use gemstone_workloads::trace::TraceCache;
     use std::sync::Arc;
 
     #[test]
@@ -539,7 +526,8 @@ mod tests {
         // (workload, cluster, freq) tuples, so the cache must serve hits —
         // and every miss must correspond to exactly one stored entry,
         // i.e. no tuple was ever executed twice.
-        let cache = Arc::new(SimCache::new());
+        let traces = Arc::new(TraceCache::new());
+        let cache = Arc::new(SimCache::with_trace_cache(Arc::clone(&traces)));
         let mut opts = PipelineOptions {
             experiment: ExperimentConfig::quick(),
             with_power: true,
@@ -550,6 +538,7 @@ mod tests {
 
         // Every tuple the run simulates, hardware and gem5 alike.
         let e = &opts.experiment;
+        let columns = e.clusters.len() + e.models.len();
         let scaled = |suite: &[gemstone_workloads::spec::WorkloadSpec]| -> Vec<_> {
             suite.iter().map(|w| w.scaled(e.workload_scale)).collect()
         };
@@ -602,6 +591,22 @@ mod tests {
         assert_eq!(report.execution.sim_hits, cache.hits());
         assert_eq!(report.execution.sim_misses, cache.misses());
         assert_eq!(report.execution.sim_misses, (hw.len() + gem5.len()) as u64);
+        // One generation per spec: each validation workload's five columns
+        // share one, and so do each power-only workload's two. Nothing
+        // stays resident once the run returns.
+        let names: HashSet<&str> = validation.iter().map(|s| s.name.as_str()).collect();
+        let power_only = power
+            .iter()
+            .filter(|s| !names.contains(s.name.as_str()))
+            .count();
+        assert_eq!(
+            (report.execution.trace_misses, report.execution.trace_hits),
+            (
+                (validation.len() + power_only) as u64,
+                (validation.len() * (columns - 1) + power_only) as u64
+            )
+        );
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
     }
 
     #[test]

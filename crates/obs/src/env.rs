@@ -1,6 +1,6 @@
 //! The shared `GEMSTONE_*` environment-variable parser.
 //!
-//! Every knob in the tree (`GEMSTONE_THREADS`, `GEMSTONE_TRACE_BYTES`, …)
+//! Every knob in the tree (`GEMSTONE_THREADS`, `GEMSTONE_SAMPLE_INTERVAL`, …)
 //! resolves through [`parse_checked`], so a malformed value is never
 //! silently ignored: the first time a variable fails to parse (or fails
 //! its validity check) a warning naming the variable, the rejected value

@@ -7,7 +7,7 @@
 //!
 //! * [`registry`] — lock-free [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s under canonical dotted names (`simcache.hits`,
-//!   `trace_cache.evictions`, `engine.instructions`, …). The execution
+//!   `trace_cache.misses`, `engine.instructions`, …). The execution
 //!   layers register their counters here instead of keeping private
 //!   atomics, so one [`Registry::global`] snapshot sees everything.
 //! * [`span`] — RAII timing guards. When tracing is disabled (the

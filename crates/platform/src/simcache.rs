@@ -33,15 +33,16 @@
 //! column from one fused replay, so the column's other points become hits;
 //! custom configurations and off-column frequencies replay one lane.
 //!
-//! Cold runs consult the process-wide
+//! Cold runs replay the packed trace of the process-wide
 //! [`TraceCache`](gemstone_workloads::trace::TraceCache): a workload's
-//! instruction stream depends only on its spec, so one packed trace is
-//! generated per spec and replayed for every (configuration, frequency)
-//! tuple and thread. Replay is bit-identical to direct generation (see the
+//! instruction stream depends only on its spec, so a driver that replays
+//! one spec for several (configuration, frequency) columns holds its
+//! trace ([`TraceCache::hold`]) and the trace is generated once for all
+//! of them. Replay is bit-identical to direct generation (see the
 //! determinism contract in [`gemstone_workloads::trace`]), so results stay
-//! unchanged whether the trace cache is enabled, cold, warm, or disabled.
-//! Atomic-tier runs read only the trace cache's memoised class histogram
-//! of the spec, never a packed trace.
+//! unchanged whether a trace is fresh or held. Atomic-tier runs read only
+//! the trace cache's memoised class histogram of the spec, never a packed
+//! trace.
 //!
 //! # Examples
 //!
@@ -69,7 +70,6 @@ use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::backend::{Backend, Fidelity, TierConfig};
 use gemstone_uarch::core::CoreConfig;
 use gemstone_uarch::stats::SimStats;
-use gemstone_workloads::gen::StreamGen;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::trace::TraceCache;
 use std::collections::HashMap;
@@ -192,9 +192,7 @@ impl SimCache {
         Self::with_trace_cache(TraceCache::global())
     }
 
-    /// Creates an empty cache drawing packed traces from `traces`. Pass a
-    /// `TraceCache::with_budget(0)` to force direct stream generation on
-    /// the detailed tiers.
+    /// Creates an empty cache drawing packed traces from `traces`.
     pub fn with_trace_cache(traces: Arc<TraceCache>) -> Self {
         SimCache {
             shards: (0..SHARD_COUNT)
@@ -503,11 +501,10 @@ impl SimCache {
     /// replay at that frequency.
     ///
     /// The atomic tier has one replay path, the trace cache's memoised
-    /// class histogram ([`TraceCache::class_histogram`], memoised at every
-    /// byte budget), and never materialises a trace. The detailed tiers
-    /// step every instruction of the packed trace, or of the generated
-    /// stream when the trace cache packs nothing (budget 0); both streams
-    /// are bit-identical.
+    /// class histogram ([`TraceCache::class_histogram`]), and never
+    /// materialises a trace. The detailed tiers have one too: they step
+    /// every instruction of the spec's packed trace ([`TraceCache::get`]),
+    /// which a hold on the spec keeps for its next column.
     ///
     /// The timed replay is preceded by the *startup prologue*
     /// (`Backend::warm_prologue`): one front-end-only warming pass over
@@ -527,16 +524,9 @@ impl SimCache {
         let results = if tier.fidelity == Fidelity::Atomic {
             backend.run_histogram(&traces.class_histogram(spec))
         } else {
-            match traces.get(spec) {
-                Some(trace) => {
-                    backend.warm_prologue(trace.iter());
-                    backend.run_stream(trace.iter())
-                }
-                None => {
-                    backend.warm_prologue(StreamGen::new(spec));
-                    backend.run_stream(StreamGen::new(spec))
-                }
-            }
+            let trace = traces.get(spec);
+            backend.warm_prologue(trace.iter());
+            backend.run_stream(trace.iter())
         };
         results
             .into_iter()
@@ -629,6 +619,7 @@ impl fmt::Debug for SimCache {
 mod tests {
     use super::*;
     use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw, ex5_big, Ex5Variant};
+    use gemstone_workloads::gen::StreamGen;
     use gemstone_workloads::suites;
 
     fn spec(name: &str) -> WorkloadSpec {
@@ -638,6 +629,20 @@ mod tests {
     /// The direct one-lane replay at the default tier, past the memo.
     fn direct(traces: &TraceCache, cfg: &CoreConfig, s: &WorkloadSpec, f: f64) -> SimOutcome {
         SimCache::execute_grid_with(traces, cfg, s, &[f], TierConfig::default()).remove(0)
+    }
+
+    /// The reference for packed-trace replay: the generated stream driven
+    /// through the backend directly, past both caches, with the same
+    /// prologue.
+    fn generated(cfg: &CoreConfig, s: &WorkloadSpec, f: f64) -> SimOutcome {
+        let tier = TierConfig::default();
+        let mut backend = Backend::new(tier, cfg, &[f], s.threads, s.derived_seed());
+        backend.warm_prologue(StreamGen::new(s));
+        let r = backend.run_stream(StreamGen::new(s)).remove(0);
+        SimOutcome {
+            seconds: r.seconds,
+            stats: r.stats,
+        }
     }
 
     #[test]
@@ -732,7 +737,7 @@ mod tests {
         let s = spec("mi-fft");
         let cfg = cortex_a15_hw();
         let traced = direct(&TraceCache::new(), &cfg, &s, 1.0e9);
-        let generated = direct(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
+        let generated = generated(&cfg, &s, 1.0e9);
         assert_eq!(traced.seconds, generated.seconds);
         assert_eq!(traced.stats.cycles, generated.stats.cycles);
         assert_eq!(
@@ -754,7 +759,7 @@ mod tests {
             .build();
         let cfg = cortex_a7_hw();
         let traced = direct(&TraceCache::new(), &cfg, &s, 1.0e9);
-        let generated = direct(&TraceCache::with_budget(0), &cfg, &s, 1.0e9);
+        let generated = generated(&cfg, &s, 1.0e9);
         assert_eq!(traced.seconds.to_bits(), generated.seconds.to_bits());
         assert_eq!(
             traced.stats.gem5_stats_map(),
@@ -849,14 +854,24 @@ mod tests {
         let traces = Arc::new(TraceCache::new());
         let cache = SimCache::with_trace_cache(traces.clone());
         let s = spec("mi-sha");
+        let hold = traces.hold(&s);
         for &f in &[600.0e6, 1.0e9] {
             cache.run_point(&cortex_a15_hw(), &s, None, f, TierConfig::default());
             cache.run_point(&cortex_a7_hw(), &s, None, f, TierConfig::default());
         }
-        // Four (config, freq) tuples, one generation; the rest replayed.
+        // Four (config, freq) tuples under one hold, one generation; the
+        // rest replayed.
         assert_eq!(traces.misses(), 1);
         assert_eq!(traces.hits(), 3);
         assert!(Arc::ptr_eq(cache.trace_cache(), &traces));
+        assert_eq!(traces.len(), 1, "held between the replays");
+        drop(hold);
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
+        // Without a hold, each replay's trace is freed when it ends.
+        cache.run_point(&cortex_a15_hw(), &s, None, 1.4e9, TierConfig::default());
+        cache.run_point(&cortex_a7_hw(), &s, None, 1.4e9, TierConfig::default());
+        assert_eq!((traces.misses(), traces.hits()), (3, 3));
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
     }
 
     const FREQS: [f64; 4] = [600.0e6, 1.0e9, 1.4e9, 1.8e9];
@@ -882,14 +897,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let reference = (step(&[1.0e9]).remove(0), step(&FREQS));
-        // A zero byte budget packs no trace but still memoises histograms.
-        let budget0 = TraceCache::with_budget(0);
-        let unpacked = exec(&budget0);
-        assert_eq!(
-            (budget0.histogram_misses(), budget0.histogram_hits()),
-            (1, 1)
-        );
-        assert_eq!(budget0.misses() + budget0.hits(), 0);
         let memo = TraceCache::new();
         let cold = exec(&memo);
         assert_eq!((memo.histogram_misses(), memo.histogram_hits()), (1, 1));
@@ -897,18 +904,18 @@ mod tests {
         assert_eq!((memo.histogram_misses(), memo.histogram_hits()), (1, 3));
         assert_eq!(memo.misses() + memo.hits(), 0, "no packed trace requested");
         assert_eq!((memo.len(), memo.bytes()), (0, 0));
-        // A resident packed trace for the spec changes nothing.
+        // A live packed trace for the spec changes nothing.
         let resident = TraceCache::new();
-        resident.get(&s).expect("enabled cache returns a trace");
+        let live = resident.get(&s);
         let beside_trace = exec(&resident);
-        assert_eq!(resident.misses(), 1);
+        assert_eq!((resident.misses(), resident.hits()), (1, 0));
+        drop(live);
         let same = |a: &SimStats, b: &SimStats, what: &str| {
             assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "{what}");
             assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{what}");
             assert_eq!(a.gem5_stats_map(), b.gem5_stats_map(), "{what}");
         };
         for (what, (single, column)) in [
-            ("budget 0", &unpacked),
             ("cold", &cold),
             ("warm", &warm),
             ("resident", &beside_trace),

@@ -2,10 +2,11 @@
 //! (workload, frequency) with measured power and PMC event rates.
 //!
 //! [`collect`] runs the characterisation sweep in parallel over workloads
-//! on [`gemstone_stats::threads::parallel_map_with`]; observations always
-//! come back in the deterministic workload-major, frequency-minor order
-//! regardless of scheduling, because every curve lands in its workload's
-//! slot and every board run is itself deterministic.
+//! on [`gemstone_stats::threads::parallel_map_with`], and
+//! [`collect_clusters`] runs one sweep for several clusters; observations
+//! always come back in the deterministic workload-major, frequency-minor
+//! order regardless of scheduling, because every curve lands in its
+//! workload's slot and every board run is itself deterministic.
 //!
 //! # Examples
 //!
@@ -168,19 +169,62 @@ pub fn collect_with_threads(
     freqs: &[f64],
     threads: usize,
 ) -> PowerDataset {
+    sweep(board, &[(cluster, freqs)], workloads, threads).remove(0)
+}
+
+/// Characterises several clusters at each one's DVFS points in one sweep
+/// over `workloads`, on `threads` workers. A workload's columns on every
+/// cluster replay under one hold on its packed trace, so a workload the
+/// simulation memo does not cover is generated once, not once per
+/// cluster. Returns one dataset per cluster, in `clusters` order, each
+/// equal to [`collect_with_threads`] on that cluster alone.
+pub fn collect_clusters(
+    board: &OdroidXu3,
+    clusters: &[Cluster],
+    workloads: &[WorkloadSpec],
+    threads: usize,
+) -> Vec<PowerDataset> {
+    let columns: Vec<(Cluster, &[f64])> = clusters.iter().map(|&c| (c, c.frequencies())).collect();
+    sweep(board, &columns, workloads, threads)
+}
+
+/// The one characterisation sweep: one work item per workload, whose
+/// frequency curve on each cluster comes from a single fused grid replay
+/// (decode once, one lane per DVFS point). Returns one dataset per column.
+fn sweep(
+    board: &OdroidXu3,
+    columns: &[(Cluster, &[f64])],
+    workloads: &[WorkloadSpec],
+    threads: usize,
+) -> Vec<PowerDataset> {
     let _span = gemstone_obs::span::span("powmon.collect");
-    collect_runs_counter().add((workloads.len() * freqs.len()) as u64);
-    // One work item per workload: its whole frequency curve comes from a
-    // single fused grid replay (decode once, one lane per DVFS point).
+    let points: usize = columns.iter().map(|(_, freqs)| freqs.len()).sum();
+    collect_runs_counter().add((workloads.len() * points) as u64);
     let curves = parallel_map_with(threads, workloads, |_, spec| {
-        let runs = board.run_grid_tier(spec, cluster, freqs, TierConfig::default());
-        freqs
+        let _hold = board.cache.trace_cache().hold(spec);
+        columns
             .iter()
-            .zip(&runs)
-            .map(|(&f, run)| observation_from(cluster, spec, f, run))
+            .map(|&(cluster, freqs)| {
+                let runs = board.run_grid_tier(spec, cluster, freqs, TierConfig::default());
+                freqs
+                    .iter()
+                    .zip(&runs)
+                    .map(|(&f, run)| observation_from(cluster, spec, f, run))
+                    .collect::<Vec<_>>()
+            })
             .collect::<Vec<_>>()
     });
-    PowerDataset::new(cluster, curves.into_iter().flatten().collect())
+    let mut observations: Vec<Vec<PowerObservation>> = columns.iter().map(|_| Vec::new()).collect();
+    for workload in curves {
+        for (column, curve) in observations.iter_mut().zip(workload) {
+            column.extend(curve);
+        }
+    }
+    columns
+        .iter()
+        .zip(observations)
+        .map(|(&(cluster, _), obs)| PowerDataset::new(cluster, obs))
+        .collect()
 }
 
 /// Turns one board run into a power observation. Rates are per second of
@@ -218,6 +262,43 @@ mod tests {
             .map(|n| suites::by_name(n).unwrap().scaled(0.05))
             .collect();
         collect(&board, Cluster::LittleA7, &specs, &[600.0e6, 1000.0e6])
+    }
+
+    #[test]
+    fn one_sweep_over_both_clusters_equals_two_and_generates_once() {
+        use gemstone_platform::simcache::SimCache;
+        use gemstone_workloads::trace::TraceCache;
+        use std::sync::Arc;
+
+        let isolated = || {
+            let mut board = OdroidXu3::new();
+            board.cache = Arc::new(SimCache::with_trace_cache(Arc::new(TraceCache::new())));
+            board
+        };
+        let specs: Vec<WorkloadSpec> = ["mi-sha", "mi-crc32", "whet-whetstone"]
+            .iter()
+            .map(|n| suites::by_name(n).unwrap().scaled(0.02))
+            .collect();
+        let clusters = [Cluster::LittleA7, Cluster::BigA15];
+        let board = isolated();
+        let joint = collect_clusters(&board, &clusters, &specs, 2);
+        let traces = board.cache.trace_cache();
+        // Two columns per workload under one hold: one generation each.
+        assert_eq!((traces.misses(), traces.hits()), (3, 3));
+        assert_eq!((traces.len(), traces.bytes()), (0, 0));
+        assert_eq!(joint.len(), clusters.len());
+        for (ds, &cluster) in joint.iter().zip(&clusters) {
+            let alone =
+                collect_with_threads(&isolated(), cluster, &specs, cluster.frequencies(), 1);
+            assert_eq!(ds.cluster, cluster);
+            assert_eq!(ds.observations.len(), alone.observations.len());
+            for (a, b) in ds.observations.iter().zip(&alone.observations) {
+                assert_eq!((&a.workload, a.freq_hz), (&b.workload, b.freq_hz));
+                assert_eq!(a.power_w.to_bits(), b.power_w.to_bits());
+                assert_eq!(a.time_s.to_bits(), b.time_s.to_bits());
+                assert_eq!(a.rates, b.rates);
+            }
+        }
     }
 
     #[test]

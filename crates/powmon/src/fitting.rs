@@ -82,25 +82,18 @@ pub fn fit_cluster_model(
     workloads: &[WorkloadSpec],
     opts: &SelectionOptions,
 ) -> Result<FittedPowerModel> {
-    let threads = gemstone_stats::threads::worker_threads();
-    fit_cluster_model_with_threads(board, cluster, workloads, opts, threads)
+    let dataset = dataset::collect(board, cluster, workloads, cluster.frequencies());
+    fit_dataset(dataset, opts)
 }
 
-/// [`fit_cluster_model`] with an explicit worker count for the
-/// characterisation sweep; the result is identical for any count.
+/// Selects events per `opts`, fits and scores the power model on an
+/// already collected characterisation dataset — the second half of
+/// [`fit_cluster_model`].
 ///
 /// # Errors
 ///
 /// As [`fit_cluster_model`].
-pub fn fit_cluster_model_with_threads(
-    board: &OdroidXu3,
-    cluster: Cluster,
-    workloads: &[WorkloadSpec],
-    opts: &SelectionOptions,
-    threads: usize,
-) -> Result<FittedPowerModel> {
-    let freqs = cluster.frequencies();
-    let dataset = dataset::collect_with_threads(board, cluster, workloads, freqs, threads);
+pub fn fit_dataset(dataset: PowerDataset, opts: &SelectionOptions) -> Result<FittedPowerModel> {
     let selection = selection::select_events(&dataset, opts)?;
     let model = PowerModel::fit(&dataset, &selection.terms)?;
     let quality = model.quality(&dataset)?;

@@ -10,7 +10,10 @@
 //! ```
 //! use gemstone_stats::matrix::Matrix;
 //!
-//! let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+//! let mut a = Matrix::zeros(2, 2);
+//! for (i, v) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+//!     a.set(i / 2, i % 2, v);
+//! }
 //! assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
 //! ```
 
@@ -36,42 +39,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows.checked_mul(cols).expect("matrix size overflow")],
         }
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] if the rows have unequal
-    /// lengths, or [`StatsError::InvalidArgument`] if `rows` is empty or the
-    /// rows are empty.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        let nrows = rows.len();
-        if nrows == 0 {
-            return Err(StatsError::InvalidArgument("matrix needs at least one row"));
-        }
-        let ncols = rows[0].len();
-        if ncols == 0 {
-            return Err(StatsError::InvalidArgument(
-                "matrix needs at least one column",
-            ));
-        }
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for r in rows {
-            if r.len() != ncols {
-                return Err(StatsError::DimensionMismatch {
-                    context: "Matrix::from_rows",
-                    expected: ncols,
-                    actual: r.len(),
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        })
     }
 
     /// Number of rows.
@@ -114,18 +81,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Returns column `c` as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
     }
 
     /// Matrix–vector product `self · v`.
@@ -321,26 +276,6 @@ impl Qr {
     }
 }
 
-/// Solves the least-squares problem `min ‖A x − b‖₂` in one call.
-///
-/// # Errors
-///
-/// Propagates errors from [`Qr::new`] and [`Qr::solve`].
-///
-/// # Examples
-///
-/// ```
-/// use gemstone_stats::matrix::{lstsq, Matrix};
-///
-/// let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
-/// let x = lstsq(&a, &[1.0, 2.0, 3.0]).unwrap();
-/// assert!((x[0] - 1.0).abs() < 1e-9);
-/// assert!((x[1] - 2.0).abs() < 1e-9);
-/// ```
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Qr::new(a)?.solve(b)
-}
-
 impl Qr {
     /// Public entry point that always uses the clear implementation.
     ///
@@ -368,6 +303,23 @@ mod tests {
         (a - b).abs() <= tol
     }
 
+    /// A matrix from equal-length rows.
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), m.cols(), "ragged rows");
+            for (c, &v) in row.iter().enumerate() {
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
+    /// The least-squares solution of `a · x ≈ b` in one call.
+    fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        Qr::new(a)?.solve(b)
+    }
+
     #[test]
     fn zeros_and_accessors() {
         let mut z = Matrix::zeros(2, 3);
@@ -376,31 +328,19 @@ mod tests {
         assert_eq!(z.get(1, 2), 0.0);
         z.set(1, 2, 4.0);
         assert_eq!(z.row(1), &[0.0, 0.0, 4.0]);
-        assert_eq!(z.col(2), vec![0.0, 4.0]);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        let err = Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]).unwrap_err();
-        assert!(matches!(err, StatsError::DimensionMismatch { .. }));
-    }
-
-    #[test]
-    fn from_rows_rejects_empty() {
-        assert!(Matrix::from_rows(&[]).is_err());
-        assert!(Matrix::from_rows(&[vec![]]).is_err());
+        assert_eq!((z.get(0, 2), z.get(1, 2)), (0.0, 4.0));
     }
 
     #[test]
     fn matvec_known() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let v = a.matvec(&[1.0, 1.0]).unwrap();
         assert_eq!(v, vec![3.0, 7.0]);
     }
 
     #[test]
     fn lstsq_exact_square() {
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
+        let a = from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
         let x = lstsq(&a, &[5.0, 10.0]).unwrap();
         assert!(approx(x[0], 1.0, 1e-10));
         assert!(approx(x[1], 3.0, 1e-10));
@@ -411,7 +351,7 @@ mod tests {
         // y = 2 + 3 t with noise-free data.
         let ts = [0.0, 1.0, 2.0, 3.0, 4.0];
         let rows: Vec<Vec<f64>> = ts.iter().map(|&t| vec![1.0, t]).collect();
-        let a = Matrix::from_rows(&rows).unwrap();
+        let a = from_rows(&rows);
         let y: Vec<f64> = ts.iter().map(|&t| 2.0 + 3.0 * t).collect();
         let x = lstsq(&a, &y).unwrap();
         assert!(approx(x[0], 2.0, 1e-10));
@@ -421,7 +361,7 @@ mod tests {
     #[test]
     fn lstsq_detects_singular() {
         // Second column is a multiple of the first.
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
+        let a = from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]);
         assert_eq!(
             lstsq(&a, &[1.0, 2.0, 3.0]).unwrap_err(),
             StatsError::Singular
@@ -439,13 +379,12 @@ mod tests {
 
     #[test]
     fn xtx_inverse_matches_direct() {
-        let a = Matrix::from_rows(&[
+        let a = from_rows(&[
             vec![1.0, 0.5],
             vec![1.0, 1.5],
             vec![1.0, 2.5],
             vec![1.0, 4.0],
-        ])
-        .unwrap();
+        ]);
         let qr = Qr::new(&a).unwrap();
         let inv = qr.xtx_inverse().unwrap();
         let xtx = |i: usize, j: usize| (0..4).map(|r| a.get(r, i) * a.get(r, j)).sum::<f64>();
@@ -460,7 +399,7 @@ mod tests {
 
     #[test]
     fn qr_r_diag_nonzero_for_full_rank() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 1.0], vec![0.5, 0.25]]).unwrap();
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 1.0], vec![0.5, 0.25]]);
         let qr = Qr::new(&a).unwrap();
         for d in qr.r_diag() {
             assert!(d.abs() > 1e-9);
@@ -469,7 +408,7 @@ mod tests {
 
     #[test]
     fn solve_reuses_one_factorisation_and_checks_length() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
+        let a = from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
         let qr = Qr::new(&a).unwrap();
         let x = qr.solve(&[1.0, 2.0, 3.0]).unwrap();
         assert!(approx(x[0], 1.0, 1e-9));

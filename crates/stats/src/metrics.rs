@@ -1,4 +1,4 @@
-//! Error metrics used throughout the paper: MAPE, MPE, MAE and RMSE.
+//! Error metrics used throughout the paper: MAPE and MPE.
 //!
 //! The paper's sign convention for execution-time error (§IV):
 //! *"A negative MPE indicates that the gem5 model underestimates performance
@@ -82,86 +82,6 @@ pub fn mape(reference: &[f64], estimate: &[f64]) -> Result<f64> {
     Ok(s / reference.len() as f64)
 }
 
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// Rejects mismatched lengths and empty input.
-pub fn mae(reference: &[f64], estimate: &[f64]) -> Result<f64> {
-    if reference.len() != estimate.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "mae",
-            expected: reference.len(),
-            actual: estimate.len(),
-        });
-    }
-    if reference.is_empty() {
-        return Err(StatsError::NotEnoughData {
-            needed: 1,
-            available: 0,
-        });
-    }
-    Ok(reference
-        .iter()
-        .zip(estimate)
-        .map(|(r, e)| (r - e).abs())
-        .sum::<f64>()
-        / reference.len() as f64)
-}
-
-/// Root-mean-square error.
-///
-/// # Errors
-///
-/// Rejects mismatched lengths and empty input.
-pub fn rmse(reference: &[f64], estimate: &[f64]) -> Result<f64> {
-    if reference.len() != estimate.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "rmse",
-            expected: reference.len(),
-            actual: estimate.len(),
-        });
-    }
-    if reference.is_empty() {
-        return Err(StatsError::NotEnoughData {
-            needed: 1,
-            available: 0,
-        });
-    }
-    Ok((reference
-        .iter()
-        .zip(estimate)
-        .map(|(r, e)| (r - e) * (r - e))
-        .sum::<f64>()
-        / reference.len() as f64)
-        .sqrt())
-}
-
-/// Mean of a slice (`None` when empty). Small convenience used everywhere in
-/// the analysis layers.
-pub fn mean(v: &[f64]) -> Option<f64> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.iter().sum::<f64>() / v.len() as f64)
-    }
-}
-
-/// Median (`None` when empty). Sorts a copy.
-pub fn median(v: &[f64]) -> Option<f64> {
-    if v.is_empty() {
-        return None;
-    }
-    let mut s = v.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = s.len();
-    Some(if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        0.5 * (s[n / 2 - 1] + s[n / 2])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,29 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn mae_rmse_known() {
-        let r = [1.0, 2.0, 3.0];
-        let e = [2.0, 2.0, 1.0];
-        assert!(approx(mae(&r, &e).unwrap(), 1.0, 1e-12));
-        assert!(approx(rmse(&r, &e).unwrap(), (5.0_f64 / 3.0).sqrt(), 1e-12));
-    }
-
-    #[test]
     fn error_conditions() {
         assert!(mpe(&[1.0], &[]).is_err());
         assert!(mpe(&[], &[]).is_err());
         assert!(mpe(&[0.0], &[1.0]).is_err());
         assert!(mape(&[1.0, f64::NAN], &[1.0, 1.0]).is_err());
-        assert!(mae(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(rmse(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn summary_helpers() {
-        assert_eq!(mean(&[]), None);
-        assert!(approx(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0, 1e-12));
-        assert_eq!(median(&[]), None);
-        assert!(approx(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0, 1e-12));
-        assert!(approx(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5, 1e-12));
     }
 }

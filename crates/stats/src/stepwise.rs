@@ -219,7 +219,9 @@ struct GramScan {
     cand: Vec<CandState>,
     /// Centred sum of squares of y.
     syy: f64,
-    /// Gram matrix of the selected standardised columns, in selection order.
+    /// Lower triangle of the Gram matrix of the selected standardised
+    /// columns, in selection order: row p holds entries 0..=p, all that
+    /// the Cholesky in `eval` reads.
     sel_gram: Vec<Vec<f64>>,
     /// `uᵀ·yc` of the selected columns, in selection order.
     sel_ry: Vec<f64>,
@@ -286,14 +288,11 @@ impl GramScan {
         };
         let s = self.sel_ry.len();
         let m = s + 1;
-        // Bordered correlation Gram of [selected..., candidate j] and the
-        // matching right-hand side uᵀ·yc.
+        // Bordered correlation Gram of [selected..., candidate j], lower
+        // triangle only, and the matching right-hand side uᵀ·yc.
         let mut a = vec![0.0; m * m];
-        for p in 0..s {
-            for q in 0..s {
-                a[p * m + q] = self.sel_gram[p][q];
-            }
-            a[p * m + s] = cross_j[p];
+        for (p, row) in self.sel_gram.iter().enumerate() {
+            a[p * m..p * m + row.len()].copy_from_slice(row);
             a[s * m + p] = cross_j[p];
         }
         a[s * m + s] = 1.0;
@@ -391,12 +390,7 @@ impl GramScan {
             CandState::Usable { u, .. } => u.iter().zip(&uw).map(|(a, b)| a * b).sum(),
             _ => 0.0,
         });
-        let s = self.sel_ry.len();
-        let mut new_row = Vec::with_capacity(s + 1);
-        for (p, row) in self.sel_gram.iter_mut().enumerate() {
-            row.push(self.crosses[w][p]);
-            new_row.push(self.crosses[w][p]);
-        }
+        let mut new_row = self.crosses[w].clone();
         new_row.push(1.0);
         self.sel_gram.push(new_row);
         if let CandState::Usable { ry, .. } = &self.cand[w] {

@@ -6,8 +6,8 @@
 use gemstone_stats::cluster::{standardize, Hca, Linkage, Metric};
 use gemstone_stats::corr::{pearson, pearson_sweep};
 use gemstone_stats::dist::{inc_beta, student_t_cdf, student_t_sf2};
-use gemstone_stats::matrix::{lstsq, Matrix};
-use gemstone_stats::metrics::{mae, mape, mpe, rmse};
+use gemstone_stats::matrix::{Matrix, Qr};
+use gemstone_stats::metrics::{mape, mpe};
 use gemstone_stats::regress::Ols;
 use rand::cases::{for_each_case, Cases};
 
@@ -31,6 +31,44 @@ fn nice_f64(g: &mut Cases) -> f64 {
 fn spread(xs: &[f64]) -> f64 {
     xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         - xs.iter().cloned().fold(f64::INFINITY, f64::min)
+}
+
+/// Mean absolute error of equal-length slices.
+fn mae(reference: &[f64], estimate: &[f64]) -> f64 {
+    assert_eq!(reference.len(), estimate.len());
+    let sum: f64 = reference
+        .iter()
+        .zip(estimate)
+        .map(|(r, e)| (r - e).abs())
+        .sum();
+    sum / reference.len() as f64
+}
+
+/// Root-mean-square error of equal-length slices.
+fn rmse(reference: &[f64], estimate: &[f64]) -> f64 {
+    assert_eq!(reference.len(), estimate.len());
+    let sum: f64 = reference
+        .iter()
+        .zip(estimate)
+        .map(|(r, e)| (r - e) * (r - e))
+        .sum();
+    (sum / reference.len() as f64).sqrt()
+}
+
+/// A matrix from equal-length rows.
+fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+    let mut m = Matrix::zeros(rows.len(), rows[0].len());
+    for (r, row) in rows.iter().enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            m.set(r, c, v);
+        }
+    }
+    m
+}
+
+/// Column `c` of `m`.
+fn col(m: &Matrix, c: usize) -> Vec<f64> {
+    (0..m.rows()).map(|r| m.get(r, c)).collect()
 }
 
 /// `n` rows of `width` floats in `[lo, hi)`, `n` drawn from `rows`.
@@ -97,15 +135,15 @@ fn lstsq_residual_orthogonal_to_columns() {
             .enumerate()
             .map(|(i, r)| c0 * r[0] + c1 * r[1] + ((i % 3) as f64 - 1.0))
             .collect();
-        let a = Matrix::from_rows(&design).unwrap();
+        let a = from_rows(&design);
         // A rank-deficient random draw is acceptable.
-        if let Ok(x) = lstsq(&a, &y) {
+        if let Ok(x) = Qr::new(&a).and_then(|qr| qr.solve(&y)) {
             // Residual must be orthogonal to each column.
             let fitted = a.matvec(&x).unwrap();
             let resid: Vec<f64> = y.iter().zip(&fitted).map(|(p, q)| p - q).collect();
             let ynorm = y.iter().map(|v| v * v).sum::<f64>().sqrt().max(1.0);
             for c in 0..2 {
-                let col = a.col(c);
+                let col = col(&a, c);
                 let dot: f64 = col.iter().zip(&resid).map(|(p, q)| p * q).sum();
                 assert!(dot.abs() < 1e-6 * ynorm, "dot = {dot}");
             }
@@ -204,8 +242,16 @@ fn rmse_at_least_mae() {
         let pairs = g.vec(1..30, |g| (g.f64_in(-50.0, 50.0), g.f64_in(-50.0, 50.0)));
         let r: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let e: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        assert!(rmse(&r, &e).unwrap() >= mae(&r, &e).unwrap() - 1e-12);
+        assert!(rmse(&r, &e) >= mae(&r, &e) - 1e-12);
     });
+}
+
+#[test]
+fn mae_rmse_known() {
+    let r = [1.0, 2.0, 3.0];
+    let e = [2.0, 2.0, 1.0];
+    assert!((mae(&r, &e) - 1.0).abs() <= 1e-12);
+    assert!((rmse(&r, &e) - (5.0_f64 / 3.0).sqrt()).abs() <= 1e-12);
 }
 
 #[test]

@@ -23,9 +23,10 @@
 //! for the Fig. 4 memory-latency experiment.
 //!
 //! [`trace`] provides a compact packed-trace encoding of generated streams
-//! plus a process-wide, byte-budgeted trace cache, so the simulation grid
-//! generates each workload's stream once and replays it for every
-//! (configuration, frequency) tuple.
+//! plus a process-wide trace cache that keeps a trace only while something
+//! that will replay it holds it, so the simulation grid generates each
+//! workload's stream once and replays it for every (configuration,
+//! frequency) tuple of that workload.
 //!
 //! # Examples
 //!

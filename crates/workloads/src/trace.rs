@@ -10,24 +10,26 @@
 //! it for every tuple.
 //!
 //! The [`TraceCache`] is sharded like the platform's `SimCache`: worker
-//! threads share `Arc`'d traces, each spec fingerprint is generated exactly
-//! once (concurrent requesters block on the winner), and total resident
-//! bytes are bounded by a budget with least-recently-used eviction. The
-//! budget of the process-wide instance comes from the
-//! `GEMSTONE_TRACE_BYTES` environment variable (default 512 MiB; `0`
-//! disables trace packing so callers fall back to direct generation).
+//! threads share one trace per spec, and concurrent requesters for a spec
+//! block on the one winning generation. A trace is resident only while
+//! something that will replay it has it: a [`LiveTrace`] that a replay
+//! is reading, or a [`TraceHold`] that a driver replaying the spec more
+//! than once (every column of one workload's characterisation) takes
+//! around its replays. The last of them to drop frees the trace, so
+//! residency is bounded by concurrency — about one trace per worker —
+//! and needs no byte budget.
 //!
 //! The atomic tier reads nothing but a per-class instruction count, so the
 //! cache also memoises one whole-stream class histogram per spec
-//! ([`TraceCache::class_histogram`]), whatever the byte budget. Filling it
-//! folds the generated stream straight into counts; it never encodes a
-//! trace, so atomic campaigns neither pack nor evict traces.
+//! ([`TraceCache::class_histogram`]). Filling it folds the generated
+//! stream straight into counts; it never encodes a trace, so atomic
+//! campaigns pack no trace at all.
 //!
 //! **Determinism contract:** decoding a packed trace yields a stream that
 //! is bit-identical to the [`StreamGen`] output it was encoded from —
 //! every field of every [`Instr`], in order. Replay therefore produces
-//! bit-identical engine results whether the trace cache is cold, warm, or
-//! disabled.
+//! bit-identical engine results whether a trace is freshly generated,
+//! held, or replayed through [`StreamGen`] directly.
 //!
 //! # Examples
 //!
@@ -54,20 +56,12 @@ use gemstone_obs::{Counter, Histogram, Registry};
 use gemstone_uarch::instr::{BranchRef, Instr, InstrClass, MemRef};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Number of independent shards (power of two).
 const SHARD_COUNT: usize = 16;
-
-/// Environment variable overriding the process-wide trace-cache byte
-/// budget. `0` disables trace packing; class histograms are still
-/// memoised.
-pub const TRACE_BYTES_ENV: &str = "GEMSTONE_TRACE_BYTES";
-
-/// Default byte budget of the process-wide trace cache (512 MiB).
-pub const DEFAULT_TRACE_BYTES: usize = 512 << 20;
 
 const MEM_UNALIGNED: u8 = 1 << 0;
 const MEM_STORE: u8 = 1 << 1;
@@ -186,8 +180,8 @@ impl PackedTrace {
             }
         }
         // The payload columns grew by doubling; traces are encoded once and
-        // then live in the cache, so trade one realloc for a tight footprint
-        // (bytes() accounts capacity against the cache budget).
+        // then replayed many times, so trade one realloc for a tight
+        // footprint (bytes() counts capacity).
         trace.mems.shrink_to_fit();
         trace.branches.shrink_to_fit();
         trace
@@ -208,8 +202,8 @@ impl PackedTrace {
         self.classes.is_empty()
     }
 
-    /// Resident heap footprint in bytes (what the [`TraceCache`] budget
-    /// accounts).
+    /// Resident heap footprint in bytes (what [`TraceCache::bytes`]
+    /// sums over the live traces).
     pub fn bytes(&self) -> usize {
         self.classes.capacity() * std::mem::size_of::<u8>()
             + self.pcs.capacity() * std::mem::size_of::<u64>()
@@ -317,110 +311,125 @@ pub struct TraceKey {
     lo: u64,
 }
 
-/// One cache entry; the [`OnceLock`] serialises concurrent fills so every
-/// spec is generated exactly once.
-#[derive(Default)]
-struct Slot {
-    cell: OnceLock<Arc<PackedTrace>>,
-    last_used: AtomicU64,
-}
+/// One spec's entry. The first [`TraceCache::get`] fills it, and the
+/// [`OnceLock`] makes concurrent requesters wait for that one generation.
+/// The entry lives exactly as long as a [`TraceHold`] or a [`LiveTrace`]
+/// has it.
+type Slot = OnceLock<PackedTrace>;
 
-/// A shared, concurrent, byte-budgeted memo of packed traces, beside a
-/// memo of whole-stream class histograms for the atomic tier.
+/// A shared, concurrent memo of the packed traces something still holds,
+/// beside a memo of whole-stream class histograms for the atomic tier.
 ///
 /// Cheap to share via [`Arc`]; see [`TraceCache::global`] for the
 /// process-wide instance used by default.
 pub struct TraceCache {
     shards: Vec<RwLock<HashMap<TraceKey, Arc<Slot>>>>,
     /// Class histograms per spec fingerprint. An entry is one small
-    /// array, so entries are neither charged against the byte budget nor
-    /// evicted.
+    /// array, so entries are kept for the life of the cache.
     histograms: RwLock<HashMap<TraceKey, Arc<OnceLock<[u64; InstrClass::COUNT]>>>>,
-    budget: usize,
     bytes: AtomicUsize,
-    clock: AtomicU64,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    evictions: Arc<Counter>,
     histogram_hits: Arc<Counter>,
     histogram_misses: Arc<Counter>,
     lookup_seconds: Arc<Histogram>,
 }
 
+/// Keeps one spec's packed trace resident from the moment a
+/// [`TraceCache::get`] generates it until the hold drops, so every `get`
+/// for the spec meanwhile is a hit. A hold never generates a trace by
+/// itself. See [`TraceCache::hold`].
+#[derive(Debug)]
+#[must_use = "a hold keeps the trace only until it is dropped"]
+pub struct TraceHold<'a> {
+    cache: &'a TraceCache,
+    key: TraceKey,
+    /// `Some` until the hold is dropped.
+    slot: Option<Arc<Slot>>,
+}
+
+impl TraceHold<'_> {
+    fn slot(&self) -> &Slot {
+        self.slot
+            .as_deref()
+            .expect("a hold owns its slot until dropped")
+    }
+}
+
+impl Drop for TraceHold<'_> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            self.cache.release(self.key, slot);
+        }
+    }
+}
+
+/// A packed trace returned by [`TraceCache::get`]. While it lives, it
+/// also holds the trace the way a [`TraceHold`] does, so a concurrent
+/// `get` for the same spec replays this trace instead of generating
+/// another.
+#[derive(Debug)]
+pub struct LiveTrace<'a>(TraceHold<'a>);
+
+impl Deref for LiveTrace<'_> {
+    type Target = PackedTrace;
+
+    fn deref(&self) -> &PackedTrace {
+        self.0
+            .slot()
+            .get()
+            .expect("get fills the trace before it returns it")
+    }
+}
+
 /// A consistent view of one trace cache's counters, read as a tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCacheSnapshot {
-    /// Lookups served from the memo.
+    /// Lookups served by a live trace.
     pub hits: u64,
     /// Lookups that generated a trace.
     pub misses: u64,
-    /// Traces evicted to stay within the byte budget.
-    pub evictions: u64,
     /// Class-histogram lookups served from the memo.
     pub histogram_hits: u64,
     /// Class-histogram lookups that generated the stream to count it.
     pub histogram_misses: u64,
-    /// Resident trace bytes at snapshot time.
+    /// Live trace bytes at snapshot time.
     pub bytes: usize,
-    /// Resident traces at snapshot time.
+    /// Live traces at snapshot time.
     pub entries: usize,
 }
 
 static GLOBAL: OnceLock<Arc<TraceCache>> = OnceLock::new();
 
 impl TraceCache {
-    /// Creates an empty cache with the default byte budget.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_budget(DEFAULT_TRACE_BYTES)
-    }
-
-    /// Creates an empty cache bounded to `budget` resident bytes. A budget
-    /// of `0` disables trace packing: [`TraceCache::get`] always returns
-    /// `None` and callers generate streams directly.
-    /// [`TraceCache::class_histogram`] memoises at every budget.
-    ///
-    /// The budget bounds the *steady state*: a single trace larger than the
-    /// whole budget is still returned to its requester (and evicted as soon
-    /// as a later fill needs the room).
-    pub fn with_budget(budget: usize) -> Self {
         TraceCache {
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             histograms: RwLock::new(HashMap::new()),
-            budget,
             bytes: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
             // Detached handles: per-instance caches (tests, benches) keep
             // isolated counts; only `global()` registers the canonical
             // `trace_cache.*` names.
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
-            evictions: Arc::new(Counter::new()),
             histogram_hits: Arc::new(Counter::new()),
             histogram_misses: Arc::new(Counter::new()),
             lookup_seconds: Arc::new(Histogram::with_bounds(log2_time_bounds())),
         }
     }
 
-    /// The process-wide shared cache, budgeted from the
-    /// `GEMSTONE_TRACE_BYTES` environment variable (bytes; default 512 MiB,
-    /// `0` disables trace packing). A malformed value produces a one-time stderr warning
-    /// and falls back to the default instead of being silently ignored.
+    /// The process-wide shared cache, whose counters are registered under
+    /// the canonical `trace_cache.*` names.
     pub fn global() -> Arc<TraceCache> {
         GLOBAL
             .get_or_init(|| {
-                let budget = gemstone_obs::env::parse::<usize>(
-                    TRACE_BYTES_ENV,
-                    "a byte count (0 disables the cache)",
-                    "the default of 512 MiB",
-                )
-                .unwrap_or(DEFAULT_TRACE_BYTES);
-                let mut cache = TraceCache::with_budget(budget);
+                let mut cache = TraceCache::new();
                 let registry = Registry::global();
                 cache.hits = registry.counter("trace_cache.hits");
                 cache.misses = registry.counter("trace_cache.misses");
-                cache.evictions = registry.counter("trace_cache.evictions");
                 cache.histogram_hits = registry.counter("trace_cache.histogram.hits");
                 cache.histogram_misses = registry.counter("trace_cache.histogram.misses");
                 cache.lookup_seconds =
@@ -443,24 +452,24 @@ impl TraceCache {
         }
     }
 
-    /// Returns the packed trace for `spec`, generating it exactly once per
-    /// fingerprint; concurrent requesters for the same spec block on the
-    /// winning generation instead of duplicating it. Returns `None` at a
-    /// budget of 0 — callers then fall back to [`StreamGen`].
-    pub fn get(&self, spec: &WorkloadSpec) -> Option<Arc<PackedTrace>> {
-        if self.budget == 0 {
-            return None;
-        }
-        // Lookup latency covers fingerprinting plus the shard probe —
-        // not trace generation, which a miss pays inside the `OnceLock`.
-        let lookup_start = std::time::Instant::now();
+    fn shard(&self, key: TraceKey) -> &RwLock<HashMap<TraceKey, Arc<Slot>>> {
+        &self.shards[(key.hi as usize) & (SHARD_COUNT - 1)]
+    }
+
+    /// Holds `spec`'s packed trace for a driver that replays the spec
+    /// more than once: the first [`TraceCache::get`] that generates the
+    /// trace keeps it resident until the hold drops. The hold itself
+    /// generates nothing, so a spec whose replays are all served by the
+    /// simulation memo costs no generation.
+    pub fn hold(&self, spec: &WorkloadSpec) -> TraceHold<'_> {
         let key = Self::fingerprint(spec);
-        let shard = &self.shards[(key.hi as usize) & (SHARD_COUNT - 1)];
-        let slot = {
-            let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-            map.get(&key).cloned()
-        };
-        let slot = match slot {
+        let shard = self.shard(key);
+        let found = shard
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .cloned();
+        let slot = match found {
             Some(slot) => slot,
             None => shard
                 .write()
@@ -469,34 +478,63 @@ impl TraceCache {
                 .or_default()
                 .clone(),
         };
+        TraceHold {
+            cache: self,
+            key,
+            slot: Some(slot),
+        }
+    }
+
+    /// Drops one owner's reference to `key`'s slot, and removes the slot
+    /// once no hold or live trace has it. Every owner clones its
+    /// reference under the shard lock and drops it here under the write
+    /// lock, so the strong count read here is exact. (Dropping it after
+    /// the unlock would let two last owners each count the other and
+    /// leave the slot in the map.)
+    fn release(&self, key: TraceKey, slot: Arc<Slot>) {
+        let mut map = self
+            .shard(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let last = map
+            .get(&key)
+            .is_some_and(|s| Arc::ptr_eq(s, &slot) && Arc::strong_count(s) == 2);
+        let removed = if last { map.remove(&key) } else { None };
+        drop(slot);
+        drop(map);
+        if let Some(trace) = removed.as_deref().and_then(OnceLock::get) {
+            self.bytes.fetch_sub(trace.bytes(), Ordering::Relaxed);
+        }
+    }
+
+    /// Returns the packed trace for `spec`: the live one if a hold or
+    /// another [`LiveTrace`] still has it, otherwise a new generation.
+    /// Concurrent requesters for the same spec block on the one winning
+    /// generation instead of duplicating it.
+    pub fn get(&self, spec: &WorkloadSpec) -> LiveTrace<'_> {
+        // Lookup latency covers fingerprinting plus the shard probe —
+        // not trace generation, which a miss pays inside the `OnceLock`.
+        let lookup_start = std::time::Instant::now();
+        let hold = self.hold(spec);
         self.lookup_seconds
             .observe(lookup_start.elapsed().as_secs_f64());
-        slot.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
         let mut computed = false;
-        let trace = slot
-            .cell
-            .get_or_init(|| {
-                computed = true;
-                Arc::new(PackedTrace::from_spec(spec))
-            })
-            .clone();
+        let trace = hold.slot().get_or_init(|| {
+            computed = true;
+            PackedTrace::from_spec(spec)
+        });
         if computed {
             self.misses.inc();
             self.bytes.fetch_add(trace.bytes(), Ordering::Relaxed);
-            self.evict_over_budget(key);
         } else {
             self.hits.inc();
         }
-        Some(trace)
+        LiveTrace(hold)
     }
 
     /// Returns the whole-stream class histogram of `spec` — all the atomic
     /// tier reads — computing it exactly once per fingerprint by folding
-    /// [`StreamGen`] straight into counts: no trace is encoded, charged or
-    /// evicted, so the memo works at every byte budget, 0 included.
+    /// [`StreamGen`] straight into counts: no trace is encoded.
     /// Concurrent requesters block on the winning fill. The histogram
     /// equals [`PackedTrace::class_histogram`] over the whole trace.
     pub fn class_histogram(&self, spec: &WorkloadSpec) -> [u64; InstrClass::COUNT] {
@@ -533,53 +571,14 @@ impl TraceCache {
         hist
     }
 
-    /// Evicts least-recently-used filled entries (never `protect`, which
-    /// the caller just inserted) until resident bytes fit the budget.
-    /// In-flight replays keep their `Arc`'d traces alive regardless.
-    fn evict_over_budget(&self, protect: TraceKey) {
-        while self.bytes.load(Ordering::Relaxed) > self.budget {
-            let mut victim: Option<(usize, TraceKey, u64)> = None;
-            for (si, shard) in self.shards.iter().enumerate() {
-                let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-                for (key, slot) in map.iter() {
-                    if *key == protect || slot.cell.get().is_none() {
-                        continue;
-                    }
-                    let used = slot.last_used.load(Ordering::Relaxed);
-                    if victim.is_none_or(|(_, _, best)| used < best) {
-                        victim = Some((si, *key, used));
-                    }
-                }
-            }
-            let Some((si, key, _)) = victim else {
-                break; // nothing evictable: only the protected entry remains
-            };
-            if let Some(slot) = self.shards[si]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&key)
-            {
-                if let Some(trace) = slot.cell.get() {
-                    self.bytes.fetch_sub(trace.bytes(), Ordering::Relaxed);
-                    self.evictions.inc();
-                }
-            }
-        }
-    }
-
-    /// Number of lookups served from the memo.
+    /// Number of lookups served by a live trace.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
 
-    /// Number of lookups that generated a trace (= fills).
+    /// Number of lookups that generated a trace (= generations).
     pub fn misses(&self) -> u64 {
         self.misses.get()
-    }
-
-    /// Number of traces evicted to stay within the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.get()
     }
 
     /// Number of class-histogram lookups served from the memo.
@@ -601,7 +600,6 @@ impl TraceCache {
             (
                 self.hits(),
                 self.misses(),
-                self.evictions(),
                 self.histogram_hits(),
                 self.histogram_misses(),
             )
@@ -613,9 +611,8 @@ impl TraceCache {
                 return TraceCacheSnapshot {
                     hits: cur.0,
                     misses: cur.1,
-                    evictions: cur.2,
-                    histogram_hits: cur.3,
-                    histogram_misses: cur.4,
+                    histogram_hits: cur.2,
+                    histogram_misses: cur.3,
                     bytes: self.bytes(),
                     entries: self.len(),
                 };
@@ -624,47 +621,26 @@ impl TraceCache {
         }
     }
 
-    /// Resident trace bytes currently accounted against the budget.
+    /// Bytes of the live traces: those a hold or a [`LiveTrace`] still
+    /// has.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// The byte budget this cache was created with (0 = no trace packing).
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Number of resident traces.
+    /// Number of live traces.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .map(|s| {
+                let map = s.read().unwrap_or_else(PoisonError::into_inner);
+                map.values().filter(|slot| slot.get().is_some()).count()
+            })
             .sum()
     }
 
-    /// Whether the cache holds no traces.
+    /// Whether no trace is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every trace and class histogram and resets all counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
-        }
-        self.histograms
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.bytes.store(0, Ordering::Relaxed);
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
-        self.histogram_hits.reset();
-        self.histogram_misses.reset();
     }
 }
 
@@ -679,10 +655,8 @@ impl fmt::Debug for TraceCache {
         f.debug_struct("TraceCache")
             .field("traces", &self.len())
             .field("bytes", &self.bytes())
-            .field("budget", &self.budget)
             .field("hits", &self.hits())
             .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
             .field("histogram_hits", &self.histogram_hits())
             .field("histogram_misses", &self.histogram_misses())
             .finish()
@@ -749,22 +723,59 @@ mod tests {
     }
 
     #[test]
-    fn cache_generates_once_and_counts() {
+    fn live_traces_are_shared_then_freed() {
         let cache = TraceCache::new();
         let s = spec(5_000);
-        let a = cache.get(&s).expect("enabled cache returns a trace");
-        let b = cache.get(&s).expect("enabled cache returns a trace");
-        assert!(Arc::ptr_eq(&a, &b), "both callers share one Arc'd trace");
+        let a = cache.get(&s);
+        let b = cache.get(&s);
+        assert!(std::ptr::eq(&*a, &*b), "both callers replay one trace");
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes(), a.bytes());
+        assert_eq!((cache.len(), cache.bytes()), (1, a.bytes()));
         let snap = cache.snapshot();
-        assert_eq!((snap.hits, snap.misses, snap.evictions), (1, 1, 0));
+        assert_eq!((snap.hits, snap.misses), (1, 1));
         assert_eq!((snap.bytes, snap.entries), (a.bytes(), 1));
-        cache.clear();
+        drop(a);
+        assert_eq!(cache.len(), 1, "the other live trace keeps it");
+        drop(b);
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.snapshot().misses, 0);
+        // Nothing has it any more: the next request generates again.
+        let again = cache.get(&s);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(
+            again.iter().collect::<Vec<_>>(),
+            StreamGen::new(&s).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_hold_keeps_a_generated_trace_until_it_drops() {
+        let cache = TraceCache::new();
+        let s = spec(5_000);
+        let hold = cache.hold(&s);
+        assert_eq!((cache.misses(), cache.len(), cache.bytes()), (0, 0, 0));
+        let bytes = cache.get(&s).bytes();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+        assert_eq!(
+            (cache.len(), cache.bytes()),
+            (1, bytes),
+            "held after the replay"
+        );
+        for _ in 0..3 {
+            cache.get(&s);
+        }
+        assert_eq!((cache.misses(), cache.hits()), (1, 3));
+        // A second hold on the spec shares the trace; the last one frees it.
+        let inner = cache.hold(&s);
+        drop(hold);
+        assert_eq!(cache.len(), 1);
+        drop(inner);
+        assert_eq!((cache.len(), cache.bytes()), (0, 0));
+        // A hold nothing replays under generates nothing.
+        drop(cache.hold(&s));
+        assert_eq!((cache.misses(), cache.len(), cache.bytes()), (1, 0, 0));
+        // No slot, filled or not, outlives its last holder.
+        assert!(cache.shards.iter().all(|s| s.read().unwrap().is_empty()));
     }
 
     #[test]
@@ -772,37 +783,26 @@ mod tests {
         let cache = TraceCache::new();
         let sa = spec(4_000);
         let sb = spec(6_000);
+        // Every worker keeps both traces until all have asked, so each
+        // spec stays live across the whole race.
+        let asked = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    cache.get(&sa);
-                    cache.get(&sb);
+                    let live = (cache.get(&sa), cache.get(&sb));
+                    asked.wait();
+                    drop(live);
                 });
             }
         });
         assert_eq!(cache.misses(), 2, "each spec generated exactly once");
         assert_eq!(cache.hits(), 14);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn zero_budget_disables() {
-        let cache = TraceCache::with_budget(0);
-        let s = spec(1_000);
-        assert!(cache.get(&s).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert!(cache.is_empty(), "no trace is packed");
-        // The class-histogram memo does not depend on the budget.
-        let hist = cache.class_histogram(&s);
-        assert_eq!(cache.class_histogram(&s), hist);
-        assert_eq!((cache.histogram_misses(), cache.histogram_hits()), (1, 1));
-        let trace = PackedTrace::from_spec(&s);
-        assert_eq!(hist, trace.class_histogram(0..trace.len()));
         assert_eq!((cache.len(), cache.bytes()), (0, 0));
+        assert!(cache.shards.iter().all(|s| s.read().unwrap().is_empty()));
     }
 
     #[test]
-    fn class_histogram_memo_counts_without_packing_and_clears() {
+    fn class_histogram_memo_counts_without_packing() {
         let cache = TraceCache::new();
         let s = spec(7_000);
         let hist = cache.class_histogram(&s);
@@ -816,10 +816,6 @@ mod tests {
             (snap.misses, snap.hits, snap.entries, snap.bytes),
             (0, 0, 0, 0)
         );
-        cache.clear();
-        assert_eq!((cache.histogram_hits(), cache.histogram_misses()), (0, 0));
-        assert_eq!(cache.class_histogram(&s), hist);
-        assert_eq!(cache.histogram_misses(), 1, "clear empties the memo");
     }
 
     #[test]
@@ -852,33 +848,6 @@ mod tests {
         let ta = PackedTrace::from_spec(&sa);
         assert_eq!(seen[0].0, ta.class_histogram(0..ta.len()));
         assert!(cache.is_empty(), "no trace was packed");
-    }
-
-    #[test]
-    fn lru_eviction_respects_budget() {
-        // Budget sized for roughly one trace: filling three evicts the
-        // least recently used ones.
-        let probe = PackedTrace::from_spec(&spec(5_000));
-        let cache = TraceCache::with_budget(probe.bytes() + probe.bytes() / 2);
-        let specs = [spec(5_000), spec(5_001), spec(5_002)];
-        for s in &specs {
-            cache.get(s);
-        }
-        assert!(cache.evictions() >= 1, "evictions = {}", cache.evictions());
-        assert!(
-            cache.bytes() <= cache.budget(),
-            "resident {} over budget {}",
-            cache.bytes(),
-            cache.budget()
-        );
-        // The most recent spec survived.
-        let before = cache.misses();
-        cache.get(&specs[2]);
-        assert_eq!(cache.misses(), before, "most recent trace still resident");
-        // An evicted spec regenerates (miss), still bit-identically.
-        let regen = cache.get(&specs[0]).unwrap();
-        let fresh: Vec<Instr> = StreamGen::new(&specs[0]).collect();
-        assert_eq!(regen.iter().collect::<Vec<_>>(), fresh);
     }
 
     #[test]

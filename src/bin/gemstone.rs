@@ -83,9 +83,10 @@ impl Args {
         Ok(Args { flags, positional })
     }
 
-    /// The one reader of numeric flags: `default` when `--key` is absent,
-    /// and a usage error naming the flag when its value does not parse or
-    /// fails `valid` (which `expected` describes).
+    /// The one reader of parsed flags (the numbers, and `--fidelity`):
+    /// `default` when `--key` is absent, and a usage error naming the flag
+    /// when its value does not parse or fails `valid` (which `expected`
+    /// describes).
     fn number<T: std::str::FromStr>(
         &self,
         key: &str,
@@ -362,18 +363,14 @@ fn parse_cluster(args: &Args) -> Result<Cluster, String> {
 /// knobs. An unrecognised value is a usage error (exit 2), not a silent
 /// fall-back to the default tier.
 fn parse_fidelity(args: &Args) -> Result<TierConfig, String> {
-    match args.get("fidelity") {
-        None => Ok(TierConfig::default()),
-        Some(v) => {
-            let fidelity: Fidelity = v
-                .parse()
-                .map_err(|e| format!("invalid --fidelity value: {e}"))?;
-            Ok(TierConfig {
-                fidelity,
-                sample: SampleParams::from_env(),
-            })
-        }
+    if !args.has("fidelity") {
+        return Ok(TierConfig::default());
     }
+    let expected = "one of atomic, approx, sampled";
+    Ok(TierConfig {
+        fidelity: args.number("fidelity", Fidelity::Approx, expected, |_| true)?,
+        sample: SampleParams::from_env(),
+    })
 }
 
 /// The campaign `--scale` and `--fidelity` ask for, on the default board.
@@ -617,17 +614,14 @@ fn run_improve(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn run_stats(args: &Args) -> Result<ExitCode, String> {
+    let model = parse_model(args)?;
+    let tier = parse_fidelity(args)?;
+    let scale = args.scale()?;
     let name = args
         .positional
         .first()
         .ok_or("stats needs a workload name (see `suites::power_suite()` for the list)")?;
-    let spec = match resolve_workload(name) {
-        Ok(s) => s,
-        Err(e) => return fail("stats", e),
-    };
-    let model = parse_model(args)?;
-    let tier = parse_fidelity(args)?;
-    let scale = args.scale()?;
+    let spec = resolve_workload(name)?;
     // The process-wide caches, so the counters below reflect whether this
     // invocation hit the memo / replayed a packed trace / fused the
     // frequency column.
@@ -649,7 +643,6 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
         ("gemstone.simcache.grid_fills", cache.grid_fills()),
         ("gemstone.tracecache.hits", traces.hits()),
         ("gemstone.tracecache.misses", traces.misses()),
-        ("gemstone.tracecache.evictions", traces.evictions()),
         ("gemstone.tracecache.bytes", traces.bytes() as u64),
         (
             "gemstone.trace_cache.histogram.hits",
@@ -705,20 +698,17 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
 /// (MIPS), per-structure event rates, instruction mix, and cache-layer
 /// effectiveness. The obs layer is always on for this subcommand.
 fn run_profile(args: &Args) -> Result<ExitCode, String> {
-    let name = args
-        .positional
-        .first()
-        .ok_or("profile needs a workload name, e.g. `gemstone profile dhrystone`")?;
-    let spec = match resolve_workload(name) {
-        Ok(s) => s,
-        Err(e) => return fail("profile", e),
-    };
     let model = parse_model(args)?;
     let freq = args.number("freq", 1.0e9, "a frequency in Hz > 0", |f: &f64| {
         f.is_finite() && *f > 0.0
     })?;
     let tier = parse_fidelity(args)?;
     let scale = args.scale()?;
+    let name = args
+        .positional
+        .first()
+        .ok_or("profile needs a workload name, e.g. `gemstone profile dhrystone`")?;
+    let spec = resolve_workload(name)?;
     let outputs = ObsOutputs::from_args(args);
     // Profiling is the point of this subcommand — spans and registry
     // counters are live even when no export file was requested.
@@ -833,11 +823,10 @@ fn run_profile(args: &Args) -> Result<ExitCode, String> {
         sim.hits, sim.misses, sim.entries
     );
     println!(
-        "trace cache: {} hits, {} misses, {} evictions, {} entries, {} bytes; \
+        "trace cache: {} hits, {} misses, {} entries, {} bytes; \
          class histograms: {} hits, {} misses",
         traces.hits,
         traces.misses,
-        traces.evictions,
         traces.entries,
         traces.bytes,
         traces.histogram_hits,
@@ -1156,9 +1145,51 @@ mod tests {
         assert_eq!(parse_fidelity(&a).unwrap().fidelity, Fidelity::Sampled);
         let a = Args::parse(&strs(&["--fidelity", "turbo"]), &[]).unwrap();
         assert!(parse_fidelity(&a).unwrap_err().contains("--fidelity"));
+        // The same form as every other flag's usage error.
+        assert_eq!(
+            parse_fidelity(&a).unwrap_err(),
+            "invalid --fidelity value 'turbo': expected one of atomic, approx, sampled"
+        );
         // No flag is the approx tier.
         let a = Args::parse(&strs(&[]), &[]).unwrap();
         assert_eq!(parse_fidelity(&a).unwrap(), TierConfig::default());
+    }
+
+    /// `stats` and `profile` check every flag before they look the
+    /// workload up, and an unknown workload is a usage error (exit 2).
+    fn flags_then_workload(run: fn(&Args) -> Result<ExitCode, String>) {
+        let args = |raw: &[&str]| Args::parse(&strs(raw), &[]).unwrap();
+        for (raw, want) in [
+            (
+                &["no-such-workload", "--model", "bogus"][..],
+                "invalid --model value 'bogus'",
+            ),
+            (
+                &["no-such-workload", "--fidelity", "turbo"],
+                "invalid --fidelity value 'turbo'",
+            ),
+            (
+                &["no-such-workload", "--scale", "0"],
+                "invalid --scale value '0'",
+            ),
+            (&["no-such-workload"], "unknown workload 'no-such-workload'"),
+            (&["mi-"], "ambiguous workload 'mi-'"),
+        ] {
+            let e = run(&args(raw)).unwrap_err();
+            assert!(e.starts_with(want), "{raw:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn stats_checks_flags_then_rejects_an_unknown_workload() {
+        flags_then_workload(run_stats);
+    }
+
+    #[test]
+    fn profile_checks_flags_then_rejects_an_unknown_workload() {
+        flags_then_workload(run_profile);
+        let e = run_profile(&Args::parse(&strs(&["x", "--freq", "-1"]), &[]).unwrap());
+        assert!(e.unwrap_err().starts_with("invalid --freq value '-1'"));
     }
 
     #[test]
