@@ -8,7 +8,11 @@
 //! with the pre-fix `ex5_big` the paper plots, the E13 ablation and the X7
 //! improvement loop. Their hardware runs repeat tuples the pipeline already
 //! simulated, so they are [`SimCache`](gemstone_platform::simcache::SimCache)
-//! hits, and no tuple is simulated twice.
+//! hits, and no tuple is simulated twice. No trace is generated twice
+//! either: the run holds each validation workload's packed trace
+//! ([`TraceCache::hold`](gemstone_workloads::trace::TraceCache::hold)) from
+//! the pipeline's first replay of it until the X7 loop ends, so E13 and
+//! every X7 iteration replay the pipeline's traces.
 //!
 //! [`Repro::files`] renders every result through [`crate::render`], one
 //! file per experiment under the names `results/` has always used. Each
@@ -108,6 +112,12 @@ pub fn run(experiment: ExperimentConfig) -> Result<Repro> {
     let scale = experiment.workload_scale;
     let opts = pipeline_options(experiment.clone());
     let freq = opts.analysis_freq_hz;
+    let workloads = scaled(&suites::validation_suite(), scale);
+    // The pipeline, E13 and every X7 iteration replay the validation
+    // workloads: one hold each for the whole campaign, so the first
+    // replay of each generates its trace and every later one reuses it.
+    let traces = experiment.board.cache.trace_cache();
+    let holds: Vec<_> = workloads.iter().map(|w| traces.hold(w)).collect();
     let report = GemStone::new(opts).run()?;
 
     let power_specs = scaled(&suites::power_suite(), scale);
@@ -133,9 +143,9 @@ pub fn run(experiment: ExperimentConfig) -> Result<Repro> {
         &[Gem5Model::Ex5Little, Gem5Model::Ex5BigOld],
     )?;
 
-    let workloads = scaled(&suites::validation_suite(), scale);
     let ablation = ablation::analyse(&experiment, &workloads, freq)?;
     let improve = improve::improve_model(&experiment, &workloads, freq, 10.0, 8)?;
+    drop(holds);
     Ok(Repro {
         report,
         power,

@@ -765,6 +765,19 @@ impl Drop for Service {
     }
 }
 
+/// Counters update continuously, but occupancy numbers (entry counts,
+/// live and peak trace bytes) only exist as method calls on the global
+/// caches: mirror them into gauges right before an export (`/metrics`,
+/// the CLI's dumps).
+pub fn sync_cache_gauges() {
+    let cache = SimCache::global();
+    let traces = cache.trace_cache();
+    metric("simcache.entries").set(cache.len() as f64);
+    metric("trace_cache.entries").set(traces.len() as f64);
+    metric("trace_cache.bytes").set(traces.bytes() as f64);
+    metric("trace_cache.peak_bytes").set(traces.peak_bytes() as f64);
+}
+
 fn metric(name: &str) -> Arc<gemstone_obs::registry::Gauge> {
     Registry::global().gauge(name)
 }
@@ -947,11 +960,14 @@ pub fn handle_request(svc: &Service, req: &gemstone_obs::http::Request) -> (u16,
     let json = "application/json".to_string();
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (200, json, "{\"ok\":true}".to_string()),
-        ("GET", "/metrics") => (
-            200,
-            "text/plain; version=0.0.4".to_string(),
-            gemstone_obs::export::prometheus(Registry::global()),
-        ),
+        ("GET", "/metrics") => {
+            sync_cache_gauges();
+            (
+                200,
+                "text/plain; version=0.0.4".to_string(),
+                gemstone_obs::export::prometheus(Registry::global()),
+            )
+        }
         ("POST", "/jobs") => match svc.submit_json(&req.body) {
             Ok(sub) => (
                 202,

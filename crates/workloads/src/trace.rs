@@ -6,8 +6,9 @@
 //! the stream through [`StreamGen`] costs per-instruction RNG draws and CDF
 //! sampling each time; this module amortises that by materialising the
 //! stream **once** into a compact structure-of-arrays encoding
-//! ([`PackedTrace`], ~16 B/instruction on the standard mixes) and replaying
-//! it for every tuple.
+//! ([`PackedTrace`], about 7.6 B/instruction over the suite and at most
+//! about 11 on the memory-heaviest workload) and replaying it for every
+//! tuple.
 //!
 //! The [`TraceCache`] is sharded like the platform's `SimCache`: worker
 //! threads share one trace per spec, and concurrent requesters for a spec
@@ -63,87 +64,51 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 /// Number of independent shards (power of two).
 const SHARD_COUNT: usize = 16;
 
-const MEM_UNALIGNED: u8 = 1 << 0;
-const MEM_STORE: u8 = 1 << 1;
-const MEM_SHARED: u8 = 1 << 2;
-const MEM_DEPENDENT: u8 = 1 << 3;
+/// Low bits of an `ops` byte: the [`InstrClass::index`].
+const OP_CLASS: u8 = 0x0f;
+/// The instruction's PC is not the previous PC + 4; it is the next entry
+/// of the `jumps` column.
+const OP_JUMP: u8 = 1 << 4;
+/// A branch's architectural outcome.
+const OP_TAKEN: u8 = 1 << 5;
 
-/// Compact [`MemRef`] column entry (10 bytes packed).
-#[derive(Debug, Clone, Copy)]
-struct PackedMem {
-    vaddr: u64,
-    size: u8,
-    flags: u8,
-}
+// Every class index must fit the low nibble of an `ops` byte.
+const _: () = assert!(InstrClass::COUNT <= 16);
 
-impl PackedMem {
-    fn pack(m: &MemRef) -> Self {
-        PackedMem {
-            vaddr: m.vaddr,
-            size: m.size,
-            flags: ((m.unaligned as u8) * MEM_UNALIGNED)
-                | ((m.is_store as u8) * MEM_STORE)
-                | ((m.shared as u8) * MEM_SHARED)
-                | ((m.dependent as u8) * MEM_DEPENDENT),
-        }
-    }
+/// The "previous PC" the encoder and decoder both start from. A first
+/// PC of 0 (this + 4, wrapping) costs no `jumps` entry; any other first
+/// PC is a jump, so every `u64` PC round-trips.
+const PC_START: u64 = 0u64.wrapping_sub(4);
 
-    #[inline]
-    fn unpack(self) -> MemRef {
-        MemRef {
-            vaddr: self.vaddr,
-            size: self.size,
-            unaligned: self.flags & MEM_UNALIGNED != 0,
-            is_store: self.flags & MEM_STORE != 0,
-            shared: self.flags & MEM_SHARED != 0,
-            dependent: self.flags & MEM_DEPENDENT != 0,
-        }
-    }
-}
+/// Low byte of a `mem_meta` entry: the access size; above it, the flags.
+const MEM_SIZE: u16 = 0xff;
+const MEM_UNALIGNED: u16 = 1 << 8;
+const MEM_STORE: u16 = 1 << 9;
+const MEM_SHARED: u16 = 1 << 10;
+const MEM_DEPENDENT: u16 = 1 << 11;
 
-/// Compact [`BranchRef`] column entry (13 bytes packed).
-#[derive(Debug, Clone, Copy)]
-struct PackedBranch {
-    target_page: u64,
-    static_id: u32,
-    taken: bool,
-}
-
-impl PackedBranch {
-    fn pack(b: &BranchRef) -> Self {
-        PackedBranch {
-            target_page: b.target_page,
-            static_id: b.static_id,
-            taken: b.taken,
-        }
-    }
-
-    #[inline]
-    fn unpack(self) -> BranchRef {
-        BranchRef {
-            static_id: self.static_id,
-            taken: self.taken,
-            target_page: self.target_page,
-        }
-    }
-}
-
-/// A fixed-width, structure-of-arrays encoding of an instruction stream.
+/// A structure-of-arrays encoding of an instruction stream.
 ///
-/// Per instruction: one class byte and one 8-byte PC; memory and branch
-/// payloads are stored in side columns in stream order and re-attached on
-/// decode by the class predicates (`is_memory()` / `is_branch()`), which is
-/// why encoding asserts that payload presence matches the class.
+/// Per instruction, one `ops` byte: the class index in the low four bits,
+/// a JUMP flag, and a branch's TAKEN flag. A PC costs nothing when it is
+/// the previous PC + 4; any other PC is stored in the `jumps` column.
+/// Memory payloads (`vaddrs`, `mem_meta`: size and four flags) and branch
+/// payloads (`targets`, `sites`) sit in side columns in stream order and
+/// are re-attached on decode by the class predicates (`is_memory()` /
+/// `is_branch()`), which is why encoding asserts that payload presence
+/// matches the class.
 pub struct PackedTrace {
-    classes: Vec<u8>,
-    pcs: Vec<u64>,
-    mems: Vec<PackedMem>,
-    branches: Vec<PackedBranch>,
+    ops: Vec<u8>,
+    jumps: Vec<u64>,
+    vaddrs: Vec<u64>,
+    mem_meta: Vec<u16>,
+    targets: Vec<u64>,
+    sites: Vec<u32>,
 }
 
 impl PackedTrace {
-    /// Encodes a stream. Preallocates from the iterator's `size_hint`
-    /// (exact for [`StreamGen`]).
+    /// Encodes a stream. Preallocates the `ops` column from the
+    /// iterator's `size_hint` (exact for [`StreamGen`]).
     ///
     /// # Panics
     ///
@@ -152,13 +117,15 @@ impl PackedTrace {
     /// such a stream could not be decoded bit-identically.
     pub fn encode(stream: impl Iterator<Item = Instr>) -> Self {
         let (lo, hi) = stream.size_hint();
-        let n = hi.unwrap_or(lo);
         let mut trace = PackedTrace {
-            classes: Vec::with_capacity(n),
-            pcs: Vec::with_capacity(n),
-            mems: Vec::new(),
-            branches: Vec::new(),
+            ops: Vec::with_capacity(hi.unwrap_or(lo)),
+            jumps: Vec::new(),
+            vaddrs: Vec::new(),
+            mem_meta: Vec::new(),
+            targets: Vec::new(),
+            sites: Vec::new(),
         };
+        let mut prev_pc = PC_START;
         for instr in stream {
             assert_eq!(
                 instr.mem.is_some(),
@@ -170,20 +137,37 @@ impl PackedTrace {
                 instr.class.is_branch(),
                 "branch payload must match a branch class for lossless packing"
             );
-            trace.classes.push(instr.class.index());
-            trace.pcs.push(instr.pc);
+            let mut op = instr.class.index();
+            if instr.pc != prev_pc.wrapping_add(4) {
+                op |= OP_JUMP;
+                trace.jumps.push(instr.pc);
+            }
+            prev_pc = instr.pc;
             if let Some(m) = &instr.mem {
-                trace.mems.push(PackedMem::pack(m));
+                trace.vaddrs.push(m.vaddr);
+                trace.mem_meta.push(
+                    u16::from(m.size)
+                        | (u16::from(m.unaligned) * MEM_UNALIGNED)
+                        | (u16::from(m.is_store) * MEM_STORE)
+                        | (u16::from(m.shared) * MEM_SHARED)
+                        | (u16::from(m.dependent) * MEM_DEPENDENT),
+                );
             }
             if let Some(b) = &instr.branch {
-                trace.branches.push(PackedBranch::pack(b));
+                op |= u8::from(b.taken) * OP_TAKEN;
+                trace.targets.push(b.target_page);
+                trace.sites.push(b.static_id);
             }
+            trace.ops.push(op);
         }
-        // The payload columns grew by doubling; traces are encoded once and
-        // then replayed many times, so trade one realloc for a tight
+        // The side columns grew by doubling; traces are encoded once and
+        // then replayed many times, so trade one realloc each for a tight
         // footprint (bytes() counts capacity).
-        trace.mems.shrink_to_fit();
-        trace.branches.shrink_to_fit();
+        trace.jumps.shrink_to_fit();
+        trace.vaddrs.shrink_to_fit();
+        trace.mem_meta.shrink_to_fit();
+        trace.targets.shrink_to_fit();
+        trace.sites.shrink_to_fit();
         trace
     }
 
@@ -194,22 +178,23 @@ impl PackedTrace {
 
     /// Number of instructions in the trace.
     pub fn len(&self) -> usize {
-        self.classes.len()
+        self.ops.len()
     }
 
     /// Whether the trace holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        self.ops.is_empty()
     }
 
     /// Resident heap footprint in bytes (what [`TraceCache::bytes`]
     /// sums over the live traces).
     pub fn bytes(&self) -> usize {
-        self.classes.capacity() * std::mem::size_of::<u8>()
-            + self.pcs.capacity() * std::mem::size_of::<u64>()
-            + self.mems.capacity() * std::mem::size_of::<PackedMem>()
-            + self.branches.capacity() * std::mem::size_of::<PackedBranch>()
-            + std::mem::size_of::<Self>()
+        self.ops.capacity()
+            + (self.jumps.capacity() + self.vaddrs.capacity() + self.targets.capacity())
+                * size_of::<u64>()
+            + self.mem_meta.capacity() * size_of::<u16>()
+            + self.sites.capacity() * size_of::<u32>()
+            + size_of::<Self>()
     }
 
     /// Decoding iterator over the trace; yields the exact stream the trace
@@ -218,21 +203,24 @@ impl PackedTrace {
         Replay {
             trace: self,
             idx: 0,
+            pc: PC_START,
+            jump_idx: 0,
             mem_idx: 0,
             branch_idx: 0,
         }
     }
 
     /// Per-class instruction counts over `range` (end clamped to the trace
-    /// length), indexed by [`InstrClass::index`]. Reads only the class
-    /// column, so counting costs one byte per instruction — this is what
-    /// the atomic tier and sampled fast-forward phases consume.
+    /// length), indexed by [`InstrClass::index`]. Reads only the `ops`
+    /// column, one byte per instruction. The `gridsweep` bench and tests
+    /// call it; the atomic tier reads [`TraceCache::class_histogram`]
+    /// instead, which never packs a trace.
     pub fn class_histogram(&self, range: Range<usize>) -> [u64; InstrClass::COUNT] {
         let end = range.end.min(self.len());
         let start = range.start.min(end);
         let mut hist = [0u64; InstrClass::COUNT];
-        for &class in &self.classes[start..end] {
-            hist[class as usize] += 1;
+        for &op in &self.ops[start..end] {
+            hist[(op & OP_CLASS) as usize] += 1;
         }
         hist
     }
@@ -261,6 +249,10 @@ impl<'a> IntoIterator for &'a PackedTrace {
 pub struct Replay<'a> {
     trace: &'a PackedTrace,
     idx: usize,
+    /// The PC of the last decoded instruction ([`PC_START`] before the
+    /// first).
+    pc: u64,
+    jump_idx: usize,
     mem_idx: usize,
     branch_idx: usize,
 }
@@ -270,27 +262,40 @@ impl Iterator for Replay<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Instr> {
-        let class_idx = *self.trace.classes.get(self.idx)?;
-        let class = InstrClass::from_index(class_idx).expect("trace holds valid class indices");
-        let pc = self.trace.pcs[self.idx];
+        let t = self.trace;
+        let op = *t.ops.get(self.idx)?;
         self.idx += 1;
-        let mem = if class.is_memory() {
-            let m = self.trace.mems[self.mem_idx].unpack();
+        let class = InstrClass::from_index(op & OP_CLASS).expect("trace holds valid class indices");
+        self.pc = if op & OP_JUMP != 0 {
+            self.jump_idx += 1;
+            t.jumps[self.jump_idx - 1]
+        } else {
+            self.pc.wrapping_add(4)
+        };
+        let mem = class.is_memory().then(|| {
+            let (vaddr, meta) = (t.vaddrs[self.mem_idx], t.mem_meta[self.mem_idx]);
             self.mem_idx += 1;
-            Some(m)
-        } else {
-            None
-        };
-        let branch = if class.is_branch() {
-            let b = self.trace.branches[self.branch_idx].unpack();
+            MemRef {
+                vaddr,
+                size: (meta & MEM_SIZE) as u8,
+                unaligned: meta & MEM_UNALIGNED != 0,
+                is_store: meta & MEM_STORE != 0,
+                shared: meta & MEM_SHARED != 0,
+                dependent: meta & MEM_DEPENDENT != 0,
+            }
+        });
+        let branch = class.is_branch().then(|| {
+            let b = BranchRef {
+                static_id: t.sites[self.branch_idx],
+                taken: op & OP_TAKEN != 0,
+                target_page: t.targets[self.branch_idx],
+            };
             self.branch_idx += 1;
-            Some(b)
-        } else {
-            None
-        };
+            b
+        });
         Some(Instr {
             class,
-            pc,
+            pc: self.pc,
             mem,
             branch,
         })
@@ -328,6 +333,8 @@ pub struct TraceCache {
     /// array, so entries are kept for the life of the cache.
     histograms: RwLock<HashMap<TraceKey, Arc<OnceLock<[u64; InstrClass::COUNT]>>>>,
     bytes: AtomicUsize,
+    /// The largest value `bytes` has reached.
+    peak_bytes: AtomicUsize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     histogram_hits: Arc<Counter>,
@@ -395,6 +402,8 @@ pub struct TraceCacheSnapshot {
     pub histogram_misses: u64,
     /// Live trace bytes at snapshot time.
     pub bytes: usize,
+    /// The largest live byte total seen ([`TraceCache::peak_bytes`]).
+    pub peak_bytes: usize,
     /// Live traces at snapshot time.
     pub entries: usize,
 }
@@ -410,6 +419,7 @@ impl TraceCache {
                 .collect(),
             histograms: RwLock::new(HashMap::new()),
             bytes: AtomicUsize::new(0),
+            peak_bytes: AtomicUsize::new(0),
             // Detached handles: per-instance caches (tests, benches) keep
             // isolated counts; only `global()` registers the canonical
             // `trace_cache.*` names.
@@ -525,7 +535,8 @@ impl TraceCache {
         });
         if computed {
             self.misses.inc();
-            self.bytes.fetch_add(trace.bytes(), Ordering::Relaxed);
+            let live = self.bytes.fetch_add(trace.bytes(), Ordering::Relaxed) + trace.bytes();
+            self.peak_bytes.fetch_max(live, Ordering::Relaxed);
         } else {
             self.hits.inc();
         }
@@ -614,6 +625,7 @@ impl TraceCache {
                     histogram_hits: cur.2,
                     histogram_misses: cur.3,
                     bytes: self.bytes(),
+                    peak_bytes: self.peak_bytes(),
                     entries: self.len(),
                 };
             }
@@ -625,6 +637,14 @@ impl TraceCache {
     /// has.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// The largest live byte total seen: what the cache cost at its
+    /// fullest. Unlike [`TraceCache::bytes`], it still reads non-zero
+    /// after every trace has dropped; how high it gets depends on how the
+    /// replays were scheduled.
+    pub fn peak_bytes(&self) -> usize {
+        self.peak_bytes.load(Ordering::Relaxed)
     }
 
     /// Number of live traces.
@@ -655,6 +675,7 @@ impl fmt::Debug for TraceCache {
         f.debug_struct("TraceCache")
             .field("traces", &self.len())
             .field("bytes", &self.bytes())
+            .field("peak_bytes", &self.peak_bytes())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("histogram_hits", &self.histogram_hits())
@@ -712,14 +733,104 @@ mod tests {
         assert_eq!(it.count(), 2_999);
     }
 
+    /// Adversarial streams round-trip field by field: every class, first
+    /// PCs of 0 and of the start sentinel, PCs that wrap at `u64::MAX`,
+    /// runs of jumps, extreme payload values and every flag combination.
+    #[test]
+    fn adversarial_streams_round_trip() {
+        use rand::cases::{for_each_case, Cases};
+
+        const WIDE: [u64; 7] = [0, 1, 4, 0xfff, PC_START, u64::MAX - 4, u64::MAX];
+        fn wide(g: &mut Cases) -> u64 {
+            if g.below(2) == 0 {
+                g.pick(&WIDE)
+            } else {
+                g.next()
+            }
+        }
+        fn instr(g: &mut Cases, pc: u64) -> Instr {
+            let class = InstrClass::from_index(g.below(InstrClass::COUNT) as u8).unwrap();
+            let flags = g.below(16);
+            let mem = class.is_memory().then(|| MemRef {
+                vaddr: wide(g),
+                size: g.pick(&[0, 1, 4, 8, 64, 128, 255]),
+                unaligned: flags & 1 != 0,
+                is_store: flags & 2 != 0,
+                shared: flags & 4 != 0,
+                dependent: flags & 8 != 0,
+            });
+            let site = g.next() as u32;
+            let branch = class.is_branch().then(|| BranchRef {
+                static_id: g.pick(&[0, 1, u32::MAX - 1, u32::MAX, site]),
+                taken: flags & 1 != 0,
+                target_page: wide(g),
+            });
+            Instr {
+                class,
+                pc,
+                mem,
+                branch,
+            }
+        }
+
+        for_each_case(256, 0x7ACE_5EED, |seed| {
+            let mut g = Cases::new(seed);
+            // From all-sequential to all-jump streams.
+            let jump_in_8 = g.pick(&[0, 1, 4, 8]);
+            let mut pc = wide(&mut g);
+            let stream: Vec<Instr> = (0..g.range(0, 300))
+                .map(|_| {
+                    let this = pc;
+                    pc = if g.below(8) < jump_in_8 {
+                        // A jump, perhaps to the same PC or one back.
+                        match g.below(3) {
+                            0 => this,
+                            1 => this.wrapping_sub(4),
+                            _ => wide(&mut g),
+                        }
+                    } else {
+                        this.wrapping_add(4)
+                    };
+                    instr(&mut g, this)
+                })
+                .collect();
+            let trace = PackedTrace::encode(stream.iter().copied());
+            assert_eq!(trace.len(), stream.len());
+            let mut replay = trace.iter();
+            for (i, want) in stream.iter().enumerate() {
+                let got = replay.next().expect("one instruction per input");
+                assert_eq!(got.class, want.class, "class of {i}");
+                assert_eq!(got.pc, want.pc, "pc of {i}");
+                assert_eq!(got.mem, want.mem, "memory payload of {i}");
+                assert_eq!(got.branch, want.branch, "branch payload of {i}");
+            }
+            assert!(replay.next().is_none());
+        });
+    }
+
     #[test]
     fn footprint_is_compact() {
         let trace = PackedTrace::from_spec(&spec(50_000));
         let per_instr = trace.bytes() as f64 / trace.len() as f64;
-        // 1 B class + 8 B pc + shrunk payload columns (16 B per memory or
-        // branch instruction): ~18 B/instr on the default mix, well under a
-        // 56-byte `Vec<Instr>` element.
-        assert!(per_instr < 24.0, "bytes/instr = {per_instr:.1}");
+        // 1 B op + an 8-byte PC per jump + 10 B per memory and 12 B per
+        // branch instruction: ~8 B/instr on this mix, against a 56-byte
+        // `Vec<Instr>` element.
+        assert!(per_instr < 10.0, "bytes/instr = {per_instr:.1}");
+    }
+
+    /// No workload of the suite costs more than 12 B per instruction; the
+    /// memory-heaviest (`lm-bw-mem-cp`) is about 10.6.
+    #[test]
+    fn every_suite_trace_is_compact() {
+        for w in suites::power_suite().iter().map(|w| w.scaled(0.01)) {
+            let trace = PackedTrace::from_spec(&w);
+            let per_instr = trace.bytes() as f64 / trace.len() as f64;
+            assert!(
+                per_instr <= 12.0,
+                "{}: bytes/instr = {per_instr:.1}",
+                w.name
+            );
+        }
     }
 
     #[test]
@@ -746,6 +857,22 @@ mod tests {
             again.iter().collect::<Vec<_>>(),
             StreamGen::new(&s).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn peak_bytes_keeps_the_high_water_mark() {
+        let cache = TraceCache::new();
+        assert_eq!(cache.peak_bytes(), 0);
+        let small = cache.get(&spec(2_000)).bytes();
+        let large = cache.get(&spec(9_000)).bytes();
+        assert!(small < large);
+        // Each dropped before the next was generated: never both live.
+        assert_eq!((cache.bytes(), cache.peak_bytes()), (0, large));
+        assert_eq!(cache.snapshot().peak_bytes, large);
+        // Two live at once raise it to their sum.
+        let both = (cache.get(&spec(2_000)), cache.get(&spec(9_000)));
+        drop(both);
+        assert_eq!((cache.bytes(), cache.peak_bytes()), (0, small + large));
     }
 
     #[test]

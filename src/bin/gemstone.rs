@@ -267,7 +267,7 @@ impl ObsOutputs {
         if !self.any() {
             return Ok(());
         }
-        sync_cache_gauges();
+        gemstone::core::service::sync_cache_gauges();
         let registry = gemstone_obs::Registry::global();
         let events = gemstone_obs::SpanLog::global().snapshot();
         let dump = |path: &str, what: &str, body: String| -> Result<(), String> {
@@ -293,22 +293,6 @@ impl ObsOutputs {
         }
         Ok(())
     }
-}
-
-/// Counters update continuously, but occupancy numbers (entry counts,
-/// resident bytes) only exist as method calls on the caches — mirror them
-/// into gauges right before a dump.
-fn sync_cache_gauges() {
-    let registry = gemstone_obs::Registry::global();
-    let cache = SimCache::global();
-    registry.gauge("simcache.entries").set(cache.len() as f64);
-    let traces = cache.trace_cache();
-    registry
-        .gauge("trace_cache.entries")
-        .set(traces.len() as f64);
-    registry
-        .gauge("trace_cache.bytes")
-        .set(traces.bytes() as f64);
 }
 
 /// Workload lookup for `stats`/`profile`: exact name first, then a unique
@@ -644,6 +628,7 @@ fn run_stats(args: &Args) -> Result<ExitCode, String> {
         ("gemstone.tracecache.hits", traces.hits()),
         ("gemstone.tracecache.misses", traces.misses()),
         ("gemstone.tracecache.bytes", traces.bytes() as u64),
+        ("gemstone.tracecache.peak_bytes", traces.peak_bytes() as u64),
         (
             "gemstone.trace_cache.histogram.hits",
             traces.histogram_hits(),
@@ -823,12 +808,13 @@ fn run_profile(args: &Args) -> Result<ExitCode, String> {
         sim.hits, sim.misses, sim.entries
     );
     println!(
-        "trace cache: {} hits, {} misses, {} entries, {} bytes; \
+        "trace cache: {} hits, {} misses, {} entries, {} bytes, {} peak bytes; \
          class histograms: {} hits, {} misses",
         traces.hits,
         traces.misses,
         traces.entries,
         traces.bytes,
+        traces.peak_bytes,
         traces.histogram_hits,
         traces.histogram_misses
     );

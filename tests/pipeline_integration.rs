@@ -68,3 +68,37 @@ fn per_frequency_trend_is_monotone_positive() {
         "trend = {trend:?}"
     );
 }
+
+/// A reproduction generates each packed trace once — the validation
+/// suite's, then the power suite's others — at any campaign tier: the
+/// pipeline, E13 and every X7 iteration replay one trace per validation
+/// workload. Nothing stays live once `repro::run` returns.
+#[test]
+fn repro_generates_each_trace_once() {
+    use gemstone::core::repro;
+    use gemstone::platform::simcache::SimCache;
+    use gemstone::uarch::backend::TierConfig;
+    use gemstone::workloads::trace::TraceCache;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    let specs: HashSet<String> = suites::validation_suite()
+        .into_iter()
+        .chain(suites::power_suite())
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(specs.len(), 65, "45 validation + 20 power-only workloads");
+    for fidelity in [TierConfig::default(), TierConfig::atomic()] {
+        let traces = Arc::new(TraceCache::new());
+        let mut experiment = ExperimentConfig {
+            workload_scale: 0.005,
+            fidelity,
+            ..ExperimentConfig::default()
+        };
+        experiment.board.cache = Arc::new(SimCache::with_trace_cache(Arc::clone(&traces)));
+        repro::run(experiment).expect("repro");
+        assert_eq!(traces.misses(), 65, "{fidelity:?}");
+        assert_eq!((traces.len(), traces.bytes()), (0, 0), "{fidelity:?}");
+        assert!(traces.peak_bytes() > 0);
+    }
+}

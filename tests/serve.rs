@@ -160,6 +160,13 @@ fn endpoints_speak_http() {
     // histogram exports pre-computed p50/p95/p99.
     assert!(body.contains("sim_run_seconds_p50"), "{body}");
     assert!(body.contains("sim_run_seconds_p99"), "{body}");
+    // Cache occupancy is synced at each export. The profile job's trace has
+    // dropped by now, but its high-water mark stays.
+    let peak = body
+        .lines()
+        .find_map(|l| l.strip_prefix("trace_cache_peak_bytes "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert!(peak.is_some_and(|b| b > 0.0), "{body}");
 
     let (status, _) = http(addr, "GET", "/jobs/feedfacedeadbeef", "");
     assert_eq!(status, 404);
