@@ -530,7 +530,9 @@ mod tests {
 
     #[test]
     fn out_of_range_branch_length_is_rejected_not_truncated() {
-        let mut spec = gemstone_workloads::suites::by_name("mi-sha").unwrap();
+        let mut spec = gemstone_workloads::suites::by_name("mi-sha")
+            .unwrap()
+            .clone();
         spec.phases[0].branches = vec![BranchSite {
             behavior: BranchBehavior::Pattern { bits: 5, len: 3 },
             weight: 1.0,

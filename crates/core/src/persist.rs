@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn workload_seed_beyond_f64_precision_round_trips() {
         // 2^53 + 1 is the first integer an f64 cannot hold.
-        let mut spec = suites::by_name("mi-sha").unwrap();
+        let mut spec = suites::by_name("mi-sha").unwrap().clone();
         spec.seed = (1 << 53) + 1;
         let dir = unique_dir("seed");
         let path = dir.join("workloads.json");

@@ -39,7 +39,7 @@
 //! use gemstone_workloads::suites;
 //!
 //! let cfg = ExperimentConfig::quick();
-//! let workloads = suites::validation_suite();
+//! let workloads = suites::validation_suite().to_vec();
 //! let outcome = collect_resilient(&cfg, workloads, &ResilienceOptions::default())?;
 //! println!("{}", outcome.coverage.render());
 //! # Ok::<(), gemstone_core::GemStoneError>(())

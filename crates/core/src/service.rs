@@ -62,7 +62,7 @@ use gemstone_powmon::selection::SelectionOptions;
 use gemstone_uarch::backend::TierConfig;
 use gemstone_workloads::spec::WorkloadSpec;
 use gemstone_workloads::suites;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,8 +112,9 @@ pub enum JobSpec {
         clusters: Vec<Cluster>,
         /// gem5 models to simulate.
         models: Vec<Gem5Model>,
-        /// Workload names (from [`suites::by_name`]); empty = the full
-        /// validation suite.
+        /// Workload names, each checked at parse time against the workload
+        /// catalogue ([`suites::by_name`], a lookup in specs built once
+        /// per process); empty = the full validation suite.
         workloads: Vec<String>,
         /// Minimum completed-workload fraction for the job to succeed.
         min_coverage: f64,
@@ -121,7 +122,8 @@ pub enum JobSpec {
     /// One gem5 simulation of one workload (the `gemstone profile`
     /// experiment), reported as simulated seconds plus stats counts.
     Profile {
-        /// Workload name (from [`suites::by_name`]).
+        /// Workload name, checked at parse time against the workload
+        /// catalogue ([`suites::by_name`]).
         workload: String,
         /// Scale factor on the workload's instruction budget.
         scale: f64,
@@ -542,41 +544,55 @@ impl Service {
     /// Opens a service on `cfg.queue_dir`, re-enqueueing any unfinished
     /// jobs a previous daemon left behind, then starts the worker pool.
     ///
-    /// Jobs whose artefact already exists come back as [`JobState::Done`]
-    /// without re-running; unfinished ones (including previously
-    /// quarantined ones — a restart is the retry) are queued in job-id
-    /// order and resume from their checkpoints. A persisted job that
-    /// admission would now refuse (a `scale` outside (0, 10]) comes back
-    /// [`JobState::Quarantined`] with the admission message and never
-    /// runs.
+    /// Recovery lists the queue directory once and reads only the
+    /// `*.job.json` files, in file-name order. A job is done when that
+    /// listing names its artefact, `{id}.result.json`: it comes back as
+    /// [`JobState::Done`] without re-running. Unfinished jobs (including
+    /// previously quarantined ones — a restart is the retry) are queued in
+    /// job-id order and resume from their checkpoints. A persisted job
+    /// that admission would now refuse (a `scale` outside (0, 10]) comes
+    /// back [`JobState::Quarantined`] with the admission message and
+    /// never runs. Other files (checkpoints, `write_atomic` temporaries,
+    /// names that are not UTF-8) are ignored.
     ///
     /// # Errors
     ///
     /// [`GemStoneError::Io`] when the queue directory cannot be created
-    /// or scanned; [`GemStoneError::Parse`] when a persisted job file is
-    /// corrupt.
+    /// or listed, or a job file cannot be read; [`GemStoneError::Parse`]
+    /// when a job file is corrupt. Both name the job file.
     pub fn open(cfg: ServiceConfig) -> Result<Service> {
         std::fs::create_dir_all(&cfg.queue_dir)?;
+        let mut job_files = Vec::new();
+        let mut results = HashSet::new();
+        for entry in std::fs::read_dir(&cfg.queue_dir)?.filter_map(|e| e.ok()) {
+            let Ok(name) = entry.file_name().into_string() else {
+                continue;
+            };
+            if name.ends_with(".job.json") {
+                job_files.push(name);
+            } else if let Some(id) = name.strip_suffix(".result.json") {
+                results.insert(id.to_string());
+            }
+        }
+        job_files.sort();
         let mut state = State::default();
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&cfg.queue_dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.ends_with(".job.json"))
-            })
-            .collect();
-        names.sort();
-        for path in names {
-            let body = std::fs::read_to_string(&path)?;
-            let spec = JobSpec::parse_fields(&body)
+        for name in job_files {
+            let path = cfg.queue_dir.join(name);
+            let body = std::fs::read(&path).map_err(|e| {
+                GemStoneError::Io(std::io::Error::new(
+                    e.kind(),
+                    format!("{}: {e}", path.display()),
+                ))
+            })?;
+            let spec = std::str::from_utf8(&body)
+                .map_err(|e| e.to_string())
+                .and_then(JobSpec::parse_fields)
                 .map_err(|e| GemStoneError::Parse(format!("{}: {e}", path.display())))?;
             let id = spec.id();
             let refused = spec.check_scale().err();
-            let done = cfg.queue_dir.join(format!("{id}.result.json")).exists();
             let job_state = if refused.is_some() {
                 JobState::Quarantined
-            } else if done {
+            } else if results.contains(&id) {
                 JobState::Done
             } else {
                 state.queue.push_back(id.clone());
@@ -691,38 +707,47 @@ impl Service {
     }
 
     /// Looks up a job. Validation progress is read from the job's
-    /// checkpoint file, so it advances while the job runs.
+    /// checkpoint file, so it advances while the job runs. The checkpoint
+    /// can be megabytes, so it is loaded after the state lock is released:
+    /// a status poll never blocks the workers or other requests.
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        let st = self.inner.lock();
-        let job = st.jobs.get(id)?;
-        let (mut completed, total) = match &job.spec {
-            JobSpec::Validate { workloads, .. } => {
-                let total = if workloads.is_empty() {
-                    suites::validation_suite().len()
-                } else {
-                    workloads.len()
-                };
-                let ck = self.inner.cfg.queue_dir.join(format!("{id}.ck.json"));
-                let done = CollectCheckpoint::load(&ck)
-                    .map(|c| c.completed_count() + c.quarantined.len())
-                    .unwrap_or(0);
-                (done, total)
-            }
-            _ => (0, 1),
+        let (spec, state, coalesced, error) = {
+            let st = self.inner.lock();
+            let job = st.jobs.get(id)?;
+            (
+                job.spec.clone(),
+                job.state,
+                job.coalesced,
+                job.error.clone(),
+            )
         };
-        if job.state == JobState::Done {
-            completed = total;
-        }
+        let total = match &spec {
+            JobSpec::Validate { workloads, .. } if workloads.is_empty() => {
+                suites::validation_suite().len()
+            }
+            JobSpec::Validate { workloads, .. } => workloads.len(),
+            _ => 1,
+        };
+        let completed = match &spec {
+            _ if state == JobState::Done => total,
+            JobSpec::Validate { .. } => {
+                let ck = self.inner.cfg.queue_dir.join(format!("{id}.ck.json"));
+                CollectCheckpoint::load(&ck)
+                    .map(|c| c.completed_count() + c.quarantined.len())
+                    .unwrap_or(0)
+            }
+            _ => 0,
+        };
         Some(JobStatus {
             id: id.to_string(),
-            spec: job.spec.clone(),
-            state: job.state,
+            spec,
+            state,
             completed,
             total,
-            coalesced: job.coalesced,
-            artefact: (job.state == JobState::Done)
+            coalesced,
+            artefact: (state == JobState::Done)
                 .then(|| self.inner.cfg.queue_dir.join(format!("{id}.result.json"))),
-            error: job.error.clone(),
+            error,
         })
     }
 
@@ -1202,6 +1227,62 @@ mod tests {
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("nesting"), "{body}");
         assert!(svc.job_ids().is_empty());
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn status_reports_checkpoint_progress_of_a_queued_validate_job() {
+        let dir = unique_dir("progress");
+        let svc = Service::open(ServiceConfig {
+            queue_dir: dir.clone(),
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let names = ["mi-sha", "mi-crc32", "mi-fft"];
+        let sub = svc
+            .submit(JobSpec::Validate {
+                scale: 0.02,
+                clusters: vec![Cluster::BigA15],
+                models: vec![Gem5Model::Ex5BigOld],
+                workloads: names.iter().map(|n| n.to_string()).collect(),
+                min_coverage: 1.0,
+            })
+            .unwrap();
+        let ck_path = dir.join(format!("{}.ck.json", sub.id));
+        let progress = || {
+            let status = svc.status(&sub.id).unwrap();
+            assert_eq!(status.state, JobState::Queued);
+            (status.completed, status.total)
+        };
+        assert_eq!(progress(), (0, 3), "no checkpoint yet");
+        // k settled workloads: the first k - 1 completed, the last one
+        // quarantined, which settles it too.
+        for k in 1..=names.len() {
+            let mut ck = CollectCheckpoint::new("v1:0".to_string());
+            for name in &names[..k - 1] {
+                ck.completed.insert(name.to_string(), Vec::new());
+            }
+            ck.quarantined
+                .push(gemstone_platform::fault::QuarantinedWorkload {
+                    workload: names[k - 1].to_string(),
+                    site: "measure".to_string(),
+                    attempts: 3,
+                    reason: "test".to_string(),
+                });
+            ck.save(&ck_path).unwrap();
+            assert_eq!(progress(), (k, 3), "{k} settled");
+        }
+        // A corrupt checkpoint reads as no progress, not as an error.
+        std::fs::write(&ck_path, "{").unwrap();
+        assert_eq!(progress(), (0, 3));
+        // The full suite is the total of a job that names no workloads.
+        let all = svc
+            .submit_json(r#"{"kind":"validate","scale":0.02}"#)
+            .unwrap();
+        let status = svc.status(&all.id).unwrap();
+        assert_eq!((status.completed, status.total), (0, 45));
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,12 @@
 //! The 65 named workloads of the paper's experimental setup (§III), grouped
 //! by suite, plus the 45-workload gem5-validation subset.
 //!
+//! The specs form one catalogue, built once per process on first use:
+//! [`power_suite`] is the whole catalogue, [`validation_suite`] its first
+//! 45 entries, and [`by_name`] a lookup in it. Callers borrow the shared
+//! specs and clone or [`WorkloadSpec::scaled`] them when they need their
+//! own.
+//!
 //! Workload parameters are chosen so the set spans the behavioural axes the
 //! paper's HCA clusters occupy: integer/crypto kernels, loop-pattern
 //! codes, image streaming, floating-point kernels, pointer chasing,
@@ -33,6 +39,7 @@
 //! ```
 
 use crate::spec::{BranchBehavior, BranchSite, InstrMix, MemPattern, Suite, WorkloadSpec};
+use std::sync::OnceLock;
 
 const KB: u64 = 1024;
 const MB: u64 = 1024 * 1024;
@@ -695,28 +702,67 @@ fn longbottom() -> Vec<WorkloadSpec> {
     ]
 }
 
+/// Size of the gem5-validation set: the leading entries of the catalogue.
+const VALIDATION_LEN: usize = 45;
+
+/// The catalogue: all 65 specs, validation set first, built on first use
+/// and shared by every later call.
+fn catalogue() -> &'static [WorkloadSpec] {
+    static CATALOGUE: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
+    CATALOGUE.get_or_init(|| {
+        let mut v = mibench();
+        v.extend(parmibench());
+        v.extend(parsec());
+        v.extend(classics());
+        debug_assert_eq!(v.len(), VALIDATION_LEN);
+        v.extend(lmbench());
+        v.extend(longbottom());
+        v
+    })
+}
+
+/// A run of the catalogue, as [`validation_suite`] and [`power_suite`]
+/// return it: it derefs to the slice of specs and iterates them by
+/// reference, so `&suite`, `suite.iter()` and `for w in suite` all read
+/// the shared specs without copying them. It is a value rather than a
+/// bare `&'static [WorkloadSpec]` so that callers written against the
+/// former `Vec` return, such as `f(&suites::power_suite())`, still
+/// compile, with a borrow that is needed rather than redundant.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkloadSet(&'static [WorkloadSpec]);
+
+impl std::ops::Deref for WorkloadSet {
+    type Target = [WorkloadSpec];
+
+    fn deref(&self) -> &[WorkloadSpec] {
+        self.0
+    }
+}
+
+impl IntoIterator for WorkloadSet {
+    type Item = &'static WorkloadSpec;
+    type IntoIter = std::slice::Iter<'static, WorkloadSpec>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// The 45-workload gem5-validation set (§III: MiBench + ParMiBench +
 /// PARSEC 1t/4t + Dhrystone + Whetstone).
-pub fn validation_suite() -> Vec<WorkloadSpec> {
-    let mut v = mibench();
-    v.extend(parmibench());
-    v.extend(parsec());
-    v.extend(classics());
-    v
+pub fn validation_suite() -> WorkloadSet {
+    WorkloadSet(&catalogue()[..VALIDATION_LEN])
 }
 
 /// All 65 workloads (validation set + LMBench + Roy Longbottom) used for
 /// power-model building (§V).
-pub fn power_suite() -> Vec<WorkloadSpec> {
-    let mut v = validation_suite();
-    v.extend(lmbench());
-    v.extend(longbottom());
-    v
+pub fn power_suite() -> WorkloadSet {
+    WorkloadSet(catalogue())
 }
 
-/// Looks a workload up by its full name.
-pub fn by_name(name: &str) -> Option<WorkloadSpec> {
-    power_suite().into_iter().find(|w| w.name == name)
+/// Looks a workload up by its full name in the catalogue.
+pub fn by_name(name: &str) -> Option<&'static WorkloadSpec> {
+    catalogue().iter().find(|w| w.name == name)
 }
 
 #[cfg(test)]
@@ -740,7 +786,7 @@ mod tests {
         let all = power_suite();
         let names: HashSet<&str> = all.iter().map(|w| w.name.as_str()).collect();
         assert_eq!(names.len(), 65);
-        for w in &all {
+        for w in all {
             assert!(
                 w.name.starts_with(w.suite.prefix()),
                 "{} should start with {}",
@@ -753,7 +799,7 @@ mod tests {
     #[test]
     fn thread_counts() {
         let all = power_suite();
-        for w in &all {
+        for w in all {
             match w.suite {
                 Suite::ParMiBench => assert_eq!(w.threads, 4, "{}", w.name),
                 Suite::Parsec => {
@@ -796,6 +842,33 @@ mod tests {
     #[test]
     fn by_name_miss_is_none() {
         assert!(by_name("not-a-workload").is_none());
+        assert!(by_name("").is_none());
+        assert!(by_name("mi-sha ").is_none(), "lookup is exact");
+    }
+
+    #[test]
+    fn by_name_finds_an_equal_spec_for_every_power_suite_name() {
+        for w in power_suite() {
+            assert_eq!(by_name(&w.name), Some(w), "{}", w.name);
+        }
+    }
+
+    #[test]
+    fn validation_suite_is_the_power_suite_prefix() {
+        assert_eq!(&validation_suite()[..], &power_suite()[..45]);
+        // The same catalogue, not an equal copy.
+        assert!(std::ptr::eq(&validation_suite()[..], &power_suite()[..45]));
+    }
+
+    #[test]
+    fn lookups_share_one_catalogue_entry() {
+        let a = by_name("mi-fft").unwrap();
+        let b = by_name("mi-fft").unwrap();
+        assert!(std::ptr::eq(a, b), "two lookups, one entry");
+        assert!(power_suite().into_iter().any(|w| std::ptr::eq(w, a)));
+        // A spec rebuilt from its builder equals the catalogue's entry.
+        let rebuilt = mibench().into_iter().find(|w| w.name == "mi-fft").unwrap();
+        assert_eq!(&rebuilt, a);
     }
 
     #[test]

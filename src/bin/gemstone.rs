@@ -298,14 +298,16 @@ impl ObsOutputs {
 /// Workload lookup for `stats`/`profile`: exact name first, then a unique
 /// substring match over the power suite (so `profile dhrystone` finds
 /// `dhry-dhrystone` without anyone memorising suite prefixes).
-fn resolve_workload(name: &str) -> Result<WorkloadSpec, String> {
+fn resolve_workload(name: &str) -> Result<&'static WorkloadSpec, String> {
     if let Some(spec) = suites::by_name(name) {
         return Ok(spec);
     }
-    let suite = suites::power_suite();
-    let matches: Vec<&WorkloadSpec> = suite.iter().filter(|w| w.name.contains(name)).collect();
+    let matches: Vec<&WorkloadSpec> = suites::power_suite()
+        .into_iter()
+        .filter(|w| w.name.contains(name))
+        .collect();
     match matches.len() {
-        1 => Ok(matches[0].clone()),
+        1 => Ok(matches[0]),
         0 => Err(format!(
             "unknown workload '{name}' (see `gemstone stats` docs for the suite list)"
         )),

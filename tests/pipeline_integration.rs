@@ -82,10 +82,10 @@ fn repro_generates_each_trace_once() {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    let specs: HashSet<String> = suites::validation_suite()
+    let specs: HashSet<&str> = suites::validation_suite()
         .into_iter()
         .chain(suites::power_suite())
-        .map(|s| s.name)
+        .map(|s| s.name.as_str())
         .collect();
     assert_eq!(specs.len(), 65, "45 validation + 20 power-only workloads");
     for fidelity in [TierConfig::default(), TierConfig::atomic()] {
