@@ -9,8 +9,9 @@
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_stats::threads::parallel_map;
+use gemstone_uarch::backend::{Backend, TierConfig};
 use gemstone_uarch::configs::{cortex_a15_hw, cortex_a7_hw, ex5_big, ex5_little, Ex5Variant};
-use gemstone_uarch::core::{CoreConfig, Engine};
+use gemstone_uarch::core::CoreConfig;
 use gemstone_workloads::microbench::{fig4_sizes, lat_mem_rd};
 
 /// One latency curve.
@@ -46,12 +47,18 @@ pub struct MemoryLatency {
     pub stride: u64,
 }
 
-/// Nanoseconds per access of one `lat_mem_rd` run over `size` bytes.
+/// The engine seed of every `lat_mem_rd` run: the approx engine's
+/// default seed, which the Fig. 4 curves have always used.
+const LAT_MEM_RD_SEED: u64 = 0x5EED_CAFE;
+
+/// Nanoseconds per access of one `lat_mem_rd` run over `size` bytes, at
+/// the reference (approx) tier: an atomic-tier curve would be flat, since
+/// that tier walks no cache.
 fn latency_ns(cfg: &CoreConfig, freq_hz: f64, size: u64, stride: u64, accesses: u64) -> f64 {
     let stream = lat_mem_rd(size, stride, accesses);
     let n = stream.len() as f64 / 2.0;
-    let r = Engine::new(cfg.clone(), &[freq_hz], 1)
-        .run(stream)
+    let r = Backend::new(TierConfig::default(), cfg, &[freq_hz], 1, LAT_MEM_RD_SEED)
+        .run_stream(stream)
         .remove(0);
     r.seconds * 1e9 / n
 }
@@ -140,17 +147,12 @@ impl MemoryLatency {
             Cluster::LittleA7 => Some((self.curve("A7 HW")?, self.curve("ex5_LITTLE")?)),
         }
     }
-
-    /// Latency ratio model/HW at the DRAM plateau for a cluster.
-    pub fn dram_ratio(&self, cluster: Cluster) -> Option<f64> {
-        let (hw, model) = self.pair(cluster)?;
-        Some(model.dram_plateau_ns() / hw.dram_plateau_ns().max(1e-12))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gemstone_uarch::core::Engine;
 
     fn latency() -> MemoryLatency {
         analyse(1.0e9, 20_000)

@@ -1,7 +1,6 @@
 //! Field mappings between the persisted and served documents and their
 //! Rust types: [`WorkloadRecord`], [`Collated`], [`CollectCheckpoint`],
-//! workload-specification lists, and the cluster, gem5-model and suite
-//! wire names.
+//! and the cluster and gem5-model wire names.
 //!
 //! The codec itself — parser, typed field readers, string and float
 //! writers — is [`gemstone_obs::json`]; this module only says which field
@@ -9,8 +8,7 @@
 //! checkpoints and job ids depend on: field order is declaration order,
 //! map keys are stringified and sorted (`BTreeMap`), floats use the
 //! shortest round-trip formatting with non-finite values written as
-//! `null` (read back as NaN), and branch behaviours use an externally
-//! tagged layout (`{"Biased":{"taken_prob":0.9}}`). Identical inputs
+//! `null` (read back as NaN). Identical inputs
 //! produce identical bytes — which is what lets the resilience tests (and
 //! the daemon's queue-resume test) compare artefacts with `==`.
 
@@ -20,9 +18,6 @@ use gemstone_obs::json::{push_f64, push_joined, Value};
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::fault::QuarantinedWorkload;
 use gemstone_platform::gem5sim::Gem5Model;
-use gemstone_workloads::spec::{
-    BranchBehavior, BranchSite, InstrMix, MemPattern, PhaseSpec, Suite, WorkloadSpec,
-};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -234,223 +229,6 @@ pub fn checkpoint_from_json(text: &str) -> Result<CollectCheckpoint, String> {
     })
 }
 
-fn suite_name(s: Suite) -> &'static str {
-    match s {
-        Suite::MiBench => "MiBench",
-        Suite::ParMiBench => "ParMiBench",
-        Suite::Parsec => "Parsec",
-        Suite::LmBench => "LmBench",
-        Suite::RoyLongbottom => "RoyLongbottom",
-        Suite::Dhrystone => "Dhrystone",
-        Suite::Whetstone => "Whetstone",
-    }
-}
-
-fn suite_from(name: &str) -> Result<Suite, String> {
-    Ok(match name {
-        "MiBench" => Suite::MiBench,
-        "ParMiBench" => Suite::ParMiBench,
-        "Parsec" => Suite::Parsec,
-        "LmBench" => Suite::LmBench,
-        "RoyLongbottom" => Suite::RoyLongbottom,
-        "Dhrystone" => Suite::Dhrystone,
-        "Whetstone" => Suite::Whetstone,
-        other => return Err(format!("unknown suite {other:?}")),
-    })
-}
-
-fn push_mix(out: &mut String, m: &InstrMix) {
-    let fields: [(&str, f64); 14] = [
-        ("int_alu", m.int_alu),
-        ("int_mul", m.int_mul),
-        ("int_div", m.int_div),
-        ("fp_alu", m.fp_alu),
-        ("fp_div", m.fp_div),
-        ("simd", m.simd),
-        ("load", m.load),
-        ("store", m.store),
-        ("branch", m.branch),
-        ("indirect", m.indirect),
-        ("call", m.call),
-        ("exclusive", m.exclusive),
-        ("barrier", m.barrier),
-        ("nop", m.nop),
-    ];
-    out.push('{');
-    push_joined(out, ",", fields, |out, (k, v)| {
-        let _ = write!(out, "\"{k}\":");
-        push_f64(out, v);
-    });
-    out.push('}');
-}
-
-fn mix_from(v: &Value) -> Result<InstrMix, String> {
-    Ok(InstrMix {
-        int_alu: v.f64_field("int_alu")?,
-        int_mul: v.f64_field("int_mul")?,
-        int_div: v.f64_field("int_div")?,
-        fp_alu: v.f64_field("fp_alu")?,
-        fp_div: v.f64_field("fp_div")?,
-        simd: v.f64_field("simd")?,
-        load: v.f64_field("load")?,
-        store: v.f64_field("store")?,
-        branch: v.f64_field("branch")?,
-        indirect: v.f64_field("indirect")?,
-        call: v.f64_field("call")?,
-        exclusive: v.f64_field("exclusive")?,
-        barrier: v.f64_field("barrier")?,
-        nop: v.f64_field("nop")?,
-    })
-}
-
-fn push_mem(out: &mut String, m: &MemPattern) {
-    let _ = write!(
-        out,
-        "{{\"ws_bytes\":{},\"stride\":{},\"random_frac\":",
-        m.ws_bytes, m.stride
-    );
-    push_f64(out, m.random_frac);
-    out.push_str(",\"unaligned_frac\":");
-    push_f64(out, m.unaligned_frac);
-    out.push_str(",\"shared_frac\":");
-    push_f64(out, m.shared_frac);
-    let _ = write!(out, ",\"dependent\":{}}}", m.dependent);
-}
-
-fn mem_from(v: &Value) -> Result<MemPattern, String> {
-    Ok(MemPattern {
-        ws_bytes: v.uint_field("ws_bytes")?,
-        stride: v.uint_field("stride")?,
-        random_frac: v.f64_field("random_frac")?,
-        unaligned_frac: v.f64_field("unaligned_frac")?,
-        shared_frac: v.f64_field("shared_frac")?,
-        dependent: v.bool_field("dependent")?,
-    })
-}
-
-fn push_branch(out: &mut String, b: &BranchSite) {
-    out.push_str("{\"behavior\":{");
-    match b.behavior {
-        BranchBehavior::Random { taken_prob } => {
-            out.push_str("\"Random\":{\"taken_prob\":");
-            push_f64(out, taken_prob);
-        }
-        BranchBehavior::Biased { taken_prob } => {
-            out.push_str("\"Biased\":{\"taken_prob\":");
-            push_f64(out, taken_prob);
-        }
-        BranchBehavior::Pattern { bits, len } => {
-            let _ = write!(out, "\"Pattern\":{{\"bits\":{bits},\"len\":{len}");
-        }
-        BranchBehavior::Loop { body } => {
-            let _ = write!(out, "\"Loop\":{{\"body\":{body}");
-        }
-    }
-    out.push_str("}},\"weight\":");
-    push_f64(out, b.weight);
-    out.push('}');
-}
-
-fn branch_from(v: &Value) -> Result<BranchSite, String> {
-    let (tag, body) = v
-        .object_field("behavior")?
-        .first()
-        .ok_or("empty \"behavior\" object — expected one variant tag")?;
-    let behavior = match tag.as_str() {
-        "Random" => BranchBehavior::Random {
-            taken_prob: body.f64_field("taken_prob")?,
-        },
-        "Biased" => BranchBehavior::Biased {
-            taken_prob: body.f64_field("taken_prob")?,
-        },
-        "Pattern" => BranchBehavior::Pattern {
-            bits: body.uint_field("bits")?,
-            len: body.uint_field("len")?,
-        },
-        "Loop" => BranchBehavior::Loop {
-            body: body.uint_field("body")?,
-        },
-        other => return Err(format!("unknown branch behaviour {other:?}")),
-    };
-    Ok(BranchSite {
-        behavior,
-        weight: v.f64_field("weight")?,
-    })
-}
-
-fn push_phase(out: &mut String, p: &PhaseSpec) {
-    out.push_str("{\"weight\":");
-    push_f64(out, p.weight);
-    out.push_str(",\"mix\":");
-    push_mix(out, &p.mix);
-    out.push_str(",\"mem\":");
-    push_mem(out, &p.mem);
-    out.push_str(",\"branches\":[");
-    push_joined(out, ",", &p.branches, push_branch);
-    let _ = write!(out, "],\"code_pages\":{}}}", p.code_pages);
-}
-
-fn phase_from(v: &Value) -> Result<PhaseSpec, String> {
-    Ok(PhaseSpec {
-        weight: v.f64_field("weight")?,
-        mix: mix_from(v.get("mix").ok_or("missing field \"mix\"")?)?,
-        mem: mem_from(v.get("mem").ok_or("missing field \"mem\"")?)?,
-        branches: vec_from(v, "branches", branch_from)?,
-        code_pages: v.uint_field("code_pages")?,
-    })
-}
-
-/// Serialises one [`WorkloadSpec`] into `out`.
-pub fn push_workload(out: &mut String, w: &WorkloadSpec) {
-    out.push_str("{\"name\":");
-    push_str_lit(out, &w.name);
-    let _ = write!(
-        out,
-        ",\"suite\":\"{}\",\"threads\":{},\"instructions\":{},\"phases\":[",
-        suite_name(w.suite),
-        w.threads,
-        w.instructions
-    );
-    push_joined(out, ",", &w.phases, push_phase);
-    let _ = write!(out, "],\"seed\":{}}}", w.seed);
-}
-
-/// Reads one [`WorkloadSpec`] back from a parsed [`Value`].
-pub fn workload_from_value(v: &Value) -> Result<WorkloadSpec, String> {
-    Ok(WorkloadSpec {
-        name: v.str_field("name")?.to_string(),
-        suite: suite_from(v.str_field("suite")?)?,
-        threads: v.uint_field("threads")?,
-        instructions: v.uint_field("instructions")?,
-        phases: vec_from(v, "phases", phase_from)?,
-        seed: v.uint_field("seed")?,
-    })
-}
-
-/// Serialises a workload-specification list (the `save_workloads`
-/// document).
-pub fn workloads_to_json(specs: &[WorkloadSpec]) -> String {
-    let mut out = String::from("[");
-    push_joined(&mut out, ",", specs, push_workload);
-    out.push(']');
-    out
-}
-
-/// Parses a workload-specification list serialised by
-/// [`workloads_to_json`].
-///
-/// # Errors
-///
-/// A human-readable description of the first structural problem.
-pub fn workloads_from_json(text: &str) -> Result<Vec<WorkloadSpec>, String> {
-    Value::parse(text)?
-        .as_array()
-        .ok_or("workload list must be an array")?
-        .iter()
-        .map(workload_from_value)
-        .collect()
-}
-
 /// The version constant re-exported next to the codec that writes it, so
 /// header round-trip tests read naturally.
 pub const VERSION: u32 = CHECKPOINT_VERSION;
@@ -526,27 +304,6 @@ mod tests {
         assert_eq!(back.completed.len(), 1);
         assert_eq!(back.quarantined, ck.quarantined);
         assert_eq!(checkpoint_to_json(&back), text);
-    }
-
-    #[test]
-    fn out_of_range_branch_length_is_rejected_not_truncated() {
-        let mut spec = gemstone_workloads::suites::by_name("mi-sha")
-            .unwrap()
-            .clone();
-        spec.phases[0].branches = vec![BranchSite {
-            behavior: BranchBehavior::Pattern { bits: 5, len: 3 },
-            weight: 1.0,
-        }];
-        let text = workloads_to_json(&[spec]);
-        assert_eq!(
-            workloads_from_json(&text).unwrap()[0].phases[0].branches[0].behavior,
-            BranchBehavior::Pattern { bits: 5, len: 3 }
-        );
-        // 300 would read back as 44 under an `as u8` cast.
-        let wide = text.replace("\"len\":3}", "\"len\":300}");
-        assert_ne!(wide, text);
-        let err = workloads_from_json(&wide).unwrap_err();
-        assert_eq!(err, "missing or non-u8 field \"len\"");
     }
 
     #[test]

@@ -39,7 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `.tmp` file); it never leaves a truncated `path`.
 ///
 /// This is the single write path for every persisted artefact — datasets,
-/// CSV exports, workload lists and sweep checkpoints.
+/// CSV exports, sweep checkpoints, `repro` outputs and the service's job
+/// files and results.
 ///
 /// # Errors
 ///
@@ -129,36 +130,6 @@ pub fn export_csv(collated: &Collated, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// Saves a workload-specification list as JSON (atomically) — custom
-/// workloads can be defined once and shared, like the paper's published
-/// benchmark setups.
-///
-/// # Errors
-///
-/// Returns [`GemStoneError::Io`] on filesystem failures.
-pub fn save_workloads(
-    specs: &[gemstone_workloads::spec::WorkloadSpec],
-    path: impl AsRef<Path>,
-) -> Result<()> {
-    let json = crate::jsonio::workloads_to_json(specs);
-    write_atomic(path, json.as_bytes())?;
-    Ok(())
-}
-
-/// Loads a workload-specification list from JSON.
-///
-/// # Errors
-///
-/// Returns [`GemStoneError::Io`] when the file is missing or unreadable,
-/// [`GemStoneError::Parse`] when it exists but holds invalid data.
-pub fn load_workloads(
-    path: impl AsRef<Path>,
-) -> Result<Vec<gemstone_workloads::spec::WorkloadSpec>> {
-    let json = fs::read_to_string(&path)?;
-    crate::jsonio::workloads_from_json(&json)
-        .map_err(|e| GemStoneError::Parse(format!("{}: {e}", path.as_ref().display())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,51 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn workload_specs_roundtrip_and_generate_identically() {
-        use gemstone_workloads::gen::StreamGen;
-        let specs = suites::validation_suite();
-        let dir = unique_dir("wl");
-        let path = dir.join("workloads.json");
-        save_workloads(&specs, &path).unwrap();
-        let back = load_workloads(&path).unwrap();
-        assert_eq!(back.len(), specs.len());
-        // The reloaded specs generate bit-identical streams.
-        let probe = back
-            .iter()
-            .find(|w| w.name == "par-basicmath-rad2deg")
-            .unwrap()
-            .scaled(0.02);
-        let orig = specs
-            .iter()
-            .find(|w| w.name == "par-basicmath-rad2deg")
-            .unwrap()
-            .scaled(0.02);
-        let a: Vec<_> = StreamGen::new(&probe).collect();
-        let b: Vec<_> = StreamGen::new(&orig).collect();
-        assert_eq!(a, b);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn workload_seed_beyond_f64_precision_round_trips() {
-        // 2^53 + 1 is the first integer an f64 cannot hold.
-        let mut spec = suites::by_name("mi-sha").unwrap().clone();
-        spec.seed = (1 << 53) + 1;
-        let dir = unique_dir("seed");
-        let path = dir.join("workloads.json");
-        save_workloads(std::slice::from_ref(&spec), &path).unwrap();
-        assert_eq!(load_workloads(&path).unwrap()[0].seed, spec.seed);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn load_missing_file_is_io_error() {
         assert!(matches!(
             load_collated("/nonexistent/path.json"),
-            Err(GemStoneError::Io(_))
-        ));
-        assert!(matches!(
-            load_workloads("/nonexistent/workloads.json"),
             Err(GemStoneError::Io(_))
         ));
     }
@@ -299,11 +228,6 @@ mod tests {
         // Valid JSON of the wrong shape is also a parse failure.
         fs::write(&path, r#"{"something": "else"}"#).unwrap();
         assert!(matches!(load_collated(&path), Err(GemStoneError::Parse(_))));
-        fs::write(&path, "not json at all").unwrap();
-        assert!(matches!(
-            load_workloads(&path),
-            Err(GemStoneError::Parse(_))
-        ));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -80,32 +80,6 @@ impl Table {
         let _ = ncol;
         out
     }
-
-    /// Renders the table as CSV (quoting cells containing commas).
-    pub fn to_csv(&self) -> String {
-        let quote = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Renders a horizontal bar chart of signed values (the Fig. 3 / Fig. 5
@@ -255,15 +229,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new(vec!["name", "v"]);
-        t.row(vec!["a,b".into(), "1".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert_eq!(csv.lines().count(), 2);
     }
 
     #[test]

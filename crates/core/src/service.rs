@@ -553,7 +553,8 @@ impl Service {
     /// that admission would now refuse (a `scale` outside (0, 10]) comes
     /// back [`JobState::Quarantined`] with the admission message and
     /// never runs. Other files (checkpoints, `write_atomic` temporaries,
-    /// names that are not UTF-8) are ignored.
+    /// names that are not UTF-8) are ignored, and so is a job file whose
+    /// spec an earlier file in name order already holds.
     ///
     /// # Errors
     ///
@@ -589,6 +590,11 @@ impl Service {
                 .and_then(JobSpec::parse_fields)
                 .map_err(|e| GemStoneError::Parse(format!("{}: {e}", path.display())))?;
             let id = spec.id();
+            if state.jobs.contains_key(&id) {
+                // Another file (a copy under another name) holds this
+                // spec: one job, queued once.
+                continue;
+            }
             let refused = spec.check_scale().err();
             let job_state = if refused.is_some() {
                 JobState::Quarantined

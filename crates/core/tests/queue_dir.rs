@@ -18,8 +18,10 @@
 //! runs the same cases; a failing case names its seed.
 #![cfg(unix)]
 
-use gemstone_core::service::{JobSpec, JobState, Service, ServiceConfig};
+use gemstone_core::service::{handle_request, JobSpec, JobState, Service, ServiceConfig};
 use gemstone_core::GemStoneError;
+use gemstone_obs::http::Request;
+use gemstone_obs::json::Value;
 use gemstone_platform::dvfs::Cluster;
 use gemstone_platform::gem5sim::Gem5Model;
 use gemstone_workloads::suites;
@@ -29,6 +31,8 @@ use std::ffi::OsString;
 use std::os::unix::ffi::OsStringExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Queue directories per run.
 const CASES: usize = 256;
@@ -266,6 +270,13 @@ fn check(case: &Case, opened: Result<Service, GemStoneError>) {
     assert_eq!(svc.drained(), !unsettled);
 }
 
+/// Serialises the tests that open a well-formed queue: the queue-depth
+/// gauge `/metrics` reports is one per process.
+fn serialised() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn open(dir: &Path) -> Result<Service, GemStoneError> {
     Service::open(ServiceConfig {
         queue_dir: dir.to_path_buf(),
@@ -276,6 +287,7 @@ fn open(dir: &Path) -> Result<Service, GemStoneError> {
 
 #[test]
 fn random_queue_directories_recover_to_the_reference_states() {
+    let _serial = serialised();
     let (opened, refused) = (AtomicUsize::new(0), AtomicUsize::new(0));
     for_each_case(CASES, CASE_SEED, |seed| {
         let case = build(seed);
@@ -326,4 +338,66 @@ fn unreadable_job_file_regressions() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The body of a `GET` on `path`.
+fn get(svc: &Service, path: &str) -> String {
+    let req = Request {
+        method: "GET".into(),
+        path: path.into(),
+        body: String::new(),
+    };
+    handle_request(svc, &req).2
+}
+
+/// The value of one sample line of the Prometheus `/metrics` body.
+fn metric(svc: &Service, name: &str) -> f64 {
+    get(svc, "/metrics")
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0.0)
+}
+
+/// Two job files that hold one spec (a copied or renamed job file) are
+/// one job: listed once, queued once and executed once.
+#[test]
+fn two_files_of_one_spec_are_one_job_run_once() {
+    let _serial = serialised();
+    let dir = unique_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = Gem5Model::Ex5Little;
+    let spec = JobSpec::Profile {
+        workload: "mi-sha".into(),
+        scale: 0.02,
+        model,
+        freq_hz: model.cluster().frequencies()[1],
+    };
+    for name in ["a.job.json", "b.job.json"] {
+        std::fs::write(dir.join(name), spec.canonical_json()).unwrap();
+    }
+    let svc = open(&dir).unwrap();
+    let jobs = Value::parse(&get(&svc, "/jobs")).unwrap();
+    assert_eq!(jobs.array_field("jobs").unwrap().len(), 1);
+    assert_eq!(metric(&svc, "service_queue_depth"), 1.0);
+    let before = metric(&svc, "service_jobs_completed");
+    drop(svc);
+
+    let svc = Service::open(ServiceConfig {
+        queue_dir: dir.clone(),
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !svc.drained() {
+        assert!(Instant::now() < deadline, "the job never finished");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Shutting down lets a running job finish, so a second queue entry
+    // would show as a second completion here.
+    svc.shutdown();
+    assert_eq!(metric(&svc, "service_jobs_completed") - before, 1.0);
+    assert_eq!(metric(&svc, "service_queue_depth"), 0.0);
+    assert_eq!(svc.status(&spec.id()).unwrap().state, JobState::Done);
+    std::fs::remove_dir_all(&dir).ok();
 }

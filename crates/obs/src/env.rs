@@ -33,23 +33,14 @@ fn warned() -> &'static Mutex<BTreeSet<String>> {
     WARNED.get_or_init(|| Mutex::new(BTreeSet::new()))
 }
 
-fn warning_log() -> &'static Mutex<Vec<String>> {
-    static LOG: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 fn warn_once(name: &str, raw: &str, requirement: &str, fallback: &str) {
     if !lock(warned()).insert(name.to_string()) {
         return;
     }
     let msg = format!("warning: {name}={raw:?} is not {requirement}; falling back to {fallback}");
     eprintln!("{msg}");
-    lock(warning_log()).push(msg);
-}
-
-/// Every environment warning emitted so far (for tests and reports).
-pub fn warnings() -> Vec<String> {
-    lock(warning_log()).clone()
+    #[cfg(test)]
+    lock(&tests::LOG).push(msg);
 }
 
 /// Reads and parses `name`. Returns `None` when the variable is unset, and
@@ -80,6 +71,13 @@ pub fn parse<T: FromStr>(name: &str, requirement: &str, fallback: &str) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every warning printed so far.
+    pub(super) static LOG: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    fn warnings() -> Vec<String> {
+        lock(&LOG).clone()
+    }
 
     #[test]
     fn unset_is_silent() {

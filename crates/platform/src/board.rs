@@ -356,6 +356,7 @@ mod tests {
             &spec(),
             &[1.0e9],
             TierConfig::default(),
+            None,
         )
         .remove(0);
         let direct = board.measure(&spec(), Cluster::BigA15, 1.0e9, sim);

@@ -250,9 +250,15 @@ mod tests {
         let warm = Gem5Sim::run(&cache, &s, model, 1.0e9, tier);
         // 1 GHz is a DVFS point: the cold run filled the 4-lane column.
         assert_eq!((cache.misses(), cache.hits()), (4, 1));
-        let direct =
-            SimCache::execute_grid_with(&TraceCache::global(), &model.config(), &s, &[1.0e9], tier)
-                .remove(0);
+        let direct = SimCache::execute_grid_with(
+            &TraceCache::global(),
+            &model.config(),
+            &s,
+            &[1.0e9],
+            tier,
+            None,
+        )
+        .remove(0);
         let direct = Gem5Sim::build_run(&s, model, 1.0e9, direct);
         for other in [&warm, &direct] {
             assert_eq!(cold.time_s, other.time_s);

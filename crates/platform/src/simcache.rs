@@ -67,7 +67,7 @@ use crate::dvfs::Cluster;
 use gemstone_obs::fnv::fnv1a;
 use gemstone_obs::registry::log2_time_bounds;
 use gemstone_obs::{Counter, Histogram, Registry};
-use gemstone_uarch::backend::{Backend, Fidelity, TierConfig};
+use gemstone_uarch::backend::{Backend, Fidelity, TierConfig, WindowObserver};
 use gemstone_uarch::core::CoreConfig;
 use gemstone_uarch::stats::SimStats;
 use gemstone_workloads::spec::WorkloadSpec;
@@ -378,7 +378,7 @@ impl SimCache {
                 .collect();
             let freqs: Vec<f64> = claimed.iter().map(|&i| freqs_hz[i]).collect();
             let sim_start = Instant::now();
-            let outcomes = Self::execute_grid_with(&self.traces, cfg, spec, &freqs, tier);
+            let outcomes = Self::execute_grid_with(&self.traces, cfg, spec, &freqs, tier, None);
             self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
             for ((&i, slot), outcome) in claimed.iter().zip(&claims.0).zip(outcomes) {
                 let outcome = Arc::new(outcome);
@@ -481,7 +481,7 @@ impl SimCache {
                     let claims = Claims(vec![Arc::clone(slot)]);
                     let sim_start = Instant::now();
                     let outcome = Arc::new(
-                        Self::execute_grid_with(&self.traces, cfg, spec, &[freq_hz], tier)
+                        Self::execute_grid_with(&self.traces, cfg, spec, &[freq_hz], tier, None)
                             .remove(0),
                     );
                     self.sim_seconds.observe(sim_start.elapsed().as_secs_f64());
@@ -513,20 +513,34 @@ impl SimCache {
     /// hardware, where loader/libc startup and untimed harness warm-up
     /// iterations run the workload's code paths first — while the data
     /// working set stays cold and its compulsory misses are measured.
+    ///
+    /// An `observer` sees every lane's cumulative results every
+    /// `observer.window` instructions of the timed replay (not of the
+    /// prologue); the outcomes are bit-identical to an unobserved replay.
+    /// Memo fills pass `None`; the run-time power monitor passes one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an observer is passed at any tier but approx (see
+    /// [`Backend::run_observed`]).
     pub fn execute_grid_with(
         traces: &TraceCache,
         cfg: &CoreConfig,
         spec: &WorkloadSpec,
         freqs_hz: &[f64],
         tier: TierConfig,
+        observer: Option<WindowObserver<'_>>,
     ) -> Vec<SimOutcome> {
         let mut backend = Backend::new(tier, cfg, freqs_hz, spec.threads, spec.derived_seed());
-        let results = if tier.fidelity == Fidelity::Atomic {
+        let results = if tier.fidelity == Fidelity::Atomic && observer.is_none() {
             backend.run_histogram(&traces.class_histogram(spec))
         } else {
             let trace = traces.get(spec);
             backend.warm_prologue(trace.iter());
-            backend.run_stream(trace.iter())
+            match observer {
+                Some(observer) => backend.run_observed(trace.iter(), observer),
+                None => backend.run_stream(trace.iter()),
+            }
         };
         results
             .into_iter()
@@ -628,7 +642,7 @@ mod tests {
 
     /// The direct one-lane replay at the default tier, past the memo.
     fn direct(traces: &TraceCache, cfg: &CoreConfig, s: &WorkloadSpec, f: f64) -> SimOutcome {
-        SimCache::execute_grid_with(traces, cfg, s, &[f], TierConfig::default()).remove(0)
+        SimCache::execute_grid_with(traces, cfg, s, &[f], TierConfig::default(), None).remove(0)
     }
 
     /// The reference for packed-trace replay: the generated stream driven
@@ -883,8 +897,8 @@ mod tests {
         let tier = TierConfig::atomic();
         let exec = |traces: &TraceCache| {
             (
-                SimCache::execute_grid_with(traces, &cfg, &s, &[1.0e9], tier).remove(0),
-                SimCache::execute_grid_with(traces, &cfg, &s, &FREQS, tier),
+                SimCache::execute_grid_with(traces, &cfg, &s, &[1.0e9], tier, None).remove(0),
+                SimCache::execute_grid_with(traces, &cfg, &s, &FREQS, tier, None),
             )
         };
         // The reference steps every generated instruction through the
@@ -1000,6 +1014,7 @@ mod tests {
                 &s,
                 &[f],
                 TierConfig::approx(),
+                None,
             )
             .remove(0);
             assert_eq!(single.stats.gem5_stats_map(), out.stats.gem5_stats_map());

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// The direct one-lane replay at the default tier, past the memo.
 fn direct(traces: &TraceCache, cfg: &CoreConfig, spec: &WorkloadSpec, f: f64) -> SimOutcome {
-    SimCache::execute_grid_with(traces, cfg, spec, &[f], TierConfig::default()).remove(0)
+    SimCache::execute_grid_with(traces, cfg, spec, &[f], TierConfig::default(), None).remove(0)
 }
 
 /// The reference: the generated stream driven through the backend

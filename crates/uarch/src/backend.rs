@@ -267,6 +267,19 @@ pub struct SampleMeta {
     pub rel_ci95: f64,
 }
 
+/// A read-only observer of an approx replay: every `window` retired
+/// instructions (at least 1), `observe` sees every lane's cumulative
+/// results so far, in lane order. The replay stops for it on the same
+/// countdown that schedules the accumulator drains, and the snapshot only
+/// reads engine state, so an observed replay ends bit-identical to an
+/// unobserved one.
+pub struct WindowObserver<'a> {
+    /// Retired instructions between two observations.
+    pub window: u64,
+    /// Called at each stop with every lane's cumulative results.
+    pub observe: &'a mut dyn FnMut(&[SimResult]),
+}
+
 /// Records one completed run at `fidelity` over `lanes` frequency lanes of
 /// `instructions` committed instructions each — the one accounting routine
 /// behind every run entry point ([`Engine::run`], [`SampledEngine::run`],
@@ -632,7 +645,14 @@ impl SampledEngine {
     /// draining on the same cadence as [`Engine::run`].
     pub fn run(&mut self, stream: impl Iterator<Item = Instr>) -> Vec<SimResult> {
         let _span = run_span(Fidelity::Sampled, self.lane_count());
-        drive(self, stream, SampledEngine::step, SampledEngine::boundary);
+        drive(
+            self,
+            stream,
+            SampledEngine::step,
+            SampledEngine::boundary,
+            u64::MAX,
+            |_| {},
+        );
         finish_run(Fidelity::Sampled, self.finish())
     }
 
@@ -829,6 +849,26 @@ impl Backend {
         }
     }
 
+    /// [`Backend::run_stream`] under a window observer (see
+    /// [`Engine::run_observed`]): the results are bit-identical to an
+    /// unobserved run.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is the approx tier, the one whose cumulative
+    /// results can be read mid-stream without changing them (the sampled
+    /// tier's `finish` closes its open measurement window).
+    pub fn run_observed(
+        &mut self,
+        stream: impl Iterator<Item = Instr>,
+        observer: WindowObserver<'_>,
+    ) -> Vec<SimResult> {
+        let Backend::Approx(engine) = self else {
+            panic!("only the approx tier replays under a window observer");
+        };
+        engine.run_observed(stream, observer)
+    }
+
     /// Runs the atomic tier over a whole-stream class histogram — the
     /// replay path of packed traces and of the trace cache's memoised
     /// histograms, neither of which decodes an instruction — with the same
@@ -1019,6 +1059,57 @@ mod tests {
         assert_eq!(rs.cycles, rx.cycles);
         assert_eq!(rs.stats.l1d.misses, rx.stats.l1d.misses);
         assert_eq!(rs.stats.sample.unwrap().coverage, 1.0);
+    }
+
+    #[test]
+    fn an_observed_replay_is_bit_identical_to_an_unobserved_one() {
+        // Three drains and then some; a 1,000-instruction window never
+        // meets a drain, a 4,096 one meets every drain.
+        let stream = mixed_stream(3 * Engine::DRAIN_INSTRS as usize + 777);
+        let cfg = ex5_big(Ex5Variant::Old);
+        let freqs = [0.6e9, 1.0e9, 1.4e9, 1.8e9];
+        let backend = || Backend::new(TierConfig::approx(), &cfg, &freqs, 4, 9);
+        let plain = backend().run_stream(stream.iter().copied());
+        for window in [1_000, 4_096] {
+            let mut seen: Vec<Vec<SimResult>> = Vec::new();
+            let mut observe = |lanes: &[SimResult]| seen.push(lanes.to_vec());
+            let observer = WindowObserver {
+                window,
+                observe: &mut observe,
+            };
+            let observed = backend().run_observed(stream.iter().copied(), observer);
+            assert_eq!(seen.len() as u64, stream.len() as u64 / window);
+            for (k, lanes) in (1..).zip(&seen) {
+                assert_eq!(lanes.len(), freqs.len());
+                for lane in lanes {
+                    assert_eq!(lane.stats.committed_instructions, k * window);
+                }
+            }
+            for (a, b) in plain.iter().zip(&observed) {
+                assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "window {window}");
+                assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "window {window}");
+                assert_eq!(a.stats.gem5_stats_map(), b.stats.gem5_stats_map());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the approx tier")]
+    fn only_the_approx_tier_replays_under_an_observer() {
+        let cfg = cortex_a7_hw();
+        let mut sampled = Backend::new(
+            TierConfig::sampled(SampleParams::default()),
+            &cfg,
+            &[1.0e9],
+            1,
+            0,
+        );
+        let mut observe = |_: &[SimResult]| {};
+        let observer = WindowObserver {
+            window: 100,
+            observe: &mut observe,
+        };
+        sampled.run_observed(mixed_stream(1_000).into_iter(), observer);
     }
 
     #[test]

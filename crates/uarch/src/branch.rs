@@ -632,11 +632,6 @@ impl BranchUnit {
     pub fn counters(&self) -> BranchCounters {
         self.counters
     }
-
-    /// Name of the underlying direction predictor.
-    pub fn predictor_name(&self) -> &'static str {
-        self.dir.name()
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! assert!(res.stats.ipc() > 1.0); // wide OoO core on pure ALU work
 //! ```
 
-use crate::backend::{finish_run, run_span, Fidelity};
+use crate::backend::{finish_run, run_span, Fidelity, WindowObserver};
 use crate::branch::{
     BimodalPredictor, BranchUnit, DirectionPredictor, GsharePredictor, TournamentPredictor,
 };
@@ -489,8 +489,28 @@ impl Engine {
     /// (DESIGN.md §10), draining the f64 accumulators every
     /// [`Engine::DRAIN_INSTRS`] instructions.
     pub fn run(&mut self, stream: impl Iterator<Item = Instr>) -> Vec<SimResult> {
+        let never = WindowObserver {
+            window: u64::MAX,
+            observe: &mut |_| {},
+        };
+        self.run_observed(stream, never)
+    }
+
+    /// [`Engine::run`] under a window observer: every `observer.window`
+    /// retired instructions (at least 1) it hands `observer.observe` every
+    /// lane's cumulative [`Engine::finish`]. `finish` only reads state, so
+    /// the results are bit-identical to an unobserved run.
+    pub fn run_observed(
+        &mut self,
+        stream: impl Iterator<Item = Instr>,
+        observer: WindowObserver<'_>,
+    ) -> Vec<SimResult> {
         let _span = run_span(Fidelity::Approx, self.lane_count());
-        drive(self, stream, Engine::step, Engine::boundary);
+        let observe = observer.observe;
+        let window = observer.window.max(1);
+        drive(self, stream, Engine::step, Engine::boundary, window, |e| {
+            observe(&e.finish());
+        });
         finish_run(Fidelity::Approx, self.finish())
     }
 
@@ -933,9 +953,10 @@ impl Engine {
     }
 
     /// Finalises every lane into a [`SimResult`] (one per frequency, in
-    /// construction order). The engine can keep stepping afterwards
-    /// (counters continue to accumulate).
-    pub fn finish(&mut self) -> Vec<SimResult> {
+    /// construction order). It only reads state: the engine can keep
+    /// stepping afterwards (counters continue to accumulate), and a replay
+    /// that calls it mid-stream ends bit-identical to one that does not.
+    pub fn finish(&self) -> Vec<SimResult> {
         // Speculative = committed + wrong path.
         let mut spec = self.committed;
         let wp = &self.wrong_path;
@@ -1007,22 +1028,37 @@ impl Engine {
 }
 
 /// The one replay loop of the detailed tiers: steps every instruction of
-/// `stream` through `step` and calls `drain` after every
-/// [`Engine::DRAIN_INSTRS`]-th.
+/// `stream` through `step`, calls `drain` after every
+/// [`Engine::DRAIN_INSTRS`]-th and `stop` after every `window`-th
+/// (never for `u64::MAX`). One countdown runs to whichever comes next, so
+/// a replay without stops does the same per-instruction work as one
+/// without the hook; where both fall on one instruction, the drain comes
+/// first.
 #[inline]
 pub(crate) fn drive<E>(
     engine: &mut E,
     stream: impl Iterator<Item = Instr>,
     step: impl Fn(&mut E, &Instr),
     drain: impl Fn(&mut E),
+    window: u64,
+    mut stop: impl FnMut(&mut E),
 ) {
-    let mut until = Engine::DRAIN_INSTRS;
+    let (mut next_drain, mut next_stop) = (Engine::DRAIN_INSTRS, window);
+    let mut until = next_drain.min(next_stop);
     for instr in stream {
         step(engine, &instr);
         until -= 1;
         if until == 0 {
-            drain(engine);
-            until = Engine::DRAIN_INSTRS;
+            let at = next_drain.min(next_stop);
+            if at == next_drain {
+                drain(engine);
+                next_drain += Engine::DRAIN_INSTRS;
+            }
+            if at == next_stop {
+                stop(engine);
+                next_stop = next_stop.saturating_add(window);
+            }
+            until = next_drain.min(next_stop) - at;
         }
     }
 }

@@ -76,11 +76,6 @@ impl InstrClass {
         )
     }
 
-    /// True when the class reads memory (loads and load-exclusives).
-    pub fn is_load(self) -> bool {
-        matches!(self, InstrClass::Load | InstrClass::LoadExclusive)
-    }
-
     /// True when the class writes memory (stores and store-exclusives).
     pub fn is_store(self) -> bool {
         matches!(self, InstrClass::Store | InstrClass::StoreExclusive)
@@ -286,13 +281,11 @@ mod tests {
         assert!(InstrClass::Load.is_memory());
         assert!(InstrClass::StoreExclusive.is_memory());
         assert!(InstrClass::StoreExclusive.is_store());
-        assert!(InstrClass::LoadExclusive.is_load());
         assert!(!InstrClass::IntAlu.is_memory());
         assert!(InstrClass::Return.is_branch());
         assert!(InstrClass::Call.is_branch());
         assert!(!InstrClass::Barrier.is_branch());
         assert!(!InstrClass::Load.is_store());
-        assert!(!InstrClass::Store.is_load());
     }
 
     #[test]

@@ -47,13 +47,6 @@ impl DramConfig {
     pub fn access_cycles(&self, freq_hz: f64) -> f64 {
         self.latency_ns * 1e-9 * freq_hz
     }
-
-    /// Cycles for one access when `pressure` ∈ `[0, 1]` of the bandwidth is
-    /// already in use (adds the contention penalty proportionally).
-    pub fn access_cycles_loaded(&self, freq_hz: f64, pressure: f64) -> f64 {
-        let p = pressure.clamp(0.0, 1.0);
-        (self.latency_ns + self.contention_ns * p * 4.0) * 1e-9 * freq_hz
-    }
 }
 
 #[cfg(test)]
@@ -65,27 +58,5 @@ mod tests {
         let d = DramConfig::new(80.0, 12.8);
         assert!((d.access_cycles(1.0e9) - 80.0).abs() < 1e-9);
         assert!((d.access_cycles(0.2e9) - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_increases_latency() {
-        let d = DramConfig::new(80.0, 12.8);
-        let unloaded = d.access_cycles_loaded(1.0e9, 0.0);
-        let loaded = d.access_cycles_loaded(1.0e9, 1.0);
-        assert!(loaded > unloaded);
-        assert!((unloaded - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pressure_is_clamped() {
-        let d = DramConfig::new(80.0, 12.8);
-        assert_eq!(
-            d.access_cycles_loaded(1.0e9, 5.0),
-            d.access_cycles_loaded(1.0e9, 1.0)
-        );
-        assert_eq!(
-            d.access_cycles_loaded(1.0e9, -3.0),
-            d.access_cycles_loaded(1.0e9, 0.0)
-        );
     }
 }

@@ -293,11 +293,6 @@ impl TlbHierarchy {
         self.dcounters
     }
 
-    /// Whether the second level is split (the gem5 model shape).
-    pub fn second_level_is_split(&self) -> bool {
-        self.l2.is_split()
-    }
-
     /// Flushes the L1 instruction TLB (context-synchronisation events and
     /// OS interrupts on real hardware; gem5 SE mode never does this).
     pub fn flush_instruction_l1(&mut self) {
@@ -367,7 +362,7 @@ mod tests {
     #[test]
     fn split_l2_separates_sides() {
         let mut h = small_hierarchy(false);
-        assert!(h.second_level_is_split());
+        assert!(h.l2.is_split());
         // Fill the same page from the data side, then thrash data L1.
         h.translate(TlbKind::Data, 42);
         for p in 100..104 {

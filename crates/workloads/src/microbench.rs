@@ -69,32 +69,6 @@ pub fn fig4_sizes() -> Vec<u64> {
     (12..=25).map(|p| 1u64 << p).collect()
 }
 
-/// A `bw_mem`-style bandwidth stream: independent strided loads (or
-/// stores) over `size_bytes`.
-pub fn bw_mem(size_bytes: u64, write: bool, accesses: u64) -> Vec<Instr> {
-    assert!(size_bytes > 0, "array size must be positive");
-    let mut out = Vec::with_capacity(accesses as usize);
-    let mut offset = 0u64;
-    for _ in 0..accesses {
-        let m = if write {
-            MemRef::store(ARRAY_BASE + offset, 4)
-        } else {
-            MemRef::load(ARRAY_BASE + offset, 4)
-        };
-        out.push(Instr::mem(
-            if write {
-                InstrClass::Store
-            } else {
-                InstrClass::Load
-            },
-            LOOP_PC,
-            m,
-        ));
-        offset = (offset + 64) % size_bytes;
-    }
-    out
-}
-
 /// An operation-latency micro-benchmark (`lat_ops` style): a serial chain
 /// of `count` operations of one class, bracketed by loop branches. The
 /// measured cycles-per-op exposes the configured operation latencies —
@@ -264,14 +238,5 @@ mod tests {
     #[should_panic(expected = "ALU-class")]
     fn op_latency_rejects_memory_classes() {
         op_latency(InstrClass::Load, 10);
-    }
-
-    #[test]
-    fn bw_mem_generates_streaming() {
-        let s = bw_mem(1 << 20, true, 100);
-        assert_eq!(s.len(), 100);
-        assert!(s.iter().all(|i| i.mem.unwrap().is_store));
-        let s = bw_mem(1 << 20, false, 100);
-        assert!(s.iter().all(|i| !i.mem.unwrap().is_store));
     }
 }

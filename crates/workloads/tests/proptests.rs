@@ -4,7 +4,7 @@
 //! case prints its seed.
 
 use gemstone_workloads::gen::StreamGen;
-use gemstone_workloads::microbench::{bw_mem, lat_mem_rd};
+use gemstone_workloads::microbench::lat_mem_rd;
 use gemstone_workloads::spec::{
     BranchBehavior, BranchSite, MemPattern, PhaseSpec, Suite, WorkloadSpec,
 };
@@ -182,17 +182,5 @@ fn lat_mem_rd_stays_in_array() {
             assert!(m.vaddr >= (1 << 31) && m.vaddr < (1 << 31) + size);
             assert!(m.dependent);
         }
-    });
-}
-
-#[test]
-fn bw_mem_direction() {
-    for_each_case(CASES, SEED, |seed| {
-        let mut g = Cases::new(seed);
-        let write = g.pick(&[false, true]);
-        let n = g.range(1, 300);
-        let s = bw_mem(1 << 20, write, n);
-        assert_eq!(s.len() as u64, n);
-        assert!(s.iter().all(|i| i.mem.unwrap().is_store == write));
     });
 }

@@ -66,25 +66,39 @@ fn main() {
     // gem5-insertable equations (the paper's run-time power analysis path).
     println!("{}", model.equations());
 
-    // Drive the simulator with the model in the loop: a run-time power
-    // trace (the "power analysis within gem5 itself" path).
-    use gemstone::powmon::runtime::RuntimePowerMonitor;
-    use gemstone::uarch::configs::cortex_a15_hw;
-    use gemstone::workloads::gen::StreamGen;
+    // Drive the simulator with the model in the loop (the "power analysis
+    // within gem5 itself" path): one replay of the gem5 model over the
+    // A15's DVFS column gives a run-time power trace per frequency. Its
+    // energy matches the retrospective estimate of the same cached run.
+    use gemstone::powmon::{apply, runtime::RuntimePowerMonitor};
+    use gemstone::uarch::backend::TierConfig;
     let spec = suites::by_name("mi-jpeg-encode")
         .expect("workload")
         .scaled(scale.max(0.2));
-    let monitor = RuntimePowerMonitor::new(model, 1.0e9, 5_000);
-    let trace = monitor
-        .run(cortex_a15_hw(), spec.threads, StreamGen::new(&spec))
-        .expect("power trace");
-    println!(
-        "run-time power trace of {} ({} windows):\n  {}\n  mean {:.2} W, peak {:.2} W, energy {:.3} mJ",
-        spec.name,
-        trace.samples.len(),
-        trace.sparkline(),
-        trace.mean_power_w(),
-        trace.peak_power_w(),
-        trace.total_energy_j() * 1e3
-    );
+    let gem5 = Gem5Model::Ex5BigOld;
+    let ex5_big_old = configs::ex5_big(configs::Ex5Variant::Old);
+    let freqs = Cluster::BigA15.frequencies();
+    let traces = RuntimePowerMonitor::new(model.clone(), 5_000)
+        .run(board.cache.trace_cache(), &ex5_big_old, &spec, freqs)
+        .expect("power traces");
+    println!("run-time power traces of {} on {}:", spec.name, gem5.name());
+    for (&f, trace) in freqs.iter().zip(&traces) {
+        let run = Gem5Sim::run(&board.cache, &spec, gem5, f, TierConfig::default());
+        let retro = apply::apply_to_gem5(&model, &run)
+            .expect("estimate")
+            .energy_j;
+        let energy = trace.total_energy_j();
+        println!(
+            "  {:.1} GHz, {} windows: {}\n    mean {:.2} W, peak {:.2} W, energy {:.4} mJ \
+             (retrospective {:.4} mJ, relative gap {:e})",
+            f / 1e9,
+            trace.samples.len(),
+            trace.sparkline(),
+            trace.mean_power_w(),
+            trace.peak_power_w(),
+            energy * 1e3,
+            retro * 1e3,
+            (energy - retro).abs() / retro
+        );
+    }
 }

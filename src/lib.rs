@@ -43,7 +43,11 @@ pub use gemstone_stats as stats;
 pub use gemstone_uarch as uarch;
 pub use gemstone_workloads as workloads;
 
-/// The most commonly used items in one import.
+/// The most commonly used items in one import: the pipeline, the board,
+/// the gem5 driver, power models, core configurations and the workload
+/// suites. The timing engine is not among them: runs go through
+/// [`platform::simcache::SimCache`] (memoised) or
+/// [`uarch::backend::Backend`].
 pub mod prelude {
     pub use gemstone_core::collate::Collated;
     pub use gemstone_core::experiment::{run_validation, ExperimentConfig};
@@ -53,7 +57,6 @@ pub mod prelude {
     pub use gemstone_platform::gem5sim::{Gem5Model, Gem5Sim};
     pub use gemstone_powmon::model::{EventExpr, PowerModel};
     pub use gemstone_uarch::configs;
-    pub use gemstone_uarch::core::Engine;
     pub use gemstone_workloads::suites;
 }
 

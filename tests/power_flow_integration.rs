@@ -2,9 +2,11 @@
 //! characterise → select → fit → apply to hardware and gem5 data →
 //! power-vs-energy error asymmetry.
 
+use gemstone::powmon::runtime::RuntimePowerMonitor;
 use gemstone::powmon::{apply, dataset, model::PowerModel, selection};
 use gemstone::prelude::*;
 use gemstone::uarch::backend::TierConfig;
+use gemstone::uarch::pmu;
 
 fn workload_names() -> Vec<&'static str> {
     vec![
@@ -95,4 +97,59 @@ fn microbench_exposes_model_memory_errors() {
     assert!(model15.dram_plateau_ns() < hw15.dram_plateau_ns());
     let (hw7, model7) = m.pair(Cluster::LittleA7).expect("A7 curves");
     assert!(model7.l2_plateau_ns() > hw7.l2_plateau_ns());
+}
+
+#[test]
+fn runtime_monitor_agrees_with_the_cached_run() {
+    // A model with coefficients at every DVFS point of the A15.
+    let board = OdroidXu3::new();
+    let freqs = Cluster::BigA15.frequencies();
+    let fit_specs: Vec<_> = workload_names()[..8]
+        .iter()
+        .map(|n| suites::by_name(n).expect("workload").scaled(0.05))
+        .collect();
+    let ds = dataset::collect(&board, Cluster::BigA15, &fit_specs, freqs);
+    let terms = [
+        EventExpr::single(pmu::CPU_CYCLES),
+        EventExpr::diff(pmu::INST_SPEC, pmu::DP_SPEC),
+        EventExpr::single(pmu::L1D_CACHE),
+        EventExpr::single(pmu::L2D_CACHE),
+    ];
+    let model = PowerModel::fit(&ds, &terms).expect("fit");
+
+    // The run-time traces of one fused replay over the column match the
+    // cached one-lane runs: time bit for bit, energy to rounding.
+    let monitor = RuntimePowerMonitor::new(model.clone(), 2_000);
+    let cfg = configs::ex5_big(configs::Ex5Variant::Old);
+    let traces_cache = board.cache.trace_cache();
+    for name in ["mi-sha", "mi-fft", "lm-bw-mem-rd"] {
+        let spec = suites::by_name(name).expect("workload").scaled(0.1);
+        let _hold = traces_cache.hold(&spec);
+        let traces = monitor
+            .run(traces_cache, &cfg, &spec, freqs)
+            .expect("power traces");
+        assert_eq!(traces.len(), freqs.len());
+        for (&f, trace) in freqs.iter().zip(&traces) {
+            let run = Gem5Sim::run_config(
+                &board.cache,
+                &spec,
+                Gem5Model::Ex5BigOld,
+                cfg.clone(),
+                f,
+                TierConfig::default(),
+            );
+            let end = trace.samples.last().expect("a window").t_end_s;
+            assert_eq!(
+                end.to_bits(),
+                run.time_s.to_bits(),
+                "{name} at {f}: {end} vs {}",
+                run.time_s
+            );
+            let retro = apply::apply_to_gem5(&model, &run)
+                .expect("estimate")
+                .energy_j;
+            let gap = (trace.total_energy_j() - retro).abs() / retro;
+            assert!(gap < 1e-9, "{name} at {f}: energy gap {gap:e}");
+        }
+    }
 }
