@@ -197,7 +197,7 @@ pub fn run_over(cfg: &ExperimentConfig, workloads: Vec<WorkloadSpec>) -> Validat
 }
 
 /// Scores model variants against the hardware, the what-if studies'
-/// evaluator (E13 ablation, X7 improve loop): one [`sweep`] over
+/// evaluator (E13 ablation, X7 improve loop): one `sweep` over
 /// `workloads` takes each workload's A15 board run at `freq_hz` once and
 /// simulates every variant config against it, reported under
 /// [`Gem5Model::Ex5BigOld`]. Returns one [`Collated`] per variant, in

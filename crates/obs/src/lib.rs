@@ -18,7 +18,7 @@
 //! * [`export`] — Prometheus text format for the registry, Chrome
 //!   trace-event JSON (loadable in `chrome://tracing` / Perfetto) for the
 //!   span log, and a JSONL stream for scripting.
-//! * [`env`] — the shared environment-variable parser used by every
+//! * [`env`](mod@env) — the shared environment-variable parser used by every
 //!   `GEMSTONE_*` knob; invalid values produce a one-time stderr warning
 //!   naming the variable and the fallback instead of being silently
 //!   ignored.

@@ -33,12 +33,11 @@
 //! column from one fused replay, so the column's other points become hits;
 //! custom configurations and off-column frequencies replay one lane.
 //!
-//! Cold runs replay the packed trace of the process-wide
-//! [`TraceCache`](gemstone_workloads::trace::TraceCache): a workload's
-//! instruction stream depends only on its spec, so a driver that replays
-//! one spec for several (configuration, frequency) columns holds its
-//! trace ([`TraceCache::hold`]) and the trace is generated once for all
-//! of them. Replay is bit-identical to direct generation (see the
+//! Cold runs replay the packed trace of the process-wide [`TraceCache`]:
+//! a workload's instruction stream depends only on its spec, so a driver
+//! that replays one spec for several (configuration, frequency) columns
+//! holds its trace ([`TraceCache::hold`]) and the trace is generated once
+//! for all of them. Replay is bit-identical to direct generation (see the
 //! determinism contract in [`gemstone_workloads::trace`]), so results stay
 //! unchanged whether a trace is fresh or held. Atomic-tier runs read only
 //! the trace cache's memoised class histogram of the spec, never a packed

@@ -253,9 +253,11 @@ mod tests {
 
     fn model() -> PowerModel {
         let board = OdroidXu3::new();
-        // Three distinct SIMD intensities (neonspeed 0.40, jpeg-decode
-        // 0.12, jpeg-encode 0.10, rest 0) so the ASE_SPEC coefficient is
-        // identified by a gradient rather than a single outlier point.
+        // A 1 GHz A15 model over ten workloads that span integer, FP,
+        // SIMD and memory-streaming mixes. Stepwise selection picks no
+        // SIMD event (its terms are 0x11, 0x66, 0x43, 0x4D, 0x60,
+        // 0x70−0x66 and 0x40−0x66), so the model tells phases apart by
+        // their cycle and memory-access rates, not by SIMD intensity.
         let specs: Vec<_> = [
             "mi-sha",
             "mi-fft",

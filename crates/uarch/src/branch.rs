@@ -474,157 +474,109 @@ impl BranchUnit {
         }
     }
 
-    /// Processes one branch instruction and returns the prediction outcome.
+    /// Processes one branch instruction and returns the prediction outcome:
+    /// `resolve` with its counters on.
     ///
     /// # Panics
     ///
     /// Panics in debug builds when called with a non-branch instruction or a
     /// branch without [`Instr::branch`] metadata.
     pub fn process(&mut self, instr: &Instr) -> BranchOutcome {
+        self.resolve::<true>(instr)
+    }
+
+    /// The one prediction routine. The direction predictor, BTB, RAS and
+    /// indirect predictor always train; the counters only when `RECORD`.
+    /// Functional warming runs it with `RECORD = false` so predictor
+    /// history stays in phase with the instruction stream, and uses the
+    /// outcome to warm the wrong-path pollution a real mispredict causes.
+    #[inline]
+    pub(crate) fn resolve<const RECORD: bool>(&mut self, instr: &Instr) -> BranchOutcome {
         debug_assert!(instr.class.is_branch());
         let br = instr.branch.expect("branch instruction without metadata");
-        self.counters.lookups += 1;
-        let outcome = match instr.class {
+        let kind = match instr.class {
             InstrClass::Branch => {
-                self.counters.cond_predicted += 1;
-                self.counters.immediate_branches += 1;
-                let predicted = self.dir.predict(br.static_id);
-                let mispredicted = predicted != br.taken;
+                let mispredicted = self.dir.predict(br.static_id) != br.taken;
                 self.dir.update(br.static_id, br.taken, mispredicted);
                 if mispredicted {
-                    self.counters.cond_incorrect += 1;
-                    BranchOutcome {
-                        mispredicted: true,
-                        kind: MispredictKind::Direction,
-                    }
+                    MispredictKind::Direction
                 } else if br.taken && br.target_page != instr.page() {
                     // Only cross-page targets need the BTB; short intra-page
                     // branches resolve through next-line prediction.
-                    self.target_check(br.static_id, br.target_page)
+                    self.target_check::<RECORD>(br.static_id, br.target_page)
                 } else {
-                    BranchOutcome {
-                        mispredicted: false,
-                        kind: MispredictKind::None,
-                    }
+                    MispredictKind::None
                 }
             }
             InstrClass::Call => {
-                self.counters.immediate_branches += 1;
                 // Return target is the page following the call site.
                 self.ras.push(instr.page());
-                self.target_check(br.static_id, br.target_page)
+                self.target_check::<RECORD>(br.static_id, br.target_page)
             }
             InstrClass::Return => {
-                self.counters.returns += 1;
-                self.counters.used_ras += 1;
-                let predicted = self.ras.pop();
-                if predicted == Some(br.target_page) {
-                    BranchOutcome {
-                        mispredicted: false,
-                        kind: MispredictKind::None,
-                    }
+                if self.ras.pop() == Some(br.target_page) {
+                    MispredictKind::None
                 } else {
-                    self.counters.ras_incorrect += 1;
-                    BranchOutcome {
-                        mispredicted: true,
-                        kind: MispredictKind::Ras,
-                    }
+                    MispredictKind::Ras
                 }
             }
             InstrClass::IndirectBranch => {
-                self.counters.indirect_lookups += 1;
                 let i = (mix(br.static_id) as usize) & (self.indirect.len() - 1);
                 let hit = matches!(self.indirect[i], Some((tag, page)) if tag == br.static_id && page == br.target_page);
                 self.indirect[i] = Some((br.static_id, br.target_page));
                 if hit {
-                    BranchOutcome {
-                        mispredicted: false,
-                        kind: MispredictKind::None,
-                    }
+                    MispredictKind::None
                 } else {
-                    self.counters.indirect_misses += 1;
-                    BranchOutcome {
-                        mispredicted: true,
-                        kind: MispredictKind::Indirect,
-                    }
+                    MispredictKind::Indirect
                 }
             }
-            _ => unreachable!("process() requires a branch class"),
+            _ => unreachable!("resolve() requires a branch class"),
         };
-        outcome
+        if RECORD {
+            let c = &mut self.counters;
+            c.lookups += 1;
+            match instr.class {
+                InstrClass::Branch => {
+                    c.cond_predicted += 1;
+                    c.immediate_branches += 1;
+                }
+                InstrClass::Call => c.immediate_branches += 1,
+                InstrClass::Return => {
+                    c.returns += 1;
+                    c.used_ras += 1;
+                }
+                _ => c.indirect_lookups += 1,
+            }
+            match kind {
+                MispredictKind::Direction => c.cond_incorrect += 1,
+                MispredictKind::Ras => c.ras_incorrect += 1,
+                MispredictKind::Indirect => c.indirect_misses += 1,
+                // `target_check` counts the BTB's hits and misses.
+                MispredictKind::BtbMiss | MispredictKind::None => {}
+            }
+        }
+        BranchOutcome {
+            mispredicted: kind != MispredictKind::None,
+            kind,
+        }
     }
 
-    fn target_check(&mut self, static_id: u32, target_page: u64) -> BranchOutcome {
-        match self.btb.lookup(static_id) {
-            Some(page) if page == target_page => {
+    fn target_check<const RECORD: bool>(
+        &mut self,
+        static_id: u32,
+        target_page: u64,
+    ) -> MispredictKind {
+        if self.btb.lookup(static_id) == Some(target_page) {
+            if RECORD {
                 self.counters.btb_hits += 1;
-                BranchOutcome {
-                    mispredicted: false,
-                    kind: MispredictKind::None,
-                }
             }
-            _ => {
-                self.btb.install(static_id, target_page);
+            MispredictKind::None
+        } else {
+            self.btb.install(static_id, target_page);
+            if RECORD {
                 self.counters.btb_misses += 1;
-                BranchOutcome {
-                    mispredicted: true,
-                    kind: MispredictKind::BtbMiss,
-                }
             }
-        }
-    }
-
-    /// Functional warming: trains the direction predictor, BTB, RAS and
-    /// indirect predictor exactly like [`BranchUnit::process`] but records
-    /// nothing in the counters. Returns whether the branch would have
-    /// mispredicted, so the caller can also warm the wrong-path fetch
-    /// pollution a real mispredict causes. The sampled execution tier
-    /// drives this during fast-forward phases so predictor history stays in
-    /// phase with the instruction stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when called with a non-branch instruction or a
-    /// branch without [`Instr::branch`] metadata.
-    pub fn warm(&mut self, instr: &Instr) -> bool {
-        debug_assert!(instr.class.is_branch());
-        let br = instr.branch.expect("branch instruction without metadata");
-        match instr.class {
-            InstrClass::Branch => {
-                let predicted = self.dir.predict(br.static_id);
-                let mispredicted = predicted != br.taken;
-                self.dir.update(br.static_id, br.taken, mispredicted);
-                if mispredicted {
-                    true
-                } else if br.taken && br.target_page != instr.page() {
-                    self.warm_target(br.static_id, br.target_page)
-                } else {
-                    false
-                }
-            }
-            InstrClass::Call => {
-                self.ras.push(instr.page());
-                self.warm_target(br.static_id, br.target_page)
-            }
-            InstrClass::Return => self.ras.pop() != Some(br.target_page),
-            InstrClass::IndirectBranch => {
-                let i = (mix(br.static_id) as usize) & (self.indirect.len() - 1);
-                let hit = matches!(self.indirect[i], Some((tag, page)) if tag == br.static_id && page == br.target_page);
-                self.indirect[i] = Some((br.static_id, br.target_page));
-                !hit
-            }
-            _ => unreachable!("warm() requires a branch class"),
-        }
-    }
-
-    /// Counter-free [`BranchUnit::target_check`]; true on a BTB mispredict.
-    fn warm_target(&mut self, static_id: u32, target_page: u64) -> bool {
-        match self.btb.lookup(static_id) {
-            Some(page) if page == target_page => false,
-            _ => {
-                self.btb.install(static_id, target_page);
-                true
-            }
+            MispredictKind::BtbMiss
         }
     }
 

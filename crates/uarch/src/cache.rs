@@ -256,20 +256,34 @@ impl Cache {
         self.cfg.latency
     }
 
-    /// Performs a demand access for the line address `line`
-    /// (byte address divided by the line size).
+    /// Performs a recorded demand access for the line address `line`
+    /// (byte address divided by the line size): `lookup` with its
+    /// counters on.
     #[inline]
     pub fn access(&mut self, line: u64, is_write: bool) -> CacheAccess {
-        self.counters.accesses += 1;
-        if is_write {
-            self.counters.write_accesses += 1;
-        } else {
-            self.counters.read_accesses += 1;
+        self.lookup::<true>(line, is_write)
+    }
+
+    /// The one demand-access routine. The replacement state always
+    /// updates; the counters only when `RECORD`. Functional warming
+    /// instantiates it with `RECORD = false`, so measurement windows start
+    /// from live cache contents while the event counts stay untouched.
+    #[inline]
+    pub(crate) fn lookup<const RECORD: bool>(&mut self, line: u64, is_write: bool) -> CacheAccess {
+        if RECORD {
+            self.counters.accesses += 1;
+            if is_write {
+                self.counters.write_accesses += 1;
+            } else {
+                self.counters.read_accesses += 1;
+            }
         }
         // Non-allocating write miss: probe only.
         if is_write && !self.cfg.write_allocate && !self.sets.probe(line) {
-            self.counters.misses += 1;
-            self.counters.write_misses += 1;
+            if RECORD {
+                self.counters.misses += 1;
+                self.counters.write_misses += 1;
+            }
             return CacheAccess {
                 hit: false,
                 writeback: false,
@@ -277,97 +291,60 @@ impl Cache {
             };
         }
         let r = self.sets.access(line, is_write);
-        if r.hit {
-            self.counters.hits += 1;
-            CacheAccess {
-                hit: true,
-                writeback: false,
-                writeback_line: None,
-            }
-        } else {
-            self.counters.misses += 1;
-            if is_write {
-                self.counters.write_misses += 1;
-                self.counters.refill_writes += 1;
-                self.counters.refill_writes_reported += u64::from(self.cfg.refill_write_overcount);
+        if RECORD {
+            let k = &mut self.counters;
+            if r.hit {
+                k.hits += 1;
+            } else if is_write {
+                k.misses += 1;
+                k.write_misses += 1;
+                k.refill_writes += 1;
+                k.refill_writes_reported += u64::from(self.cfg.refill_write_overcount);
             } else {
-                self.counters.read_misses += 1;
-                self.counters.refill_reads += 1;
+                k.misses += 1;
+                k.read_misses += 1;
+                k.refill_reads += 1;
             }
             if r.evicted {
-                self.counters.evictions += 1;
+                k.evictions += 1;
             }
             if r.victim_dirty {
-                self.counters.writeback_lines += 1;
-                self.counters.writebacks_reported += match self.cfg.writeback_accounting {
-                    WritebackAccounting::PerLine => 1,
-                    WritebackAccounting::PerWord => (self.cfg.line_bytes / 4).max(1) as u64,
-                };
+                self.record_writeback();
             }
-            CacheAccess {
-                hit: false,
-                writeback: r.victim_dirty,
-                writeback_line: if r.victim_dirty { r.victim_tag } else { None },
-            }
+        }
+        // A hit neither evicts nor writes back.
+        CacheAccess {
+            hit: r.hit,
+            writeback: r.victim_dirty,
+            writeback_line: r.victim_tag.filter(|_| r.victim_dirty),
         }
     }
 
-    /// Inserts a line as a prefetch (no demand counters; may write back a
-    /// dirty victim, which is reported like any other writeback).
+    /// Inserts a line as a prefetch (no demand counters; a dirty victim is
+    /// reported like any other writeback). Returns whether the line was
+    /// absent and so inserted.
     #[inline]
-    pub fn prefetch_fill(&mut self, line: u64) -> bool {
+    fn prefetch_fill<const RECORD: bool>(&mut self, line: u64) -> bool {
         if self.sets.probe(line) {
             return false;
         }
         let r = self.sets.access(line, false);
-        self.counters.prefetch_fills += 1;
-        if r.victim_dirty {
-            self.counters.writeback_lines += 1;
-            self.counters.writebacks_reported += match self.cfg.writeback_accounting {
-                WritebackAccounting::PerLine => 1,
-                WritebackAccounting::PerWord => (self.cfg.line_bytes / 4).max(1) as u64,
-            };
+        if RECORD {
+            self.counters.prefetch_fills += 1;
+            if r.victim_dirty {
+                self.record_writeback();
+            }
         }
         true
     }
 
-    /// Functional warming: updates the replacement state exactly like
-    /// [`Cache::access`] but records nothing in the counters. The sampled
-    /// execution tier drives this during fast-forward phases so measurement
-    /// windows start from live cache contents instead of stale ones, while
-    /// the event counts it later extrapolates stay untouched.
-    #[inline]
-    pub fn warm(&mut self, line: u64, is_write: bool) -> CacheAccess {
-        if is_write && !self.cfg.write_allocate && !self.sets.probe(line) {
-            return CacheAccess {
-                hit: false,
-                writeback: false,
-                writeback_line: None,
-            };
-        }
-        let r = self.sets.access(line, is_write);
-        if r.hit {
-            CacheAccess {
-                hit: true,
-                writeback: false,
-                writeback_line: None,
-            }
-        } else {
-            CacheAccess {
-                hit: false,
-                writeback: r.victim_dirty,
-                writeback_line: if r.victim_dirty { r.victim_tag } else { None },
-            }
-        }
-    }
-
-    /// Counter-free companion of [`Cache::prefetch_fill`] for functional
-    /// warming.
-    #[inline]
-    pub fn warm_fill(&mut self, line: u64) {
-        if !self.sets.probe(line) {
-            self.sets.access(line, false);
-        }
+    /// Counts one written-back line under the configured accounting mode.
+    fn record_writeback(&mut self) {
+        self.counters.writeback_lines += 1;
+        self.counters.writebacks_reported += match self.cfg.writeback_accounting {
+            WritebackAccounting::PerLine => 1,
+            WritebackAccounting::PerWord => (self.cfg.line_bytes / 4).max(1) as u64,
+        };
     }
 
     /// Invalidates a line (coherence); returns `Some(dirty)` when present.
@@ -395,22 +372,19 @@ pub struct PrefetcherConfig {
 
 /// Runs the prefetcher policy for one miss: fills `degree` successor lines.
 /// Returns how many fills were actually inserted (already-present lines are
-/// skipped).
-pub fn run_prefetch(cache: &mut Cache, missed_line: u64, cfg: PrefetcherConfig) -> u32 {
+/// skipped). Counts the fills only when `RECORD`.
+pub fn run_prefetch<const RECORD: bool>(
+    cache: &mut Cache,
+    missed_line: u64,
+    cfg: PrefetcherConfig,
+) -> u32 {
     let mut inserted = 0;
     for d in 1..=u64::from(cfg.degree) {
-        if cache.prefetch_fill(missed_line + d) {
+        if cache.prefetch_fill::<RECORD>(missed_line + d) {
             inserted += 1;
         }
     }
     inserted
-}
-
-/// Counter-free companion of [`run_prefetch`] for functional warming.
-pub fn warm_prefetch(cache: &mut Cache, missed_line: u64, cfg: PrefetcherConfig) {
-    for d in 1..=u64::from(cfg.degree) {
-        cache.warm_fill(missed_line + d);
-    }
 }
 
 #[cfg(test)]
@@ -508,14 +482,14 @@ mod tests {
     fn prefetch_fills_avoid_duplicates_and_count() {
         let mut c = Cache::new(small());
         c.access(10, false);
-        let inserted = run_prefetch(&mut c, 10, PrefetcherConfig { degree: 3 });
+        let inserted = run_prefetch::<true>(&mut c, 10, PrefetcherConfig { degree: 3 });
         assert_eq!(inserted, 3);
         // Lines 11..13 now hit on demand.
         assert!(c.access(11, false).hit);
         assert!(c.access(12, false).hit);
         assert!(c.access(13, false).hit);
         // Prefetching again inserts nothing new.
-        let inserted = run_prefetch(&mut c, 10, PrefetcherConfig { degree: 3 });
+        let inserted = run_prefetch::<true>(&mut c, 10, PrefetcherConfig { degree: 3 });
         assert_eq!(inserted, 0);
         assert_eq!(c.counters().prefetch_fills, 3);
     }
@@ -526,7 +500,7 @@ mod tests {
             let mut c = Cache::new(CacheConfig::new(4096, 4, 64, 2));
             for l in (0..256).step_by(8) {
                 if !c.access(l, false).hit {
-                    run_prefetch(&mut c, l, PrefetcherConfig { degree });
+                    run_prefetch::<true>(&mut c, l, PrefetcherConfig { degree });
                 }
             }
             c.counters().prefetch_fills

@@ -81,7 +81,7 @@ pub fn cortex_a15_hw() -> CoreConfig {
         l1d: CacheConfig::new(32 * 1024, 2, 64, 2),
         l2: CacheConfig::new(2 * 1024 * 1024, 16, 64, 12),
         prefetch: PrefetcherConfig { degree: 1 },
-        dram: DramConfig::new(100.0, 12.8),
+        dram: DramConfig::new(100.0),
         op_extra: OpLatencies {
             int_mul: 2.0,
             int_div: 10.0,
@@ -146,7 +146,7 @@ pub fn cortex_a7_hw() -> CoreConfig {
         l1d: CacheConfig::new(32 * 1024, 4, 64, 3),
         l2: CacheConfig::new(512 * 1024, 8, 64, 9),
         prefetch: PrefetcherConfig { degree: 1 },
-        dram: DramConfig::new(110.0, 6.4),
+        dram: DramConfig::new(110.0),
         op_extra: OpLatencies {
             int_mul: 3.0,
             int_div: 18.0,
@@ -213,7 +213,7 @@ pub fn ex5_big(variant: Ex5Variant) -> CoreConfig {
         walk_latency: 56,
     };
     // §IV-A / Fig. 4: DRAM latency too low.
-    cfg.dram = DramConfig::new(60.0, 12.8);
+    cfg.dram = DramConfig::new(60.0);
     // §IV-E: over-aggressive prefetching.
     cfg.prefetch = PrefetcherConfig { degree: 4 };
     // Fig. 6: 19× writebacks, 9.9× write refills — accounting distortions.
@@ -276,7 +276,7 @@ pub fn ex5_little() -> CoreConfig {
         walk_latency: 60,
     };
     // DRAM latency too low (same memory model as ex5_big).
-    cfg.dram = DramConfig::new(70.0, 6.4);
+    cfg.dram = DramConfig::new(70.0);
     // Fig. 4: the model's Cortex-A7 L2 latency is too HIGH.
     cfg.l2 = CacheConfig::new(512 * 1024, 8, 64, 21);
     cfg.prefetch = PrefetcherConfig { degree: 4 };

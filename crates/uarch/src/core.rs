@@ -29,7 +29,7 @@ use crate::backend::{finish_run, run_span, Fidelity, WindowObserver};
 use crate::branch::{
     BimodalPredictor, BranchUnit, DirectionPredictor, GsharePredictor, TournamentPredictor,
 };
-use crate::cache::{run_prefetch, warm_prefetch, Cache, CacheConfig, PrefetcherConfig};
+use crate::cache::{run_prefetch, Cache, CacheConfig, PrefetcherConfig};
 use crate::instr::{Instr, InstrClass};
 use crate::memory::DramConfig;
 use crate::stats::{ClassCounts, SimStats, StallCycles};
@@ -518,31 +518,23 @@ impl Engine {
     /// step once; each lane replays only the cycle additions).
     #[inline]
     pub fn step(&mut self, instr: &Instr) {
-        self.fetch(instr);
-        self.issue(instr);
-        match instr.class {
-            c if c.is_memory() => self.memory(instr),
-            c if c.is_branch() => self.branch(instr),
-            InstrClass::Barrier => self.barrier(),
-            _ => {}
-        }
-        self.count_committed(instr.class);
+        self.execute::<true, true>(instr);
     }
 
     /// Functional warming: advances every piece of long-lived
     /// microarchitectural state — caches, TLBs, branch predictor, fetch-line
-    /// tracking, and the ITLB/L1I pollution of wrong-path fetch bursts —
+    /// tracking, and the ITLB/L1I/DTLB pollution of wrong-path fetch bursts —
     /// exactly as [`Engine::step`] would, but charges no cycles and records
-    /// no events. The RNG is kept in lockstep with the detailed path: it is
-    /// drawn for wrong-path page selection and, in multi-threaded runs, for
-    /// the coherence-snoop and store-exclusive outcomes that a detailed
-    /// step would roll — so an engine warmed over a prefix is
-    /// state-identical (RNG included) to one that stepped it. The sampled
-    /// tier drives this through fast-forward phases. The warmed structures
-    /// are all shared, so one pass serves every lane.
+    /// no events: it is the same routine with its counters and cycle
+    /// additions compiled out. Every RNG draw of a detailed step happens
+    /// here too (wrong-path page selection and, in multi-threaded runs, the
+    /// coherence-snoop and store-exclusive rolls), so an engine warmed over
+    /// a prefix is state-identical (RNG included) to one that stepped it.
+    /// The sampled tier drives this through fast-forward phases. The
+    /// warmed structures are all shared, so one pass serves every lane.
     #[inline]
     pub fn warm_state(&mut self, instr: &Instr) {
-        self.warm(instr, true);
+        self.execute::<false, true>(instr);
     }
 
     /// Front-end-only functional warming — the *startup prologue*.
@@ -559,94 +551,40 @@ impl Engine {
     /// scales, so callers run this pass over the trace before the timed
     /// replay (see `SimCache::execute_grid_with`).
     ///
-    /// Advances exactly the front-end half of [`Engine::warm_state`]:
-    /// fetch-line and fetch-group phase, the periodic ITLB flush cadence,
-    /// ITLB and L1I (including their L2 fills and prefetch triggers), the
-    /// branch predictor, and the wrong-path pollution of mispredicted
-    /// branches (same RNG draws as a detailed mispredict). Data-side
-    /// state — DTLB, L1D, data-triggered L2 traffic — is left cold.
-    /// Charges no cycles and records no events.
+    /// Runs [`Engine::warm_state`] minus the memory instructions' data
+    /// accesses: fetch-line and fetch-group phase, the periodic ITLB flush
+    /// cadence, ITLB and L1I (including their L2 fills and prefetch
+    /// triggers), the branch predictor, and the whole wrong-path burst of
+    /// each mispredict — with its RNG draws and its three wrong-path DTLB
+    /// translations. Loads and stores leave the L1D, the L2 and the DTLB
+    /// untouched and draw nothing from the RNG, so the data side is cold
+    /// but for that wrong-path DTLB pollution. Charges no cycles and
+    /// records no events.
     #[inline]
     pub fn warm_frontend(&mut self, instr: &Instr) {
-        self.warm(instr, false);
+        self.execute::<false, false>(instr);
     }
 
-    /// The shared body of [`Engine::warm_state`] (`data`) and
-    /// [`Engine::warm_frontend`] (`!data`).
+    /// The one per-instruction routine behind [`Engine::step`]
+    /// (`RECORD`, `DATA`), [`Engine::warm_state`] (`DATA`) and
+    /// [`Engine::warm_frontend`] (neither). `RECORD` guards every counter,
+    /// event and cycle addition; state updates and RNG draws run in every
+    /// mode. `DATA` selects whether memory instructions access the data
+    /// side.
     #[inline]
-    fn warm(&mut self, instr: &Instr, data: bool) {
-        if let Some(line) = self.advance_fetch(instr, false) {
-            self.tlbs.warm(TlbKind::Instruction, instr.page());
-            if !self.l1i.warm(line, false).hit {
-                self.warm_level2(line, false);
-            }
+    fn execute<const RECORD: bool, const DATA: bool>(&mut self, instr: &Instr) {
+        self.fetch::<RECORD>(instr);
+        if RECORD {
+            self.issue(instr);
         }
         match instr.class {
-            c if data && c.is_memory() => {
-                if let Some(mem) = instr.mem {
-                    self.last_data_page = mem.page();
-                    self.tlbs.warm(TlbKind::Data, mem.page());
-                    let line = mem.vaddr >> self.l1d_line_shift;
-                    if mem.unaligned {
-                        self.l1d.warm(line + 1, mem.is_store);
-                    }
-                    let a = self.l1d.warm(line, mem.is_store);
-                    if !a.hit {
-                        self.warm_level2(line, mem.is_store);
-                    }
-                    if let Some(victim) = a.writeback_line {
-                        self.l2.warm(victim, true);
-                    }
-                    // Keep the RNG in lockstep with the detailed path's
-                    // stochastic micro-events (same draw conditions, same
-                    // order; outcomes charge no cycles here).
-                    if mem.shared && self.threads > 1 {
-                        let _ = self.rng.gen::<f64>();
-                    }
-                    if instr.class == InstrClass::StoreExclusive && self.threads > 1 {
-                        let _ = self.rng.gen::<f64>();
-                    }
-                }
-            }
-            // The guard's `warm` call must run for every branch — it updates
-            // the predictor tables; mispredicted ones additionally warm the
-            // wrong-path pollution.
-            c if c.is_branch() && self.bu.warm(instr) => self.warm_wrong_path(instr),
+            c if DATA && c.is_memory() => self.memory::<RECORD>(instr),
+            c if c.is_branch() => self.branch::<RECORD>(instr),
+            InstrClass::Barrier if RECORD => self.barrier(),
             _ => {}
         }
-    }
-
-    /// Counter-free companion of [`Engine::level2_fill`].
-    fn warm_level2(&mut self, line: u64, is_write: bool) {
-        if !self.l2.warm(line, is_write).hit && self.cfg.prefetch.degree > 0 {
-            warm_prefetch(&mut self.l2, line, self.cfg.prefetch);
-        }
-    }
-
-    /// Counter-free companion of [`Engine::wrong_path_fetch`]: the
-    /// ITLB/L1I/DTLB pollution of the wrong-path burst is long-lived state
-    /// that measurement windows observe, so fast-forwarding must reproduce
-    /// it (same RNG draws as the detailed path) or sampled CPI drifts by
-    /// several percent on mispredict-heavy workloads.
-    fn warm_wrong_path(&mut self, instr: &Instr) {
-        let depth = self.cfg.wrong_path_depth;
-        if depth == 0 {
-            return;
-        }
-        let br = instr.branch.expect("branch without metadata");
-        let wp_page = br.target_page ^ (1 + (self.rng.gen::<u64>() & 0x1F));
-        self.tlbs.warm(TlbKind::Instruction, wp_page);
-        let lines = (u64::from(depth)).div_ceil(16).max(1);
-        let base = self.rng.gen::<u64>() & 0x3F;
-        for i in 0..lines {
-            let line = (wp_page << 6) | ((base + i) & 0x3F);
-            if !self.l1i.warm(line, false).hit {
-                self.warm_level2(line, false);
-            }
-        }
-        for _ in 0..3 {
-            let page = self.last_data_page ^ (1 + (self.rng.gen::<u64>() & 0x7F));
-            self.tlbs.warm(TlbKind::Data, page);
+        if RECORD {
+            self.count_committed(instr.class);
         }
     }
 
@@ -662,18 +600,21 @@ impl Engine {
     /// Sends a miss to the L2 (triggering the prefetcher on an L2 demand
     /// miss) and returns whether it hit, so each lane can price the fill
     /// against its own DRAM latency.
-    fn level2_fill(&mut self, line: u64, is_write: bool) -> bool {
-        let a = self.l2.access(line, is_write);
+    fn level2_fill<const RECORD: bool>(&mut self, line: u64, is_write: bool) -> bool {
+        let a = self.l2.lookup::<RECORD>(line, is_write);
         if !a.hit && self.cfg.prefetch.degree > 0 {
-            run_prefetch(&mut self.l2, line, self.cfg.prefetch);
+            run_prefetch::<RECORD>(&mut self.l2, line, self.cfg.prefetch);
         }
         a.hit
     }
 
     /// A front-end (L1I-miss) fill: the L2/DRAM latency is exposed through
     /// the frontend stall factor, per lane.
-    fn fill_frontend(&mut self, line: u64) {
-        let l2_hit = self.level2_fill(line, false);
+    fn fill_frontend<const RECORD: bool>(&mut self, line: u64) {
+        let l2_hit = self.level2_fill::<RECORD>(line, false);
+        if !RECORD {
+            return;
+        }
         let l2_latency = f64::from(self.l2.latency());
         let frontend = self.cfg.stall.frontend;
         for lane in &mut self.lanes {
@@ -687,14 +628,13 @@ impl Engine {
         }
     }
 
-    /// Advances the fetch phase shared by the detailed and warming paths —
-    /// the periodic ITLB flush cadence, the fetch-group phase (which
-    /// decides *when* the reported-access counter ticks, so warming must
-    /// advance it too) and the current fetch line. Counts a reported L1I
-    /// access when `record`. Returns the line when the instruction starts a
-    /// new one.
+    /// Advances the fetch phase — the periodic ITLB flush cadence, the
+    /// fetch-group phase (which decides *when* the reported-access counter
+    /// ticks, so warming must advance it too) and the current fetch line.
+    /// Counts a reported L1I access when `RECORD`. Returns the line when
+    /// the instruction starts a new one.
     #[inline]
-    fn advance_fetch(&mut self, instr: &Instr, record: bool) -> Option<u64> {
+    fn advance_fetch<const RECORD: bool>(&mut self, instr: &Instr) -> Option<u64> {
         // The flush keeps its cadence across fast-forwarded stretches;
         // otherwise resumed windows would see an unrealistically warm ITLB.
         if let Some(interval) = self.cfg.itlb_flush_interval {
@@ -709,7 +649,7 @@ impl Engine {
         // Event accounting: one reported access per fetch group or new line.
         self.group_fill += 1;
         if new_line || self.group_fill >= self.cfg.fetch_group_size {
-            if record {
+            if RECORD {
                 self.events.l1i_reported_accesses += 1;
             }
             self.group_fill = 0;
@@ -722,19 +662,21 @@ impl Engine {
     }
 
     #[inline]
-    fn fetch(&mut self, instr: &Instr) {
-        let Some(line) = self.advance_fetch(instr, true) else {
+    fn fetch<const RECORD: bool>(&mut self, instr: &Instr) {
+        let Some(line) = self.advance_fetch::<RECORD>(instr) else {
             return;
         };
         // ITLB translation for the instruction page.
-        let t = self.tlbs.translate(TlbKind::Instruction, instr.page());
-        if t.stall_cycles > 0 {
+        let t = self
+            .tlbs
+            .lookup::<RECORD>(TlbKind::Instruction, instr.page());
+        if RECORD && t.stall_cycles > 0 {
             self.stalls.fetch_tlb += f64::from(t.stall_cycles);
             self.add_all(f64::from(t.stall_cycles));
         }
         // L1I access for the new line.
-        if !self.l1i.access(line, false).hit {
-            self.fill_frontend(line);
+        if !self.l1i.lookup::<RECORD>(line, false).hit {
+            self.fill_frontend::<RECORD>(line);
         }
     }
 
@@ -758,7 +700,7 @@ impl Engine {
     }
 
     #[inline]
-    fn memory(&mut self, instr: &Instr) {
+    fn memory<const RECORD: bool>(&mut self, instr: &Instr) {
         let mem = match instr.mem {
             Some(m) => m,
             None => return,
@@ -766,113 +708,129 @@ impl Engine {
         let is_store = mem.is_store;
         self.last_data_page = mem.page();
         // DTLB.
-        let t = self.tlbs.translate(TlbKind::Data, mem.page());
-        if !t.l1_hit {
-            if is_store {
-                self.events.dtlb_miss_stores += 1;
-            } else {
-                self.events.dtlb_miss_loads += 1;
+        let t = self.tlbs.lookup::<RECORD>(TlbKind::Data, mem.page());
+        if RECORD {
+            if !t.l1_hit {
+                if is_store {
+                    self.events.dtlb_miss_stores += 1;
+                } else {
+                    self.events.dtlb_miss_loads += 1;
+                }
             }
-        }
-        if t.stall_cycles > 0 {
-            let exposed = f64::from(t.stall_cycles) * self.cfg.stall.dtlb;
-            self.stalls.data_tlb += exposed;
-            self.add_all(exposed);
+            if t.stall_cycles > 0 {
+                let exposed = f64::from(t.stall_cycles) * self.cfg.stall.dtlb;
+                self.stalls.data_tlb += exposed;
+                self.add_all(exposed);
+            }
         }
         // Unaligned accesses cost an extra L1D access.
         let line = mem.vaddr >> self.l1d_line_shift;
         if mem.unaligned {
-            if is_store {
-                self.events.unaligned_stores += 1;
-            } else {
-                self.events.unaligned_loads += 1;
+            if RECORD {
+                if is_store {
+                    self.events.unaligned_stores += 1;
+                } else {
+                    self.events.unaligned_loads += 1;
+                }
             }
-            self.l1d.access(line + 1, is_store);
-            self.add_all(1.0);
+            self.l1d.lookup::<RECORD>(line + 1, is_store);
+            if RECORD {
+                self.add_all(1.0);
+            }
         }
         // L1D access; a miss fills from L2 (and DRAM beyond, priced per
         // lane below).
-        let a = self.l1d.access(line, is_store);
-        let l2_fill = (!a.hit).then(|| self.level2_fill(line, is_store));
+        let a = self.l1d.lookup::<RECORD>(line, is_store);
+        let l2_fill = (!a.hit).then(|| self.level2_fill::<RECORD>(line, is_store));
         if let Some(victim) = a.writeback_line {
             // The dirty victim travels to L2 (usually still resident there).
-            self.l2.access(victim, true);
+            self.l2.lookup::<RECORD>(victim, true);
         }
         // Coherence for shared data in multi-threaded runs.
         let snooped =
             mem.shared && self.threads > 1 && self.rng.gen::<f64>() < self.cfg.coherence_miss_prob;
-        if snooped {
-            self.events.snoops += 1;
-        }
-        let l2_latency = f64::from(self.l2.latency());
-        let snoop_cost = self.cfg.snoop_cost;
-        let factor = if is_store {
-            self.cfg.stall.store
-        } else if mem.dependent {
-            // A serial dependence chain exposes the whole latency.
-            1.0
-        } else {
-            self.cfg.stall.load
-        };
-        // Per lane: zero-init, fill add, snoop add, one multiply — the
-        // same f64 sequence at every lane count.
-        for lane in &mut self.lanes {
-            let mut cost = 0.0;
-            if let Some(l2_hit) = l2_fill {
-                let mut fill = l2_latency;
-                if !l2_hit {
-                    fill += lane.dram_cycles;
-                }
-                cost += fill;
-            }
+        if RECORD {
             if snooped {
-                cost += snoop_cost;
+                self.events.snoops += 1;
             }
-            if cost > 0.0 {
-                let exposed = cost * factor;
-                lane.stall_memory += exposed;
-                lane.cycles += exposed;
+            let l2_latency = f64::from(self.l2.latency());
+            let snoop_cost = self.cfg.snoop_cost;
+            let factor = if is_store {
+                self.cfg.stall.store
+            } else if mem.dependent {
+                // A serial dependence chain exposes the whole latency.
+                1.0
+            } else {
+                self.cfg.stall.load
+            };
+            // Per lane: zero-init, fill add, snoop add, one multiply — the
+            // same f64 sequence at every lane count.
+            for lane in &mut self.lanes {
+                let mut cost = 0.0;
+                if let Some(l2_hit) = l2_fill {
+                    let mut fill = l2_latency;
+                    if !l2_hit {
+                        fill += lane.dram_cycles;
+                    }
+                    cost += fill;
+                }
+                if snooped {
+                    cost += snoop_cost;
+                }
+                if cost > 0.0 {
+                    let exposed = cost * factor;
+                    lane.stall_memory += exposed;
+                    lane.cycles += exposed;
+                }
             }
         }
-        // Exclusives serialise.
+        // Exclusives serialise; a store-exclusive rolls for failure.
         match instr.class {
-            InstrClass::LoadExclusive => {
+            InstrClass::LoadExclusive if RECORD => {
                 self.events.nonspec_stalls += 1;
                 let c = self.cfg.exclusive_cost * 0.5;
                 self.stalls.serialization += c;
                 self.add_all(c);
             }
             InstrClass::StoreExclusive => {
-                self.events.nonspec_stalls += 1;
-                let mut c = self.cfg.exclusive_cost;
-                if self.threads > 1 && self.rng.gen::<f64>() < self.cfg.strex_fail_rate {
-                    self.events.strex_fails += 1;
-                    c *= 2.0; // retry
+                let failed = self.threads > 1 && self.rng.gen::<f64>() < self.cfg.strex_fail_rate;
+                if RECORD {
+                    self.events.nonspec_stalls += 1;
+                    let mut c = self.cfg.exclusive_cost;
+                    if failed {
+                        self.events.strex_fails += 1;
+                        c *= 2.0; // retry
+                    }
+                    self.stalls.serialization += c;
+                    self.add_all(c);
                 }
-                self.stalls.serialization += c;
-                self.add_all(c);
             }
             _ => {}
         }
     }
 
     #[inline]
-    fn branch(&mut self, instr: &Instr) {
-        let outcome = self.bu.process(instr);
+    fn branch<const RECORD: bool>(&mut self, instr: &Instr) {
+        let outcome = self.bu.resolve::<RECORD>(instr);
         if !outcome.mispredicted {
             return;
         }
-        let penalty = f64::from(self.cfg.pipeline_depth);
-        self.stalls.mispredict += penalty;
-        self.add_all(penalty);
-        self.wrong_path_fetch(instr);
+        if RECORD {
+            let penalty = f64::from(self.cfg.pipeline_depth);
+            self.stalls.mispredict += penalty;
+            self.add_all(penalty);
+        }
+        self.wrong_path_fetch::<RECORD>(instr);
     }
 
     /// Models the wrong-path fetch burst after a mispredict: the front end
     /// runs ahead on a wrong code page, polluting the ITLB and L1I — the
     /// coupling behind the paper's "a large number of branch mispredictions
-    /// are causing a large number of ITLB misses".
-    fn wrong_path_fetch(&mut self, instr: &Instr) {
+    /// are causing a large number of ITLB misses". The pollution is
+    /// long-lived state that measurement windows observe, so warming runs
+    /// the burst too (same RNG draws), or sampled CPI drifts by several
+    /// percent on mispredict-heavy workloads.
+    fn wrong_path_fetch<const RECORD: bool>(&mut self, instr: &Instr) {
         let depth = self.cfg.wrong_path_depth;
         if depth == 0 {
             return;
@@ -882,8 +840,8 @@ impl Engine {
         // footprint: stale BTB entries and fall-through paths scatter over
         // nearby pages.
         let wp_page = br.target_page ^ (1 + (self.rng.gen::<u64>() & 0x1F));
-        let t = self.tlbs.translate(TlbKind::Instruction, wp_page);
-        if t.stall_cycles > 0 {
+        let t = self.tlbs.lookup::<RECORD>(TlbKind::Instruction, wp_page);
+        if RECORD && t.stall_cycles > 0 {
             // Wrong-path translation stalls the squash-recovery.
             let exposed = f64::from(t.stall_cycles) * self.cfg.stall.frontend;
             self.stalls.fetch_tlb += exposed;
@@ -896,26 +854,29 @@ impl Engine {
             // Wrong-path fills occupy the fetch path while the squash
             // resolves: part of their latency delays the redirect, the
             // rest is pure pollution.
-            if !self.l1i.access(line, false).hit {
-                self.fill_frontend(line);
+            if !self.l1i.lookup::<RECORD>(line, false).hit {
+                self.fill_frontend::<RECORD>(line);
             }
         }
-        // Only a fraction of wrong-path *fetches* actually issue and count
-        // as speculatively executed; the generic composition below models
-        // them.
-        let d = (u64::from(depth) / 8).max(1);
-        self.wrong_path.int_alu += d * 5 / 10;
-        self.wrong_path.loads += d * 2 / 10;
-        self.wrong_path.stores += d / 10;
-        self.wrong_path.branches += d / 10;
-        self.wrong_path.nops += d - (d * 5 / 10 + d * 2 / 10 + d / 10 + d / 10);
+        if RECORD {
+            // Only a fraction of wrong-path *fetches* actually issue and
+            // count as speculatively executed; the generic composition
+            // below models them.
+            let d = (u64::from(depth) / 8).max(1);
+            self.wrong_path.int_alu += d * 5 / 10;
+            self.wrong_path.loads += d * 2 / 10;
+            self.wrong_path.stores += d / 10;
+            self.wrong_path.branches += d / 10;
+            self.wrong_path.nops += d - (d * 5 / 10 + d * 2 / 10 + d / 10 + d / 10);
+        }
         // A couple of wrong-path loads translate through the DTLB per
         // squash: latency is hidden, but the counts and TLB pollution are
         // real — this is how the model's wrong path inflates its DTLB
         // refill counts.
         for _ in 0..3 {
             let page = self.last_data_page ^ (1 + (self.rng.gen::<u64>() & 0x7F));
-            if !self.tlbs.translate(TlbKind::Data, page).l1_hit {
+            let t = self.tlbs.lookup::<RECORD>(TlbKind::Data, page);
+            if RECORD && !t.l1_hit {
                 self.events.dtlb_miss_loads += 1;
             }
         }

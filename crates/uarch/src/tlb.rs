@@ -204,14 +204,29 @@ impl TlbHierarchy {
     }
 
     /// Translates a virtual page, updating TLB state and counters, and
-    /// returns hit/miss information plus the stall cycles to charge.
+    /// returns hit/miss information plus the stall cycles to charge:
+    /// `lookup` with its counters on.
     #[inline]
     pub fn translate(&mut self, kind: TlbKind, page: u64) -> TranslateResult {
+        self.lookup::<true>(kind, page)
+    }
+
+    /// The one translation routine. L1/L2 replacement state always
+    /// updates; the counters only when `RECORD` (functional warming runs
+    /// it with `RECORD = false`).
+    #[inline]
+    pub(crate) fn lookup<const RECORD: bool>(
+        &mut self,
+        kind: TlbKind,
+        page: u64,
+    ) -> TranslateResult {
         let (l1, counters) = match kind {
             TlbKind::Instruction => (&mut self.l1i, &mut self.icounters),
             TlbKind::Data => (&mut self.l1d, &mut self.dcounters),
         };
-        counters.l1_accesses += 1;
+        if RECORD {
+            counters.l1_accesses += 1;
+        }
         if l1.access(page, false).hit {
             return TranslateResult {
                 l1_hit: true,
@@ -219,67 +234,40 @@ impl TlbHierarchy {
                 stall_cycles: 0,
             };
         }
-        counters.l1_misses += 1;
-        counters.l2_accesses += 1;
-        let (l2_hit, latency, walk_latency) = match &mut self.l2.inner {
+        let (l2, latency, walk_latency) = match &mut self.l2.inner {
             SecondLevel::Unified {
                 tlb,
                 latency,
                 walk_latency,
-            } => (tlb.access(page, false).hit, *latency, *walk_latency),
+            } => (tlb, *latency, *walk_latency),
             SecondLevel::Split {
                 itlb,
                 dtlb,
                 latency,
                 walk_latency,
-            } => {
-                let t = match kind {
-                    TlbKind::Instruction => itlb,
-                    TlbKind::Data => dtlb,
-                };
-                (t.access(page, false).hit, *latency, *walk_latency)
-            }
+            } => match kind {
+                TlbKind::Instruction => (itlb, *latency, *walk_latency),
+                TlbKind::Data => (dtlb, *latency, *walk_latency),
+            },
         };
-        if l2_hit {
-            counters.l2_hits += 1;
-            TranslateResult {
-                l1_hit: false,
-                l2_hit: true,
-                stall_cycles: latency,
-            }
-        } else {
-            counters.walks += 1;
-            TranslateResult {
-                l1_hit: false,
-                l2_hit: false,
-                stall_cycles: latency + walk_latency,
+        let l2_hit = l2.access(page, false).hit;
+        if RECORD {
+            counters.l1_misses += 1;
+            counters.l2_accesses += 1;
+            if l2_hit {
+                counters.l2_hits += 1;
+            } else {
+                counters.walks += 1;
             }
         }
-    }
-
-    /// Functional warming: updates L1/L2 TLB replacement state exactly like
-    /// [`TlbHierarchy::translate`] but records nothing in the counters. The
-    /// sampled execution tier drives this during fast-forward phases.
-    #[inline]
-    pub fn warm(&mut self, kind: TlbKind, page: u64) {
-        let l1 = match kind {
-            TlbKind::Instruction => &mut self.l1i,
-            TlbKind::Data => &mut self.l1d,
-        };
-        if l1.access(page, false).hit {
-            return;
-        }
-        match &mut self.l2.inner {
-            SecondLevel::Unified { tlb, .. } => {
-                tlb.access(page, false);
-            }
-            SecondLevel::Split { itlb, dtlb, .. } => {
-                let t = match kind {
-                    TlbKind::Instruction => itlb,
-                    TlbKind::Data => dtlb,
-                };
-                t.access(page, false);
-            }
+        TranslateResult {
+            l1_hit: false,
+            l2_hit,
+            stall_cycles: if l2_hit {
+                latency
+            } else {
+                latency + walk_latency
+            },
         }
     }
 

@@ -255,3 +255,51 @@ fn warm_prefix_case(seed: u64) {
 fn warm_prefix_is_state_identical_to_stepped_prefix() {
     for_each_case(24, CASE_SEED, warm_prefix_case);
 }
+
+/// One startup-prologue case: warm a prefix with `warm_frontend`, step the
+/// rest. Single-threaded only: with more threads, memory instructions draw
+/// the RNG, and front-end warming skips them.
+fn warm_frontend_prefix_case(seed: u64) {
+    let mut rng = Cases::new(seed);
+    let stream = stream(rng.range(12_000, 30_000) as usize, rng.next());
+    let drain_instrs = rng.pick(&[1_024u64, 4_096, 7_777]);
+    let k = (rng.range(1, 5) * drain_instrs).min(stream.len() as u64) as usize;
+    let cfg = configs()[rng.pick(&[0usize, 1, 2])].clone();
+    let build = || Engine::with_seed(cfg.clone(), &[1.0e9], 1, 5);
+
+    let mut warmed = build();
+    for instr in &stream[..k] {
+        warmed.warm_frontend(instr);
+    }
+    drive_engine(&mut warmed, drain_instrs, &stream[k..]);
+    let suffix = warmed.finish().remove(0).stats;
+
+    let mut full = build();
+    drive_engine(&mut full, drain_instrs, &stream);
+    let full = full.finish().remove(0).stats;
+    let mut prefix = build();
+    drive_engine(&mut prefix, drain_instrs, &stream[..k]);
+    let prefix = prefix.finish().remove(0).stats;
+
+    // Front-end events only: the data side (L1D, DTLB, data-triggered L2
+    // traffic) is left cold, so its events differ by design.
+    for (name, get) in [
+        ("l1i misses", (|s| s.l1i.misses) as fn(&SimStats) -> u64),
+        ("l1i reported accesses", |s| s.l1i_reported_accesses),
+        ("mispredicts", |s| s.branch.cond_incorrect),
+        ("btb misses", |s| s.branch.btb_misses),
+        ("ras mispredicts", |s| s.branch.ras_incorrect),
+        ("itlb misses", |s| s.itlb.l1_misses),
+        ("wrong-path instructions", |s| s.wrong_path_instructions),
+    ] {
+        assert_eq!(get(&suffix), get(&full) - get(&prefix), "{name}");
+    }
+}
+
+/// The startup prologue leaves the front end state-identical to detailed
+/// stepping: an engine whose prefix was front-end warmed reports the
+/// suffix's front-end events alone — the full run's minus the prefix's.
+#[test]
+fn warm_frontend_prefix_is_front_end_identical_to_stepped_prefix() {
+    for_each_case(24, CASE_SEED, warm_frontend_prefix_case);
+}
